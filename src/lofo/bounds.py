@@ -37,7 +37,7 @@ from .distributions import (
     m_functional,
     symmetrize,
 )
-from .exceptions import PreconditionError
+from .exceptions import NumericalError, PreconditionError
 from .lcd import dist_to_lattice
 
 
@@ -175,7 +175,7 @@ def _piecewise_tau0(u: np.ndarray, w: np.ndarray, m_star: float) -> float:
             if u[idx] <= tau * (1 + 1e-12) and tau <= hi * (1 + 1e-12):
                 return tau
         idx += 1
-    raise RuntimeError("piecewise root not bracketed; inconsistent inputs")
+    raise NumericalError("piecewise root not bracketed; inconsistent inputs")
 
 
 def _bisect_tau0(m_of, m_star: float, tol: float) -> tuple[float, int]:
@@ -185,12 +185,12 @@ def _bisect_tau0(m_of, m_star: float, tol: float) -> tuple[float, int]:
         lo *= 0.5
         it += 1
         if it > 600:
-            raise RuntimeError("bracket expansion failed toward 0")
+            raise NumericalError("bracket expansion failed toward 0")
     while m_of(hi) > m_star:
         hi *= 2.0
         it += 1
         if it > 1200:
-            raise RuntimeError("bracket expansion failed toward infinity")
+            raise NumericalError("bracket expansion failed toward infinity")
     mid = 0.5 * (lo + hi)
     while it < 2000:
         mid = 0.5 * (lo + hi)
@@ -218,7 +218,8 @@ def solve_tau0(
 
     Requires L^2 > 1/P with P = P(X~ != 0); otherwise no root exists and a
     PreconditionError is raised.  Default residual tolerance is 1e-10 on the
-    exact finite path and 1e-6 on quadrature/Monte-Carlo backed paths.
+    exact finite path and 1e-6 on quadrature/Monte-Carlo backed paths; a
+    root that misses it raises NumericalError.
     """
     if not L > 0:
         raise ValueError("L must be positive")
@@ -255,7 +256,7 @@ def solve_tau0(
         residual = abs(float(np.sum(w * clipped)) - m_star)
         method, iters = "empirical_sample", 0
     if residual > tol:
-        raise RuntimeError(f"crossover residual {residual:g} above tolerance {tol:g}")
+        raise NumericalError(f"crossover residual {residual:g} above tolerance {tol:g}")
     eps0 = tau0 / dstar if dstar is not None else None
     return RootSolution(tau0=tau0, residual=residual, iterations=iters, method=method, eps0=eps0)
 

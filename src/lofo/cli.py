@@ -11,9 +11,10 @@ symmetrization needed by spread-functional computations happens internally):
     report  render a report JSON to CSV (wide and plot-ready long form)
 
 Exit codes: 0 success; 1 mathematical precondition violated (the message
-names the failing condition, e.g. "L^2 <= 1/P"); 2 I/O, parsing, or
-capacity failures.  With a fixed seed the emitted JSON is byte-identical
-across runs (canonical serialization).
+names the failing condition, e.g. "L^2 <= 1/P"); 2 I/O, parsing, capacity
+or numerical failures.  Failures print one line to stderr, no traceback.
+With a fixed seed the emitted JSON is byte-identical across runs
+(canonical serialization).
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .concentration import (
     weighted_sum_dist,
 )
 from .distributions import AnalyticDist, FiniteDist, symmetrize
-from .exceptions import CapacityError, PreconditionError, QuadratureError
+from .exceptions import CapacityError, NumericalError, ParseError, PreconditionError
 from .harness import (
     calibrate_upper,
     check_lower_binomial,
@@ -290,12 +291,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CapacityError, QuadratureError, OSError, json.JSONDecodeError) as exc:
-        print(f"operational failure: {exc}", file=sys.stderr)
-        return 2
+    except (ParseError, json.JSONDecodeError) as exc:
+        return _fail("parse error", exc, 2)
+    except (CapacityError, NumericalError, OSError) as exc:
+        return _fail("operational failure", exc, 2)
     except (PreconditionError, ValueError) as exc:
-        print(f"precondition violated: {exc}", file=sys.stderr)
-        return 1
+        return _fail("precondition violated", exc, 1)
+
+
+def _fail(kind: str, exc: Exception, code: int) -> int:
+    print(f"{kind}: " + " ".join(str(exc).split()), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -6,9 +6,11 @@ two-pointer sweep over the sorted support is exact.  The same sweep kernel,
 applied to a sorted sample with uniform weights, is the Monte Carlo
 estimator; a DKW-style bound supplies its certified error radius.
 
-Also here: the exact law of S_a = sum_k a_k X_k by iterated convolution
-with coalescing (with a binomial shortcut for two-valued laws and equal
-weights), the Gaussian closed form, and the characteristic-function
+Also here: the exact law of S_a = sum_k a_k X_k from one convolution
+engine (lattice-exact on integer indices when the atoms lie on a lattice
+and the weights are commensurate; per-group or per-weight folds with
+coalescing otherwise; see ``weighted_sum_dist``), the Gaussian closed form,
+and the characteristic-function
 integral lambda * int_0^{1/lambda} |CF_{S_a}(t)| dt that upper-bounds Q up
 to an absolute constant (and matches it two-sidedly for symmetric laws
 with nonnegative CF).
@@ -18,10 +20,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .distributions import Dist, FiniteDist, weighted_cf
 from .exceptions import CapacityError
@@ -29,6 +31,7 @@ from .quadrature import adaptive_simpson
 
 DEFAULT_BUDGET = 2**22          # coalesced support-size budget for exact paths
 _RAW_PRODUCT_CAP = 2**24        # hard cap on a single outer-sum allocation
+_ROUND_TRIP_ULPS = 4            # width of the lattice round-trip test
 MC_MIN_SAMPLES = 10_000
 MC_CONFIDENCE = 0.99
 
@@ -129,10 +132,30 @@ def weighted_sum_dist(
 ) -> FiniteDist:
     """Exact law of S_a = sum_k a_k X_k for i.i.d. X_k ~ f.
 
-    Iterated convolution with coalescing, folding weights in descending |a_k|
-    to keep intermediate supports dense.  Two-valued f with all (nonzero)
-    weights equal takes the binomial shortcut.  Raises CapacityError instead
-    of truncating when a support would exceed the budget.
+    Nonzero weights are grouped by exact value.  The atoms of f lie on a
+    lattice when they are x0 + h k with integer 0 <= k <= K and n K < budget
+    for n nonzero weights; the distinct weights are commensurate when they
+    are integer multiples c g of a common g.  Both are strict round-trip
+    tests, a few ulps wide.
+
+    Lattice path (f on a lattice, weights commensurate, dense index span
+    K sum m |c| below ``budget``): each group of m equal weights is the
+    m-fold power of f's integer pmf by binary powering, groups combine by
+    strided shift-add, and positions are placed once at the end as
+    fsum(w m x0) + g h j: exact, with no coalescing.
+
+    Fallbacks: if f is on a lattice but the weights are incommensurate or
+    the span is over budget, each group's law is the same lattice power with
+    exact positions, and the groups are folded in descending |w| by outer
+    sums with coalescing.  If f is not on a lattice, the weights are folded
+    one at a time.  CapacityError is raised instead of truncating when a
+    folded support, i.e. the true support, exceeds the budget; never for the
+    index span.
+
+    Cost: the lattice path is about the sum over shift-add steps of (nonzeros
+    of the sparser factor x length of the other), at most n x span; a group
+    power is O((m K)^2 log m); a fold step costs (current support x factor
+    support) plus a sort.
     """
     if not budget > 0:
         raise ValueError("budget must be positive")
@@ -142,36 +165,124 @@ def weighted_sum_dist(
     if weights.size == 1:
         return f.scaled(float(weights[0]))
 
-    if f.n_atoms == 2 and np.all(weights == weights[0]):
-        return _binomial_shortcut(f, float(weights[0]), int(weights.size))
+    x0 = float(f.atoms[0])
+    grid = _lattice(f.atoms, x0, (budget - 1) // weights.size)
+    if grid is None:
+        order = np.argsort(-np.abs(weights), kind="stable")
+        return _fold(((w * f.atoms, f.masses) for w in weights[order]), budget)
 
-    order = np.argsort(-np.abs(weights), kind="stable")
+    h, idx = grid
+    span_f = int(idx[-1])
+    pmf = np.zeros(span_f + 1)
+    pmf[idx] = f.masses
+    values, counts = np.unique(weights, return_counts=True)
+    multiples = _lattice(values, 0.0, budget)
+    if multiples is not None:
+        g, c = multiples
+        if span_f * int(np.dot(counts, np.abs(c))) < budget:
+            acc = np.ones(1)
+            shift = 0
+            for i in np.argsort(np.abs(c), kind="stable"):
+                p = _power(pmf, int(counts[i]))
+                if c[i] < 0:
+                    p = p[::-1]
+                    shift += int(c[i] * counts[i]) * span_f
+                acc = _shift_add(acc, p, abs(int(c[i])))
+            j = np.flatnonzero(acc)
+            base = math.fsum((values * counts * x0).tolist())
+            return FiniteDist(base + (g * h) * (j + shift), acc[j])
+
+    laws = []
+    for i in np.argsort(-np.abs(values), kind="stable"):
+        w, m = float(values[i]), int(counts[i])
+        p = _power(pmf, m)
+        j = np.flatnonzero(p)
+        laws.append((w * m * x0 + (w * h) * j, p[j]))
+    return _fold(laws, budget)
+
+
+def _lattice(x: np.ndarray, origin: float, limit: int):
+    """(step, k) with step > 0, integer |k| <= limit and origin + step k == x.
+
+    Equality is to _ROUND_TRIP_ULPS ulps; None when no such lattice exists.
+    The step is the smallest nonzero |x - origin| over the common denominator
+    of the ratios to it, then refined on the largest index.
+    """
+    d = x - origin
+    mags = np.abs(d[d != 0.0])
+    if mags.size == 0:
+        return 1.0, np.zeros(x.size, dtype=np.int64)
+    ratios = d / mags.min()
+    top = float(np.max(np.abs(ratios)))
+    if top > limit:
+        return None
+    den = 1
+    for r in np.unique(ratios).tolist():
+        den = math.lcm(den, Fraction(r).limit_denominator(limit).denominator)
+        if den * top > limit:
+            return None
+    k = np.rint(ratios * den).astype(np.int64)
+    far = int(np.argmax(np.abs(k)))
+    step = float(d[far] / k[far])
+    scale = np.abs(x) + abs(origin)
+    if np.all(np.abs(origin + step * k - x) <= _ROUND_TRIP_ULPS * np.spacing(scale)):
+        return step, k
+    return None
+
+
+def _shift_add(x: np.ndarray, y: np.ndarray, stride: int) -> np.ndarray:
+    """pmf z of I + stride * J for independent I ~ x, J ~ y on 0, 1, 2, ...
+
+    The factor with fewer nonzeros is added as one shifted, scaled copy of
+    the other per nonzero, so the Python-level loop is as short as it can
+    be.  At stride 1, np.convolve replaces that loop unless the sparser
+    factor is under half full, where the dense product would cost more than
+    twice the loop.
+    """
+    nx, ny = np.flatnonzero(x), np.flatnonzero(y)
+    over_x = nx.size <= ny.size
+    size, nonzeros = (x.size, nx.size) if over_x else (y.size, ny.size)
+    if stride == 1 and size <= 2 * nonzeros:
+        return np.convolve(x, y)
+    z = np.zeros(x.size + stride * (y.size - 1))
+    if over_x:
+        for i in nx:
+            z[i : i + stride * y.size : stride] += x[i] * y
+    else:
+        for j in ny:
+            z[stride * j : stride * j + x.size] += y[j] * x
+    return z
+
+
+def _power(p: np.ndarray, m: int) -> np.ndarray:
+    """m-fold convolution power of an integer-indexed pmf, by binary powering."""
+    out = None
+    while True:
+        if m & 1:
+            out = p if out is None else _shift_add(out, p, 1)
+        m >>= 1
+        if not m:
+            return out
+        p = _shift_add(p, p, 1)
+
+
+def _fold(factors, budget: int) -> FiniteDist:
+    """Law of a sum of independent finite laws given as (atoms, masses) pairs."""
     current: FiniteDist | None = None
-    for w in weights[order]:
-        factor_atoms = w * f.atoms
+    for atoms, masses in factors:
         if current is None:
-            current = FiniteDist(factor_atoms, f.masses)
+            current = FiniteDist(atoms, masses)
             continue
-        raw = current.n_atoms * f.n_atoms
+        raw = current.n_atoms * atoms.size
         if raw > _RAW_PRODUCT_CAP:
             raise CapacityError(raw, budget)
-        atoms = np.add.outer(current.atoms, factor_atoms).ravel()
-        masses = np.outer(current.masses, f.masses).ravel()
-        current = FiniteDist(atoms, masses)
+        current = FiniteDist(
+            np.add.outer(current.atoms, atoms).ravel(),
+            np.outer(current.masses, masses).ravel(),
+        )
         if current.n_atoms > budget:
             raise CapacityError(current.n_atoms, budget)
     return current
-
-
-def _binomial_shortcut(f: FiniteDist, w: float, s: int) -> FiniteDist:
-    x0, x1 = f.atoms
-    p1 = float(f.masses[1])
-    k = np.arange(s + 1)
-    pmf = stats.binom.pmf(k, s, p1)
-    atoms = w * (x0 * (s - k) + x1 * k)
-    if w < 0:
-        atoms, pmf = atoms[::-1], pmf[::-1]
-    return FiniteDist(atoms, pmf)
 
 
 def sample_weighted_sum(

@@ -43,7 +43,9 @@ def _coalesce(atoms: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.nda
     """Merge near-duplicate sorted atoms; masses add, positions mass-average.
 
     Ungrouped atoms pass through bitwise so exact (e.g. dyadic) supports stay
-    exact; only genuinely merged groups are repositioned.
+    exact; only genuinely merged groups are repositioned.  The average weighs
+    each member by its mass over the group's largest mass, so subnormal
+    masses cannot move a merged atom outside its members' range.
     """
     if atoms.size <= 1:
         return atoms, masses
@@ -59,8 +61,10 @@ def _coalesce(atoms: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.nda
     out_atoms = atoms[first_member]
     multi = sizes > 1
     if np.any(multi):
-        merged_first_moment = np.bincount(group, weights=masses * atoms)
-        out_atoms = np.where(multi, merged_first_moment / merged_mass, out_atoms)
+        rel = masses / np.maximum.reduceat(masses, first_member)[group]
+        centroid = np.bincount(group, weights=rel * atoms) / np.bincount(group, weights=rel)
+        centroid = np.clip(centroid, atoms[first_member], atoms[first_member + sizes - 1])
+        out_atoms = np.where(multi, centroid, out_atoms)
     return out_atoms, merged_mass
 
 

@@ -1,13 +1,21 @@
 """Exception types shared across the package.
 
 The split matters for scripting: mathematical precondition failures are
-recoverable configuration errors, capacity/quadrature failures are
-operational ones, and the CLI maps them to distinct exit codes.
+recoverable configuration errors; parse, capacity and numerical failures
+are operational ones, and the CLI maps them to distinct exit codes.
 """
 
 
 class PreconditionError(ValueError):
     """A mathematical precondition of the requested computation fails."""
+
+
+class ParseError(ValueError):
+    """An input file is malformed: empty, unknown type, or missing fields."""
+
+
+class NumericalError(RuntimeError):
+    """A numerical method failed to bracket, converge or meet its tolerance."""
 
 
 class CapacityError(RuntimeError):
@@ -22,7 +30,7 @@ class CapacityError(RuntimeError):
         )
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(NumericalError):
     """Adaptive quadrature failed to converge; carries the best estimate."""
 
     def __init__(self, estimate: float, tol: float, depth: int):

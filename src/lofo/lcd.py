@@ -35,6 +35,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .concentration import WeightVector
+from .exceptions import NumericalError
 
 _E = math.e
 
@@ -234,7 +235,7 @@ def lcd(
     floor = max(tol / 4.0, abs(t_lo) * 4e-16)
     scan = _first_crossing(lambda t: dist_to_lattice(t, a), thr, norm, t_lo, t_hi, floor)
     if scan.witness is None:
-        raise RuntimeError(
+        raise NumericalError(
             "no crossing found below the search horizon; this contradicts the "
             "horizon guarantee and indicates a numerical problem"
         )

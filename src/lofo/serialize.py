@@ -22,6 +22,7 @@ import numpy as np
 
 from .concentration import WeightVector
 from .distributions import AnalyticDist, Dist, FiniteDist
+from .exceptions import ParseError
 
 
 def dist_to_json(dist: Dist) -> dict:
@@ -39,14 +40,19 @@ def dist_to_json(dist: Dist) -> dict:
 
 
 def dist_from_json(obj: dict) -> Dist:
+    if not isinstance(obj, dict):
+        raise ParseError("distribution JSON must be an object")
     kind = obj.get("type")
-    if kind == "finite":
-        return FiniteDist(obj["atoms"], obj["masses"])
-    if kind == "gaussian":
-        return AnalyticDist.gaussian(float(obj["sigma"]))
-    if kind == "stable":
-        return AnalyticDist.stable(float(obj["alpha"]), float(obj.get("scale", 1.0)))
-    raise ValueError(f"unknown distribution type {kind!r}")
+    try:
+        if kind == "finite":
+            return FiniteDist(obj["atoms"], obj["masses"])
+        if kind == "gaussian":
+            return AnalyticDist.gaussian(float(obj["sigma"]))
+        if kind == "stable":
+            return AnalyticDist.stable(float(obj["alpha"]), float(obj.get("scale", 1.0)))
+    except KeyError as exc:
+        raise ParseError(f"{kind} distribution needs the field {exc.args[0]!r}") from None
+    raise ParseError(f"unknown distribution type {kind!r}")
 
 
 def load_dist(path: str) -> Dist:
@@ -58,11 +64,14 @@ def load_weights(path: str) -> WeightVector:
     """Weight vector from a JSON array file or newline-delimited text."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read().strip()
-    if not text:
-        raise ValueError(f"empty weight file {path}")
-    if text.startswith("["):
-        return WeightVector(json.loads(text))
-    return WeightVector([float(line) for line in text.split()])
+    try:
+        values = json.loads(text) if text.startswith("[") else text.split()
+        coords = np.asarray(values, dtype=float).ravel()
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"weight file {path}: {exc}") from None
+    if coords.size == 0:
+        raise ParseError(f"empty weight file {path}")
+    return WeightVector(coords)
 
 
 def _format_float(x: float) -> str:

@@ -26,7 +26,7 @@ from lofo.bounds import (
 )
 from lofo.concentration import WeightVector, q_exact
 from lofo.distributions import AnalyticDist, FiniteDist, m_functional, symmetrize
-from lofo.exceptions import PreconditionError
+from lofo.exceptions import NumericalError, PreconditionError
 
 
 def random_symmetrized(rng, n_atoms=5, span=2.0):
@@ -204,6 +204,12 @@ def test_tau0_precondition_error():
         solve_tau0(g, 1.2)  # L^2 = 1.44 < 1/P = 2
     with pytest.raises(PreconditionError):
         solve_tau0(symmetrize(FiniteDist.point_mass(1.0)), 5.0)
+
+
+def test_tau0_unreachable_tolerance_is_numerical_error():
+    g = symmetrize(FiniteDist.bernoulli(0.5))
+    with pytest.raises(NumericalError, match="residual"):
+        solve_tau0(g, 2.0, tol=1e-30)
 
 
 def test_tau0_empirical_path_deterministic():

@@ -9,6 +9,7 @@ import pytest
 from lofo.cli import main
 from lofo.concentration import QEstimate, WeightVector
 from lofo.distributions import AnalyticDist, FiniteDist
+from lofo.exceptions import ParseError
 from lofo.serialize import (
     dist_from_json,
     dist_to_json,
@@ -58,6 +59,17 @@ def test_weights_file_formats(tmp_path):
     txt = tmp_path / "a.txt"
     txt.write_text("0.5\n0.25\n0.25\n")
     assert np.allclose(load_weights(str(txt)).coords, [0.5, 0.25, 0.25])
+
+
+def test_malformed_inputs_are_parse_errors(tmp_path):
+    for obj in ([0.5], {"type": "finite", "atoms": [0.0]}, {"type": "gaussian"}):
+        with pytest.raises(ParseError):
+            dist_from_json(obj)
+    for text in ("", "[]", "0.5\nhalf\n", '["a"]'):
+        path = tmp_path / "a.txt"
+        path.write_text(text)
+        with pytest.raises(ParseError):
+            load_weights(str(path))
 
 
 def test_canonical_json_sorted_and_17g():
@@ -262,6 +274,35 @@ def test_cli_exit_2_on_capacity(tmp_path):
     rc = main(["q", "--dist", str(dist), "--weights", str(weights),
                "--lambda", "0.1", "--budget", "100"])
     assert rc == 2
+
+
+def _one_line_failure(capsys, prefix):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and err.startswith(prefix)
+
+
+def test_cli_exit_2_on_tau0_numerical_failure(bernoulli_file, capsys):
+    # The exact root cannot meet a residual tolerance below double rounding.
+    rc = main(["tau0", "--dist", bernoulli_file, "--L", "2", "--tol", "1e-30"])
+    assert rc == 2
+    _one_line_failure(capsys, "operational failure: crossover residual")
+
+
+def test_cli_exit_2_on_empty_weights_file(bernoulli_file, tmp_path, capsys):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("\n")
+    rc = main(["q", "--dist", bernoulli_file, "--weights", str(empty), "--lambda", "1"])
+    assert rc == 2
+    _one_line_failure(capsys, "parse error: empty weight file")
+
+
+def test_cli_exit_2_on_unknown_distribution_type(unit_weight_file, tmp_path, capsys):
+    dist = tmp_path / "d.json"
+    dist.write_text(json.dumps({"type": "mystery"}))
+    rc = main(["q", "--dist", str(dist), "--weights", unit_weight_file, "--lambda", "1"])
+    assert rc == 2
+    _one_line_failure(capsys, "parse error: unknown distribution type")
 
 
 def test_cli_rejects_unknown_flag(bernoulli_file, unit_weight_file):

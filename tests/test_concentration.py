@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from lofo.concentration import (
+    DEFAULT_BUDGET,
     QEstimate,
     WeightVector,
     esseen_integral,
@@ -16,8 +19,17 @@ from lofo.concentration import (
     q_regularity_check,
     weighted_sum_dist,
 )
-from lofo.distributions import AnalyticDist, FiniteDist, cf_eval, symmetrize, weighted_cf
+from lofo.distributions import (
+    ATOM_ABS_TOL,
+    ATOM_REL_TOL,
+    AnalyticDist,
+    FiniteDist,
+    cf_eval,
+    symmetrize,
+    weighted_cf,
+)
 from lofo.exceptions import CapacityError
+from lofo.harness import gen_sparse_family
 
 
 def random_finite(rng, n_atoms=20, span=1.0):
@@ -206,6 +218,104 @@ def test_weighted_sum_zero_weights_dropped():
     fa = weighted_sum_dist(f, a)
     assert np.allclose(fa.atoms, [0.0, 0.5, 1.0])
     assert np.allclose(fa.masses, [0.25, 0.5, 0.25])
+
+
+@pytest.mark.parametrize("s", [4, 16, 64])
+def test_weighted_sum_perturbed_sparse_is_integer_exact(s):
+    # Weights s^(-1/2) = c/s^3 (c = s^(5/2)) on s coordinates and s^(-3) on
+    # the other 256 - s: the sum is J/s^3 with J = c B1 + B2, and a closed
+    # window of length 2 covers 2 s^3 + 1 consecutive values of J.
+    inst = gen_sparse_family([s], n=256, p_list=[0.5], perturbed=True).instances[0]
+    q = q_exact(weighted_sum_dist(inst.law, inst.weights), 2.0).value
+    c, tail = round(s**2.5), 256 - s
+    pmf = np.zeros(c * s + tail + 1)
+    tail_pmf = stats.binom.pmf(np.arange(tail + 1), tail, 0.5)
+    for k, mass in enumerate(stats.binom.pmf(np.arange(s + 1), s, 0.5)):
+        pmf[c * k : c * k + tail + 1] += mass * tail_pmf
+    cum = np.concatenate(([0.0], np.cumsum(pmf)))
+    sites = 2 * s**3 + 1
+    assert q == pytest.approx(float(np.max(cum[sites:] - cum[:-sites])), abs=1e-12)
+    if s == 4:
+        assert q == pytest.approx(0.9406286432808548, abs=1e-12)
+
+
+def test_weighted_sum_equal_weights_stay_on_lattice():
+    # Coalescing drift once split these atoms until the support passed 4M.
+    f = FiniteDist([0.0, 1.0, 3.0], [0.2, 0.5, 0.3])
+    fa = weighted_sum_dist(f, WeightVector(np.full(2000, 0.1)))
+    assert fa.n_atoms <= 6001
+    sites = fa.atoms / 0.1
+    assert np.all(np.abs(sites - np.rint(sites)) <= 1e-9 * sites[-1])
+
+
+def test_weighted_sum_rademacher_littlewood_offord_extremal():
+    # a = (1..n): n^(3/2) Q(F_a, 0) increases to sqrt(6/pi) (Erdos;
+    # Sarkozy-Szemeredi).
+    f = FiniteDist([-1.0, 1.0], [0.5, 0.5])
+    scaled = {}
+    for n in (300, 400):
+        fa = weighted_sum_dist(f, WeightVector(np.arange(1.0, n + 1.0)))
+        assert fa.n_atoms == n * (n + 1) // 2 + 1
+        scaled[n] = n**1.5 * q_exact(fa, 0.0).value
+    assert scaled[400] == pytest.approx(1.3778, abs=1e-4)
+    assert scaled[300] < scaled[400] < math.sqrt(6.0 / math.pi)
+
+
+def test_weighted_sum_span_over_budget_falls_back():
+    # Index span 1001 exceeds the budget; the true support has 4 atoms.
+    fa = weighted_sum_dist(FiniteDist.bernoulli(0.5), WeightVector([1.0, 1000.0]), budget=10)
+    assert np.array_equal(fa.atoms, [0.0, 1.0, 1000.0, 1001.0])
+    assert np.allclose(fa.masses, 0.25)
+
+
+@st.composite
+def _engine_inputs(draw):
+    ks = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=4, unique=True))
+    if draw(st.booleans()):
+        x0 = draw(st.sampled_from([0.0, -1.0, 0.5, 2.0]))
+        h = draw(st.sampled_from([1.0, 0.5, 0.1, 1.0 / 3.0]))
+        atoms = [x0 + h * k for k in ks]
+    else:
+        atoms = [k + math.sqrt(2.0) * draw(st.integers(0, 1)) for k in ks]
+    masses = draw(st.lists(st.integers(1, 9), min_size=len(ks), max_size=len(ks)))
+    g = draw(st.sampled_from([1.0, 0.25, 0.1]))
+    cs = draw(st.lists(st.integers(-12, 12), min_size=1, max_size=6).filter(any))
+    irrational = [False] * len(cs)
+    if draw(st.booleans()):
+        irrational = draw(st.lists(st.booleans(), min_size=len(cs), max_size=len(cs)))
+    weights = [c * g * (math.sqrt(3.0) if r else 1.0) for c, r in zip(cs, irrational)]
+    budget = draw(st.one_of(st.just(DEFAULT_BUDGET), st.integers(1, 60)))
+    return np.array(atoms), np.array(masses) / sum(masses), np.array(weights), budget
+
+
+@settings(max_examples=200, deadline=None)
+@given(_engine_inputs())
+def test_weighted_sum_matches_enumeration(inputs):
+    # Lattice and non-lattice laws, repeated, mixed-sign and incommensurate
+    # weights, and budgets below the index span.  Oracle: all len(atoms)**n
+    # outcomes, compared in CDF between distinct sums.
+    atoms, masses, weights, budget = inputs
+    f = FiniteDist(atoms, masses)
+    sums, probs = np.zeros(1), np.ones(1)
+    for w in weights:
+        sums = np.add.outer(sums, w * f.atoms).ravel()
+        probs = np.outer(probs, f.masses).ravel()
+    order = np.argsort(sums, kind="stable")
+    sums, probs = sums[order], probs[order]
+    scale = np.maximum(np.abs(sums[1:]), np.abs(sums[:-1]))
+    breaks = np.flatnonzero(np.diff(sums) > np.maximum(ATOM_ABS_TOL, ATOM_REL_TOL * scale))
+    true_support = breaks.size + 1
+    try:
+        fa = weighted_sum_dist(f, WeightVector(weights), budget=budget)
+    except CapacityError:
+        assert true_support > budget
+        return
+    probes = np.concatenate(
+        ([sums[0] - 1.0], 0.5 * (sums[breaks] + sums[breaks + 1]), [sums[-1] + 1.0])
+    )
+    cdf = lambda x, p: np.concatenate(([0.0], np.cumsum(p)))[
+        np.searchsorted(x, probes, side="right")]
+    assert np.max(np.abs(cdf(fa.atoms, fa.masses) - cdf(sums, probs))) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,17 @@ def test_construction_sorts_and_coalesces():
     assert d.mass_at(1.0) == 0.5
 
 
+def test_coalesce_subnormal_masses_stay_in_group_range():
+    # Mass-weighted averaging of subnormal masses loses most of their bits;
+    # the merged atom must still lie among its members.
+    group = 0.1 * (1.0 + np.array([0.0, 1e-10, 2e-10]))
+    tiny = np.array([5e-316, 1.1e-315, 7e-316])
+    d = FiniteDist(np.append(group, 1.0), np.append(tiny, 1.0))
+    assert d.n_atoms == 2
+    assert group[0] <= d.atoms[0] <= group[-1]
+    assert d.masses[0] == pytest.approx(tiny.sum(), rel=1e-6)
+
+
 def test_construction_rejects_bad_mass():
     with pytest.raises(ValueError):
         FiniteDist([0.0, 1.0], [0.6, 0.6])
