@@ -147,15 +147,17 @@ def weighted_sum_dist(
     Fallbacks: if f is on a lattice but the weights are incommensurate or
     the span is over budget, each group's law is the same lattice power with
     exact positions, and the groups are folded in descending |w| by outer
-    sums with coalescing.  If f is not on a lattice, the weights are folded
-    one at a time.  CapacityError is raised instead of truncating when a
-    folded support, i.e. the true support, exceeds the budget; never for the
-    index span.
+    sums with coalescing; a group whose outer sum would pass the raw cap
+    (2^24 entries) is folded one weight at a time instead.  If f is not on a
+    lattice, the weights are folded one at a time.  CapacityError is raised
+    instead of truncating when a folded support, i.e. the true support,
+    exceeds the budget, or when one weight's outer sum passes the raw cap;
+    never for the index span.
 
     Cost: the lattice path is about the sum over shift-add steps of (nonzeros
     of the sparser factor x length of the other), at most n x span; a group
-    power is O((m K)^2 log m); a fold step costs (current support x factor
-    support) plus a sort.
+    power is O(m) for a two-atom f and O((m K)^2) otherwise; a fold step
+    costs (current support x factor support) plus a sort.
     """
     if not budget > 0:
         raise ValueError("budget must be positive")
@@ -168,8 +170,10 @@ def weighted_sum_dist(
     x0 = float(f.atoms[0])
     grid = _lattice(f.atoms, x0, (budget - 1) // weights.size)
     if grid is None:
-        order = np.argsort(-np.abs(weights), kind="stable")
-        return _fold(((w * f.atoms, f.masses) for w in weights[order]), budget)
+        current = None
+        for w in weights[np.argsort(-np.abs(weights), kind="stable")]:
+            current = _convolve(current, w * f.atoms, f.masses, budget)
+        return current
 
     h, idx = grid
     span_f = int(idx[-1])
@@ -192,13 +196,18 @@ def weighted_sum_dist(
             base = math.fsum((values * counts * x0).tolist())
             return FiniteDist(base + (g * h) * (j + shift), acc[j])
 
-    laws = []
+    current = None
     for i in np.argsort(-np.abs(values), kind="stable"):
         w, m = float(values[i]), int(counts[i])
         p = _power(pmf, m)
         j = np.flatnonzero(p)
-        laws.append((w * m * x0 + (w * h) * j, p[j]))
-    return _fold(laws, budget)
+        if current is not None and current.n_atoms * j.size > _RAW_PRODUCT_CAP:
+            # Near-equal weights can coalesce far below the raw product.
+            for _ in range(m):
+                current = _convolve(current, w * f.atoms, f.masses, budget)
+        else:
+            current = _convolve(current, w * m * x0 + (w * h) * j, p[j], budget)
+    return current
 
 
 def _lattice(x: np.ndarray, origin: float, limit: int):
@@ -212,12 +221,17 @@ def _lattice(x: np.ndarray, origin: float, limit: int):
     mags = np.abs(d[d != 0.0])
     if mags.size == 0:
         return 1.0, np.zeros(x.size, dtype=np.int64)
+    if mags.size == 1:
+        # One nonzero offset is its own step; origin + d round-trips to x
+        # within 2 ulps of the scale below.
+        return (float(mags[0]), np.sign(d).astype(np.int64)) if limit >= 1 else None
     ratios = d / mags.min()
     top = float(np.max(np.abs(ratios)))
     if top > limit:
         return None
     den = 1
-    for r in np.unique(ratios).tolist():
+    off = ratios[ratios != np.rint(ratios)]
+    for r in np.unique(off).tolist():
         den = math.lcm(den, Fraction(r).limit_denominator(limit).denominator)
         if den * top > limit:
             return None
@@ -233,19 +247,15 @@ def _lattice(x: np.ndarray, origin: float, limit: int):
 def _shift_add(x: np.ndarray, y: np.ndarray, stride: int) -> np.ndarray:
     """pmf z of I + stride * J for independent I ~ x, J ~ y on 0, 1, 2, ...
 
-    The factor with fewer nonzeros is added as one shifted, scaled copy of
-    the other per nonzero, so the Python-level loop is as short as it can
-    be.  At stride 1, np.convolve replaces that loop unless the sparser
-    factor is under half full, where the dense product would cost more than
-    twice the loop.
+    At stride 1 this is np.convolve.  Otherwise the factor with fewer
+    nonzeros is added as one shifted, scaled copy of the other per nonzero,
+    so the Python-level loop is as short as it can be.
     """
-    nx, ny = np.flatnonzero(x), np.flatnonzero(y)
-    over_x = nx.size <= ny.size
-    size, nonzeros = (x.size, nx.size) if over_x else (y.size, ny.size)
-    if stride == 1 and size <= 2 * nonzeros:
+    if stride == 1:
         return np.convolve(x, y)
+    nx, ny = np.flatnonzero(x), np.flatnonzero(y)
     z = np.zeros(x.size + stride * (y.size - 1))
-    if over_x:
+    if nx.size <= ny.size:
         for i in nx:
             z[i : i + stride * y.size : stride] += x[i] * y
     else:
@@ -255,7 +265,21 @@ def _shift_add(x: np.ndarray, y: np.ndarray, stride: int) -> np.ndarray:
 
 
 def _power(p: np.ndarray, m: int) -> np.ndarray:
-    """m-fold convolution power of an integer-indexed pmf, by binary powering."""
+    """m-fold convolution power of an integer-indexed pmf, by binary powering.
+
+    A two-point pmf (p0, p1) has the binomial pmf as its power, built in
+    O(m) outward from the mode by the ratio b(k+1)/b(k) = (m-k) p1 / ((k+1) p0)
+    and then normalized.  No entry exceeds the mode's, so nothing overflows;
+    far tails underflow to zero as they do under repeated convolution.
+    """
+    if p.size == 2:
+        p0, p1 = float(p[0]), float(p[1])
+        mode = min(int((m + 1) * p1 / (p0 + p1)), m)
+        up, down = np.arange(mode, m), np.arange(mode - 1, -1, -1)
+        out = np.ones(m + 1)
+        out[mode + 1 :] = np.cumprod((m - up) * p1 / ((up + 1) * p0))
+        out[:mode] = np.cumprod((down + 1) * p0 / ((m - down) * p1))[::-1]
+        return out / np.sum(out)
     out = None
     while True:
         if m & 1:
@@ -266,23 +290,22 @@ def _power(p: np.ndarray, m: int) -> np.ndarray:
         p = _shift_add(p, p, 1)
 
 
-def _fold(factors, budget: int) -> FiniteDist:
-    """Law of a sum of independent finite laws given as (atoms, masses) pairs."""
-    current: FiniteDist | None = None
-    for atoms, masses in factors:
-        if current is None:
-            current = FiniteDist(atoms, masses)
-            continue
-        raw = current.n_atoms * atoms.size
-        if raw > _RAW_PRODUCT_CAP:
-            raise CapacityError(raw, budget)
-        current = FiniteDist(
-            np.add.outer(current.atoms, atoms).ravel(),
-            np.outer(current.masses, masses).ravel(),
-        )
-        if current.n_atoms > budget:
-            raise CapacityError(current.n_atoms, budget)
-    return current
+def _convolve(
+    current: Optional[FiniteDist], atoms: np.ndarray, masses: np.ndarray, budget: int
+) -> FiniteDist:
+    """Law of current + Y for independent Y on (atoms, masses); None is 0."""
+    if current is None:
+        return FiniteDist(atoms, masses)
+    raw = current.n_atoms * atoms.size
+    if raw > _RAW_PRODUCT_CAP:
+        raise CapacityError(raw, budget)
+    out = FiniteDist(
+        np.add.outer(current.atoms, atoms).ravel(),
+        np.outer(current.masses, masses).ravel(),
+    )
+    if out.n_atoms > budget:
+        raise CapacityError(out.n_atoms, budget)
+    return out
 
 
 def sample_weighted_sum(

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
+from lofo import concentration
 from lofo.concentration import (
     DEFAULT_BUDGET,
     QEstimate,
@@ -266,6 +267,29 @@ def test_weighted_sum_span_over_budget_falls_back():
     fa = weighted_sum_dist(FiniteDist.bernoulli(0.5), WeightVector([1.0, 1000.0]), budget=10)
     assert np.array_equal(fa.atoms, [0.0, 1.0, 1000.0, 1001.0])
     assert np.allclose(fa.masses, 0.25)
+
+
+def test_weighted_sum_many_equal_bernoulli_weights():
+    # The m-fold power of a two-point pmf is built in O(m), not by squaring.
+    s = 100_000
+    fa = weighted_sum_dist(FiniteDist.bernoulli(0.3), WeightVector(np.full(s, 0.5)))
+    k = np.rint(fa.atoms / 0.5).astype(int)
+    assert np.array_equal(fa.atoms, 0.5 * k)
+    assert np.allclose(fa.masses, stats.binom.pmf(k, s, 0.3), rtol=1e-10, atol=1e-300)
+    assert abs(fa.masses.sum() - 1.0) <= 1e-12
+
+
+def test_weighted_sum_near_equal_groups_fold_per_weight(monkeypatch):
+    # 1 and 1 + 1e-10 are incommensurate but their sums coalesce.  With the
+    # raw outer-sum cap shrunk below 201 x 201, the second group law must
+    # fold one weight at a time instead of raising CapacityError.
+    monkeypatch.setattr(concentration, "_RAW_PRODUCT_CAP", 10_000)
+    f = FiniteDist.bernoulli(0.5)
+    a = WeightVector(np.concatenate([np.full(200, 1.0), np.full(200, 1.0 + 1e-10)]))
+    fa = weighted_sum_dist(f, a)
+    assert fa.n_atoms <= 401
+    oracle = weighted_sum_dist(f, WeightVector(np.full(400, 1.0)))
+    assert q_exact(fa, 0.5).value == pytest.approx(q_exact(oracle, 0.5).value, abs=1e-12)
 
 
 @st.composite
