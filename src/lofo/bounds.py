@@ -401,7 +401,8 @@ def check_smoothing_lattice_bound(
     """H_{pi,1}(t) <= exp(-4 dist(t a, Z^n)^2): cosine-vs-quadratic domination."""
     ts = np.asarray(t_grid, dtype=float)
     h = smoothing_cf(a, math.pi, 1.0, ts)
-    bound = np.array([math.exp(-4.0 * dist_to_lattice(t, a) ** 2) for t in ts])
+    # Scalar math.exp (np.exp may differ in the last bit).
+    bound = np.array([math.exp(-4.0 * d ** 2) for d in dist_to_lattice(ts, a).tolist()])
     margins = bound - h
     k = int(np.argmin(margins))
     return GadgetReport(

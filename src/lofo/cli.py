@@ -273,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--p-list", dest="p_list", default="0.2,0.3,0.4,0.5")
     v.add_argument("--n-eps", dest="n_eps", type=int, default=40)
     v.add_argument("--perturbed", action="store_true")
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--seed", type=int, default=0,
+                   help="label echoed into the report; verify is deterministic")
     v.add_argument("--out")
     v.set_defaults(func=cmd_verify)
 

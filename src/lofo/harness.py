@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import csv
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -45,22 +43,6 @@ from .distributions import (
 from .exceptions import PreconditionError
 from .lcd import lcd as lcd_search
 from . import fixtures
-
-
-def _max_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("LOFO_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(fn, items):
-    """Deterministic map: parallel when LOFO_THREADS > 1, input order kept."""
-    workers = _max_workers()
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +264,7 @@ def calibrate_upper(
         worker = lambda inst: _classical_rows(inst, L, n_eps, bound_id)
     else:
         raise ValueError(f"no calibration recipe for bound id {bound_id!r}")
-    results = _map_ordered(worker, family.instances)
+    results = [worker(inst) for inst in family.instances]
     rows, excluded = [], 0
     for res in results:
         if res is None:

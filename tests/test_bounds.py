@@ -27,6 +27,7 @@ from lofo.bounds import (
 from lofo.concentration import WeightVector, q_exact
 from lofo.distributions import AnalyticDist, FiniteDist, m_functional, symmetrize
 from lofo.exceptions import NumericalError, PreconditionError
+from lofo.lcd import dist_to_lattice
 
 
 def random_symmetrized(rng, n_atoms=5, span=2.0):
@@ -344,6 +345,23 @@ def test_smoothing_cf_values():
     assert smoothing_cf(a, math.pi, 1.0, 1.0) == pytest.approx(1.0)
     rep = check_smoothing_lattice_bound(a, [1.0])
     assert rep.passed
+
+
+def test_smoothing_lattice_margins_match_pointwise_form():
+    # One array call for the distances; the margins keep every bit of the
+    # one-t-at-a-time form.
+    rng = np.random.default_rng(41)
+    for n in (1, 3, 8, 64):
+        coords = rng.normal(size=n)
+        a = WeightVector(coords / np.linalg.norm(coords))
+        ts = np.concatenate([np.linspace(0.25, 50.0, 400), rng.uniform(-1e3, 1e3, 64)])
+        rep = check_smoothing_lattice_bound(a, ts)
+        bound = np.array([math.exp(-4.0 * dist_to_lattice(t, a) ** 2) for t in ts])
+        margins = bound - smoothing_cf(a, math.pi, 1.0, ts)
+        k = int(np.argmin(margins))
+        assert rep.worst_t == ts[k]
+        assert rep.worst_margin == margins[k]
+        assert rep.n_points == ts.size
 
 
 def test_smoothing_checks_random_unit_vectors():

@@ -254,13 +254,3 @@ def test_csv_rendering(tmp_path):
     long_lines = long.read_text().splitlines()
     assert long_lines[0] == "instance,eps,q,shape,ratio"
     assert len(long_lines) == len(rep.rows) + 1
-
-
-def test_parallel_map_respects_env(monkeypatch):
-    monkeypatch.setenv("LOFO_THREADS", "4")
-    fam = gen_sparse_family([4, 8], p_list=[0.3, 0.5])
-    rep_par = calibrate_upper("crossover", fam, L=2.0, n_eps=8)
-    monkeypatch.setenv("LOFO_THREADS", "1")
-    rep_seq = calibrate_upper("crossover", fam, L=2.0, n_eps=8)
-    assert rep_par.ratio_sup == rep_seq.ratio_sup
-    assert [r["instance"] for r in rep_par.rows] == [r["instance"] for r in rep_seq.rows]

@@ -17,12 +17,20 @@ from lofo.lcd import (
 )
 
 
-def dense_scan_oracle(a, L, t_lo, t_hi, pitch):
-    """First grid point where dist < f_L(t ||a||); pitch-resolution oracle."""
+def dense_scan_oracle(a, thr, t_lo, t_hi, pitch, chunk=1 << 14):
+    """First grid point where dist < thr(t); pitch-resolution oracle.
+
+    thr must be nondecreasing, so within a chunk only points below the
+    chunk's last threshold can cross; those are confirmed in grid order with
+    the scalar threshold.  Array distances equal scalar ones bit for bit.
+    """
     ts = np.arange(t_lo, t_hi, pitch)
-    for t in ts:
-        if dist_to_lattice(t, a) < f_threshold(t * a.norm2, L):
-            return t
+    for start in range(0, ts.size, chunk):
+        block = ts[start:start + chunk]
+        d = dist_to_lattice(block, a)
+        for k in np.flatnonzero(d < thr(block[-1])):
+            if d[k] < thr(block[k]):
+                return block[k]
     return None
 
 
@@ -70,6 +78,35 @@ def test_dist_linear_exactly_below_half_supnorm():
         a = WeightVector(rng.uniform(0.1, 2.0, rng.integers(1, 7)))
         t = float(rng.uniform(0.0, 0.5 / a.norm_inf))
         assert dist_to_lattice(t, a) == pytest.approx(t * a.norm2, rel=1e-12, abs=1e-13)
+
+
+def test_dist_rejects_2d_t():
+    with pytest.raises(ValueError):
+        dist_to_lattice(np.ones((2, 2)), WeightVector([1.0, 2.0]))
+
+
+def _copysign_dist(t, coords):
+    """dist(t a, Z^n) written with signed rounding, as a reference form."""
+    y = t * coords
+    d = y - np.copysign(np.floor(np.abs(y) + 0.5), y)
+    return math.sqrt(np.dot(d, d))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    ts=st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=12),
+    n=st.integers(1, 40),
+    zero_share=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**31),
+)
+def test_dist_array_form_equals_scalar_bitwise(ts, n, zero_share, seed):
+    rng = np.random.default_rng(seed)
+    coords = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3, n)
+    coords[rng.random(n) < zero_share] = 0.0
+    rows = dist_to_lattice(np.array(ts), coords)
+    assert rows.shape == (len(ts),)
+    for t, d in zip(ts, rows.tolist()):
+        assert d.hex() == dist_to_lattice(t, coords).hex() == _copysign_dist(t, coords).hex()
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +167,7 @@ def test_lcd_scalar_six_sevenths():
 def test_lcd_scalar_matches_dense_oracle():
     a = WeightVector([1.0])
     res = lcd(a, 1.0, "d_star", tol=1e-6)
-    first = dense_scan_oracle(a, 1.0, 0.5, 1.2, 1e-7)
+    first = dense_scan_oracle(a, lambda t: f_threshold(t * a.norm2, 1.0), 0.5, 1.2, 1e-7)
     assert first is not None
     assert abs(res.value - first) <= 2e-6
 
@@ -182,12 +219,7 @@ def test_lcd_variant_d_matches_dense_oracle():
     # steeply from t = L, so the crossing sits just above L.
     a = WeightVector([1.0])
     res = lcd(a, 0.9, "d", tol=1e-8)
-    ts = np.arange(0.9, 1.0, 1e-7)
-    crossing = None
-    for t in ts:
-        if dist_to_lattice(t, a) < log_plus_threshold(t, 0.9):
-            crossing = t
-            break
+    crossing = dense_scan_oracle(a, lambda t: log_plus_threshold(t, 0.9), 0.9, 1.0, 1e-7)
     assert crossing is not None
     assert abs(res.value - crossing) <= 2e-7
 
@@ -256,3 +288,299 @@ def test_clearance_vacuous_and_validation():
     assert rep.passed and rep.vacuous
     with pytest.raises(ValueError):
         verify_lattice_clearance(WeightVector([2.0]), 1.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Frozen outputs
+# ---------------------------------------------------------------------------
+
+# LcdResult.to_json() and ClearanceReport.to_json() as the one-point-at-a-time
+# scan produced them (repr floats).  The scan must reproduce every bit:
+# bracket, witness, evaluation count and gaps.
+
+
+def _gaussian_unit(n):
+    v = np.random.default_rng(n).normal(size=n)
+    return WeightVector(v / np.linalg.norm(v))
+
+
+def _sparse(s):
+    return WeightVector(np.full(s, s**-0.5))
+
+
+GOLDEN_LCD_INPUTS = {
+    **{
+        f"gauss{n}_{variant}": (lambda n=n: _gaussian_unit(n), 2.0, variant, 1e-8)
+        for n in (16, 64, 256, 512)
+        for variant in ("d_star", "d")
+    },
+    **{f"sparse{s}": (lambda s=s: _sparse(s), 2.0, "d_star", 1e-8) for s in (4, 16, 64, 256)},
+    "one_d_star": (lambda: WeightVector([1.0]), 1.0, "d_star", 1e-6),
+    "one_d": (lambda: WeightVector([1.0]), 0.9, "d", 1e-8),
+}
+
+GOLDEN_CLEARANCE_INPUTS = {
+    "clear_one": (lambda: WeightVector([1.0]), 1.0, 0.95),
+    "clear_gauss16": (lambda: _gaussian_unit(16), 2.0, 5.0),
+    "clear_gauss256": (lambda: _gaussian_unit(256), 2.0, 300.0),
+}
+
+GOLDEN_LCD = {
+    "gauss16_d_star": {
+        "value": 5.436563655292895,
+        "error_radius": 2.085994488254528e-09,
+        "witness_t": 5.43656365737889,
+        "L": 2.0,
+        "variant": "d_star",
+        "t_start": 0.9569290359681569,
+        "t_max": 5.436569093481746,
+        "n_evals": 38,
+        "gaps": [],
+    },
+    "gauss16_d": {
+        "value": 3.1225326078655034,
+        "error_radius": 2.000346555064425e-09,
+        "witness_t": 3.12253260986585,
+        "L": 2.0,
+        "variant": "d",
+        "t_start": 2.0,
+        "t_max": 5.436569093481746,
+        "n_evals": 48,
+        "gaps": [
+            [3.1225326078655034, 3.1225326094657806],
+        ],
+    },
+    "gauss64_d_star": {
+        "value": 7.120122585891346,
+        "error_radius": 3.922966840264053e-09,
+        "witness_t": 7.120122589814313,
+        "L": 2.0,
+        "variant": "d_star",
+        "t_start": 1.362688088894832,
+        "t_max": 109.19640926258853,
+        "n_evals": 108,
+        "gaps": [
+            [7.120122585891346, 7.120122587460534],
+            [7.120122587460534, 7.12012258902972],
+        ],
+    },
+    "gauss64_d": {
+        "value": 7.120122586235462,
+        "error_radius": 3.5098040029879485e-09,
+        "witness_t": 7.120122589745266,
+        "L": 2.0,
+        "variant": "d",
+        "t_start": 2.0,
+        "t_max": 109.19640926258853,
+        "n_evals": 110,
+        "gaps": [
+            [7.120122586235462, 7.120122587795375],
+            [7.120122587795375, 7.120122589355288],
+        ],
+    },
+    "gauss256_d_star": {
+        "value": 331.1810409284509,
+        "error_radius": 4.4888338379678316e-08,
+        "witness_t": 331.18104097333924,
+        "L": 2.0,
+        "variant": "d_star",
+        "t_start": 2.345219614850912,
+        "t_max": 17772238.813236784,
+        "n_evals": 1487,
+        "gaps": [
+            [331.1810409284509, 331.181040930424],
+            [331.181040930424, 331.1810409323971],
+            [331.1810409323971, 331.18104093437023],
+            [331.18104093437023, 331.1810409363434],
+            [331.1810409363434, 331.18104093831647],
+            [331.18104093831647, 331.18104094028956],
+            [331.18104094028956, 331.1810409422627],
+            [331.1810409422627, 331.18104094423586],
+            [331.18104094423586, 331.18104094620895],
+            [331.18104094620895, 331.18104094818204],
+            [331.18104094818204, 331.1810409501552],
+            [331.1810409501552, 331.1810409521283],
+            [331.1810409521283, 331.1810409541014],
+            [331.1810409541014, 331.1810409560745],
+            [331.1810409560745, 331.1810409580476],
+            [331.1810409580476, 331.1810409600207],
+            [331.1810409600207, 331.18104096199386],
+            [331.18104096199386, 331.18104096396695],
+            [331.18104096396695, 331.18104096594004],
+            [331.18104096594004, 331.1810409679132],
+            [331.1810409679132, 331.1810409698863],
+            [331.1810409698863, 331.1810409718594],
+        ],
+    },
+    "gauss256_d": {
+        "value": 331.1810409281302,
+        "error_radius": 4.538162556855241e-08,
+        "witness_t": 331.1810409735118,
+        "L": 2.0,
+        "variant": "d",
+        "t_start": 2.0,
+        "t_max": 17772238.813236784,
+        "n_evals": 1488,
+        "gaps": [
+            [331.1810409281302, 331.1810409301033],
+            [331.1810409301033, 331.18104093207637],
+            [331.18104093207637, 331.1810409340495],
+            [331.1810409340495, 331.18104093602267],
+            [331.18104093602267, 331.18104093799576],
+            [331.18104093799576, 331.18104093996885],
+            [331.18104093996885, 331.181040941942],
+            [331.181040941942, 331.18104094391515],
+            [331.18104094391515, 331.18104094588824],
+            [331.18104094588824, 331.18104094786133],
+            [331.18104094786133, 331.1810409498345],
+            [331.1810409498345, 331.18104095180763],
+            [331.18104095180763, 331.1810409537807],
+            [331.1810409537807, 331.1810409557538],
+            [331.1810409557538, 331.18104095772696],
+            [331.18104095772696, 331.18104095970006],
+            [331.18104095970006, 331.18104096167315],
+            [331.18104096167315, 331.1810409636463],
+            [331.1810409636463, 331.1810409656194],
+            [331.1810409656194, 331.1810409675925],
+            [331.1810409675925, 331.18104096956563],
+            [331.18104096956563, 331.1810409715387],
+        ],
+    },
+    "gauss512_d_star": {
+        "value": 21066.90237565947,
+        "error_radius": 1.04482751339674e-08,
+        "witness_t": 21066.902375669917,
+        "L": 2.0,
+        "variant": "d_star",
+        "t_start": 3.559009449546633,
+        "t_max": 157926078291281.72,
+        "n_evals": 23372,
+        "gaps": [
+            [21066.90237565947, 21066.902375661557],
+            [21066.902375661557, 21066.90237566365],
+            [21066.90237566365, 21066.90237566574],
+            [21066.90237566574, 21066.90237566783],
+        ],
+    },
+    "gauss512_d": {
+        "value": 21066.902375660917,
+        "error_radius": 8.883944246917963e-09,
+        "witness_t": 21066.9023756698,
+        "L": 2.0,
+        "variant": "d",
+        "t_start": 2.0,
+        "t_max": 157926078291281.72,
+        "n_evals": 23386,
+        "gaps": [
+            [21066.902375660917, 21066.902375663005],
+            [21066.902375663005, 21066.902375665093],
+            [21066.902375665093, 21066.902375667185],
+            [21066.902375667185, 21066.902375669277],
+        ],
+    },
+    "sparse4": {
+        "value": 1.7142857123798434,
+        "error_radius": 2.0659385313592793e-09,
+        "witness_t": 1.714285714445782,
+        "L": 2.0,
+        "variant": "d_star",
+        "t_start": 1.0,
+        "t_max": 5.436569093481746,
+        "n_evals": 36,
+        "gaps": [],
+    },
+    "sparse16": {
+        "value": 3.4285714272107275,
+        "error_radius": 1.6002767999623302e-09,
+        "witness_t": 3.4285714288110043,
+        "L": 2.0,
+        "variant": "d_star",
+        "t_start": 2.0,
+        "t_max": 5.436569093481746,
+        "n_evals": 36,
+        "gaps": [],
+    },
+    "sparse64": {
+        "value": 5.917032932878451,
+        "error_radius": 1.5308092571331144e-09,
+        "witness_t": 5.91703293440926,
+        "L": 2.0,
+        "variant": "d_star",
+        "t_start": 4.0,
+        "t_max": 109.19640926258853,
+        "n_evals": 41,
+        "gaps": [],
+    },
+    "sparse256": {
+        "value": 13.249844624489096,
+        "error_radius": 1.4798349212696849e-09,
+        "witness_t": 13.249844625968931,
+        "L": 2.0,
+        "variant": "d_star",
+        "t_start": 8.0,
+        "t_max": 17772238.813236784,
+        "n_evals": 58,
+        "gaps": [],
+    },
+    "one_d_star": {
+        "value": 0.8571427838820752,
+        "error_radius": 9.916504672968784e-08,
+        "witness_t": 0.8571428830471219,
+        "L": 1.0,
+        "variant": "d_star",
+        "t_start": 0.5,
+        "t_max": 2.718284546740873,
+        "n_evals": 29,
+        "gaps": [],
+    },
+    "one_d": {
+        "value": 0.9092062215125303,
+        "error_radius": 1.440249475237465e-09,
+        "witness_t": 0.9092062229527798,
+        "L": 0.9,
+        "variant": "d",
+        "t_start": 0.9,
+        "t_max": 2.446456092066786,
+        "n_evals": 35,
+        "gaps": [],
+    },
+}
+
+GOLDEN_CLEARANCE = {
+    "clear_one": {
+        "passed": False,
+        "violation_t": 0.8571428572293369,
+        "vacuous": False,
+        "t_start": 0.5,
+        "t_end": 0.95,
+        "n_evals": 33,
+    },
+    "clear_gauss16": {
+        "passed": True,
+        "violation_t": None,
+        "vacuous": False,
+        "t_start": 0.9569290359681569,
+        "t_end": 5.0,
+        "n_evals": 6,
+    },
+    "clear_gauss256": {
+        "passed": True,
+        "violation_t": None,
+        "vacuous": False,
+        "t_start": 2.345219614850912,
+        "t_end": 300.0,
+        "n_evals": 652,
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_LCD))
+def test_lcd_matches_frozen_output(case):
+    make, L, variant, tol = GOLDEN_LCD_INPUTS[case]
+    assert lcd(make(), L, variant, tol=tol).to_json() == GOLDEN_LCD[case]
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CLEARANCE))
+def test_clearance_matches_frozen_output(case):
+    make, L, D = GOLDEN_CLEARANCE_INPUTS[case]
+    assert verify_lattice_clearance(make(), L, D).to_json() == GOLDEN_CLEARANCE[case]
