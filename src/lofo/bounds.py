@@ -17,8 +17,8 @@ The crossover scale tau0 solves L^2 = 1/M(tau0); M is continuous and
 nonincreasing with limit P = P(X~ != 0) at 0, so a root exists exactly when
 L^2 > 1/P.  For finite laws M is piecewise A + B/tau^2 between consecutive
 distinct |atoms| and the root is closed-form on its piece; the Gaussian path
-bisects the quadrature-backed M, and heavy-tailed laws bisect an empirical M
-built from one seeded sample (common random numbers keep it monotone).
+bisects the closed-form M, and other laws take the piecewise root of the
+empirical M of one seeded sample (common random numbers keep it monotone).
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .distributions import (
     Dist,
     FiniteDist,
     atom_survival,
+    cf_eval,
     m_functional,
     symmetrize,
 )
@@ -134,7 +135,11 @@ def shape_bernoulli_min(eps: float, dstar: float, p: float) -> float:
 
 @dataclass(frozen=True)
 class RootSolution:
-    """Solution of M(tau0) = 1/L^2 (and eps0 = tau0/D* when D* is supplied)."""
+    """Solution of M(tau0) = 1/L^2 (and eps0 = tau0/D* when D* is supplied).
+
+    The Gaussian ``method`` reads "bisection_quadrature" although its M is
+    closed-form: the label is part of the ``lofo tau0`` JSON and stored reports.
+    """
 
     tau0: float
     residual: float
@@ -178,6 +183,16 @@ def _piecewise_tau0(u: np.ndarray, w: np.ndarray, m_star: float) -> float:
     raise NumericalError("piecewise root not bracketed; inconsistent inputs")
 
 
+def _empirical_spread(g: Dist, n_samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted nonzero |draws| u of one seeded sample of g, weights w = 1/n_samples:
+    the empirical M that _piecewise_tau0 solves."""
+    draws = np.abs(g.sample(n_samples, np.random.default_rng(seed)))
+    u = np.sort(draws[draws > 0])
+    if u.size == 0:
+        raise PreconditionError("sample has no nonzero draws")
+    return u, np.full(u.size, 1.0 / n_samples)
+
+
 def _bisect_tau0(m_of, m_star: float, tol: float) -> tuple[float, int]:
     lo = hi = 1.0
     it = 0
@@ -218,21 +233,22 @@ def solve_tau0(
 
     Requires L^2 > 1/P with P = P(X~ != 0); otherwise no root exists and a
     PreconditionError is raised.  Default residual tolerance is 1e-10 on the
-    exact finite path and 1e-6 on quadrature/Monte-Carlo backed paths; a
-    root that misses it raises NumericalError.
+    exact finite path and 1e-6 on the Gaussian bisection and the empirical
+    (Monte Carlo) path; a root that misses it raises NumericalError.
     """
-    if not L > 0:
-        raise ValueError("L must be positive")
+    if not L > 0 or (dstar is not None and not dstar > 0):
+        raise ValueError("L and dstar must be positive")
     p_surv = atom_survival(g)
-    m_star = 1.0 / (L * L)
+    m_star = 1.0 / (L * L) if L * L > 0.0 else math.inf  # L^2 may underflow
     if p_surv <= 0.0 or m_star >= p_surv:
         raise PreconditionError(
             f"L^2 <= 1/P (L^2 = {L * L:.6g}, 1/P = "
             f"{math.inf if p_surv == 0 else 1.0 / p_surv:.6g}): "
             "no crossover scale exists"
         )
+    if tol is None:
+        tol = 1e-10 if isinstance(g, FiniteDist) else 1e-6
     if isinstance(g, FiniteDist):
-        tol = 1e-10 if tol is None else tol
         pos = g.atoms > 0
         u = g.atoms[pos]
         w = 2.0 * g.masses[pos]
@@ -240,19 +256,13 @@ def solve_tau0(
         residual = abs(m_functional(g, tau0) - m_star)
         method, iters = "piecewise_exact", 0
     elif g.kind == "gaussian":
-        tol = 1e-6 if tol is None else tol
         tau0, iters = _bisect_tau0(lambda t: m_functional(g, t), m_star, tol)
         residual = abs(m_functional(g, tau0) - m_star)
         method = "bisection_quadrature"
     else:
-        tol = 1e-6 if tol is None else tol
-        draws = np.abs(g.sample(n_samples, np.random.default_rng(seed)))
-        draws = np.sort(draws[draws > 0])
-        if draws.size == 0:
-            raise PreconditionError("sample has no nonzero draws")
-        w = np.full(draws.size, 1.0 / n_samples)
-        tau0 = _piecewise_tau0(draws, w, m_star)
-        clipped = np.minimum((draws / tau0) ** 2, 1.0)
+        u, w = _empirical_spread(g, n_samples, seed)
+        tau0 = _piecewise_tau0(u, w, m_star)
+        clipped = np.minimum((u / tau0) ** 2, 1.0)
         residual = abs(float(np.sum(w * clipped)) - m_star)
         method, iters = "empirical_sample", 0
     if residual > tol:
@@ -343,20 +353,25 @@ class GadgetReport:
     n_points: int
 
 
-def check_cf_exponential_bound(f: FiniteDist, t_grid: Sequence[float]) -> GadgetReport:
-    """|CF(t)| <= exp(-0.5 E(1 - cos(t X~))) at every grid point, exact sums."""
-    ts = np.asarray(t_grid, dtype=float)
-    g = symmetrize(f)
-    cf_abs = np.abs(np.exp(1j * np.outer(ts, f.atoms)) @ f.masses)
-    expo = (1.0 - np.cos(np.outer(ts, g.atoms))) @ g.masses
-    margins = np.exp(-0.5 * expo) - cf_abs
+def _worst_margin(ts: np.ndarray, margins: np.ndarray, slack: float = 1e-12) -> GadgetReport:
+    """Report the first smallest margin over ts; passed when it is >= -slack."""
     k = int(np.argmin(margins))
     return GadgetReport(
-        passed=bool(margins[k] >= -1e-12),
+        passed=bool(margins[k] >= -slack),
         worst_t=float(ts[k]),
         worst_margin=float(margins[k]),
         n_points=int(ts.size),
     )
+
+
+def check_cf_exponential_bound(f: FiniteDist, t_grid: Sequence[float]) -> GadgetReport:
+    """|CF(t)| <= exp(-0.5 E(1 - cos(t X~))) at every grid point, exact sums."""
+    ts = np.asarray(t_grid, dtype=float)
+    g = symmetrize(f)
+    cf_abs = np.abs(cf_eval(f, ts))
+    expo = (1.0 - np.cos(np.outer(ts, g.atoms))) @ g.masses
+    margins = np.exp(-0.5 * expo) - cf_abs
+    return _worst_margin(ts, margins)
 
 
 def smoothing_cf(a: WeightVector, z: float, gamma: float, t) -> float | np.ndarray:
@@ -385,14 +400,7 @@ def check_smoothing_identities(
     powered = smoothing_cf(a, z, 1.0, ts) ** gamma
     err = np.maximum(np.abs(base - rescaled), np.abs(base - powered))
     scale = np.maximum(np.abs(base), 1e-300)
-    rel = err / scale
-    k = int(np.argmax(rel))
-    return GadgetReport(
-        passed=bool(rel[k] <= rtol),
-        worst_t=float(ts[k]),
-        worst_margin=float(-rel[k]),
-        n_points=int(ts.size),
-    )
+    return _worst_margin(ts, -(err / scale), slack=rtol)
 
 
 def check_smoothing_lattice_bound(
@@ -404,13 +412,7 @@ def check_smoothing_lattice_bound(
     # Scalar math.exp (np.exp may differ in the last bit).
     bound = np.array([math.exp(-4.0 * d ** 2) for d in dist_to_lattice(ts, a).tolist()])
     margins = bound - h
-    k = int(np.argmin(margins))
-    return GadgetReport(
-        passed=bool(margins[k] >= -1e-12),
-        worst_t=float(ts[k]),
-        worst_margin=float(margins[k]),
-        n_points=int(ts.size),
-    )
+    return _worst_margin(ts, margins)
 
 
 def check_smoothing_gaussian_branch(
@@ -425,10 +427,4 @@ def check_smoothing_gaussian_branch(
     h = smoothing_cf(a, math.pi, 1.0, ts)
     bound = np.exp(-4.0 * (ts * a.norm2) ** 2)
     margins = bound - h
-    k = int(np.argmin(margins))
-    return GadgetReport(
-        passed=bool(margins[k] >= -1e-12),
-        worst_t=float(ts[k]),
-        worst_margin=float(margins[k]),
-        n_points=int(ts.size),
-    )
+    return _worst_margin(ts, margins)

@@ -62,8 +62,11 @@ def _emit(obj, out_path):
         sys.stdout.write(dumps_canonical(obj) + "\n")
 
 
-def _csv_floats(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip()]
+def _csv_numbers(text: str, cast=float) -> list:
+    try:
+        return [cast(x) for x in text.split(",") if x.strip()]
+    except ValueError as exc:
+        raise ParseError(f"comma-separated list {text!r}: {exc}") from None
 
 
 def cmd_q(args) -> int:
@@ -114,15 +117,15 @@ def cmd_bound(args) -> int:
     if sid == "kolmogorov_rogozin":
         value = shape_kolmogorov_rogozin(
             need("--lambda", args.lam),
-            _csv_floats(need("--lambda-k", args.lam_k)),
-            _csv_floats(need("--q-k", args.q_k)),
+            _csv_numbers(need("--lambda-k", args.lam_k)),
+            _csv_numbers(need("--q-k", args.q_k)),
         )
         params = {"lambda": args.lam, "lambda_k": args.lam_k, "q_k": args.q_k}
     elif sid == "esseen":
         value = shape_esseen(
             need("--lambda", args.lam),
-            _csv_floats(need("--lambda-k", args.lam_k)),
-            _csv_floats(need("--m-k", args.m_k)),
+            _csv_numbers(need("--lambda-k", args.lam_k)),
+            _csv_numbers(need("--m-k", args.m_k)),
         )
         params = {"lambda": args.lam, "lambda_k": args.lam_k, "m_k": args.m_k}
     elif sid == "vershynin":
@@ -172,8 +175,8 @@ def _missing(shape, flag):
 
 
 def cmd_verify(args) -> int:
-    s_list = [int(s) for s in args.s_list.split(",")]
-    p_list = _csv_floats(args.p_list)
+    s_list = _csv_numbers(args.s_list, int)
+    p_list = _csv_numbers(args.p_list)
     if args.bound == "binomial_lower":
         rep = check_lower_binomial(s_list, p_list, n_eps=args.n_eps)
         payload = {"kind": "binomial_lower", "seed": args.seed, **rep.to_json()}
@@ -193,7 +196,9 @@ def cmd_verify(args) -> int:
 def cmd_report(args) -> int:
     with open(args.infile, encoding="utf-8") as fh:
         payload = json.load(fh)
-    rows = payload.get("rows", [])
+    rows = payload.get("rows", []) if isinstance(payload, dict) else None
+    if not isinstance(rows, list) or not all(isinstance(r, dict) for r in rows):
+        raise ParseError("report JSON must be an object whose rows are objects")
     if not rows:
         raise PreconditionError("report contains no rows")
     rows_to_csv(rows, args.out_csv)

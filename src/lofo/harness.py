@@ -23,6 +23,8 @@ import numpy as np
 from scipy import stats
 
 from .bounds import (
+    _empirical_spread,
+    _piecewise_tau0,
     shape_bernoulli_min,
     shape_crossover,
     shape_esseen,
@@ -37,7 +39,6 @@ from .distributions import (
     FiniteDist,
     atom_survival,
     m_functional,
-    sample_symmetric_stable,
     symmetrize,
 )
 from .exceptions import PreconditionError
@@ -441,19 +442,9 @@ def study_tau0_scaling(
     """
     out = []
     for alpha in alpha_list:
-        draws = np.abs(
-            sample_symmetric_stable(alpha, 2.0, n_samples, np.random.default_rng(seed))
-        )
-        draws = np.sort(draws[draws > 0])
-        w = np.full(draws.size, 1.0 / n_samples)
-        from .bounds import _piecewise_tau0
-
-        pts = []
-        for L in L_grid:
-            tau0 = _piecewise_tau0(draws, w, 1.0 / (L * L))
-            pts.append((float(L), float(tau0)))
-        x = np.log([p[0] for p in pts])
-        y = np.log([p[1] for p in pts])
+        u, w = _empirical_spread(AnalyticDist.stable(alpha, 2.0), n_samples, seed)
+        pts = [(float(L), float(_piecewise_tau0(u, w, 1.0 / (L * L)))) for L in L_grid]
+        x, y = np.log(pts).T
         coeffs, cov = np.polyfit(x, y, 1, cov=True)
         slope = float(coeffs[0])
         half_width = 2.0 * float(np.sqrt(cov[0, 0]))

@@ -295,7 +295,7 @@ def _search_horizon(variant: str, L: float, norm: float, n_eff: int) -> float:
     guaranteed below this horizon.  Only coordinates that are nonzero can
     contribute to dist, hence n_eff.
     """
-    expo = min(n_eff / (4.0 * L * L), 700.0)
+    expo = min(n_eff / (4.0 * L * L), 700.0) if L * L > 0.0 else 700.0
     if variant == "d_star":
         base = max((L / norm) * math.exp(expo), _E * L / norm)
     else:

@@ -1,6 +1,6 @@
 """Adaptive Simpson quadrature with interval bisection.
 
-Used for characteristic-function integrals and Gaussian expectations.
+Used for the Esseen characteristic-function integral (esseen_integral).
 The integrands here are smooth except at isolated zeros of |CF|, which
 plain bisection resolves; no oscillatory-integral machinery is needed.
 """

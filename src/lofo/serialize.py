@@ -52,6 +52,8 @@ def dist_from_json(obj: dict) -> Dist:
             return AnalyticDist.stable(float(obj["alpha"]), float(obj.get("scale", 1.0)))
     except KeyError as exc:
         raise ParseError(f"{kind} distribution needs the field {exc.args[0]!r}") from None
+    except TypeError as exc:
+        raise ParseError(f"{kind} distribution has a non-numeric field: {exc}") from None
     raise ParseError(f"unknown distribution type {kind!r}")
 
 

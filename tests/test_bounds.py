@@ -1,5 +1,6 @@
 """Bound shapes, crossover-scale equation, gadget inequalities."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -376,3 +377,66 @@ def test_smoothing_checks_random_unit_vectors():
         assert check_smoothing_identities(a, z, y, gamma, ts).passed
         assert check_smoothing_lattice_bound(a, ts).passed
         assert check_smoothing_gaussian_branch(a, np.linspace(0, 0.5 / a.norm_inf, 101)).passed
+
+
+# ---------------------------------------------------------------------------
+# Frozen outputs (repr floats), compared exactly.  The Gaussian residual is
+# not frozen: it moves with the last bits of M, while tau0 and the
+# iteration count must not.
+# ---------------------------------------------------------------------------
+
+# (passed, worst_t, worst_margin, n_points) per seeded 5-atom law, 64 t's each.
+GOLDEN_CF_BOUND = {
+    0: (True, -3.972850668057042, 0.05321204496740195, 64),
+    1: (True, 11.657671645995826, 0.014617421003828901, 64),
+    2: (True, -0.1555156066201704, 0.0017430095280428493, 64),
+    3: (True, -14.881119837253056, 0.0034223904344580225, 64),
+}
+
+# (alpha, scale, L) -> (tau0, residual) from 50,000 draws with seed 7.
+GOLDEN_EMPIRICAL_TAU0 = {
+    (1.0, 2.0, 2.0): (8.510998818546092, 8.604228440844963e-15),
+    (1.0, 2.0, 4.0): (38.66107011678579, 1.0130785099704553e-15),
+    (1.0, 2.0, 10.0): (242.75329506384242, 5.204170427930421e-18),
+    (1.5, 1.0, 2.0): (3.063559770328459, 9.381384558082573e-15),
+    (1.5, 1.0, 4.0): (8.39897551683711, 3.191891195797325e-16),
+    (1.5, 1.0, 10.0): (28.510124588589203, 5.204170427930421e-18),
+}
+
+# (sigma, L) -> (tau0, iterations) of the Gaussian bisection (default tol).
+GOLDEN_GAUSSIAN_TAU0 = {
+    (math.sqrt(2.0), 1.2): (0.8410263061523438, 17),
+    (math.sqrt(2.0), 2.0): (2.6832542419433594, 20),
+    (math.sqrt(2.0), 5.0): (7.0710601806640625, 19),
+    (math.sqrt(2.0), 100.0): (141.44921875, 16),
+    (0.3, 1.2): (0.17840909957885742, 21),
+    (0.3, 2.0): (0.5692024230957031, 18),
+    (0.3, 5.0): (1.5, 2),
+    (0.3, 100.0): (30.0625, 9),
+}
+
+
+def test_cf_bound_matches_frozen_output():
+    for seed, expected in GOLDEN_CF_BOUND.items():
+        rng = np.random.default_rng(seed)
+        atoms = np.sort(rng.uniform(-3, 3, 5))
+        masses = rng.random(5) + 0.05
+        f = FiniteDist(atoms, masses / masses.sum())
+        rep = check_cf_exponential_bound(f, rng.uniform(-40, 40, 64))
+        assert dataclasses.astuple(rep) == expected
+    rep = check_cf_exponential_bound(FiniteDist.bernoulli(0.3), np.linspace(-20, 20, 401))
+    assert dataclasses.astuple(rep) == (True, 0.0, 0.0, 401)
+
+
+def test_tau0_empirical_matches_frozen_output():
+    for (alpha, scale, L), (tau0, residual) in GOLDEN_EMPIRICAL_TAU0.items():
+        root = solve_tau0(AnalyticDist.stable(alpha, scale), L, n_samples=50_000, seed=7)
+        assert root.to_json() == {"tau0": tau0, "residual": residual, "iterations": 0,
+                                  "method": "empirical_sample", "eps0": None}
+
+
+def test_tau0_gaussian_matches_frozen_output():
+    for (sigma, L), (tau0, iterations) in GOLDEN_GAUSSIAN_TAU0.items():
+        root = solve_tau0(AnalyticDist.gaussian(sigma), L)
+        assert (root.tau0, root.iterations) == (tau0, iterations)
+        assert root.method == "bisection_quadrature" and root.residual <= 1e-6

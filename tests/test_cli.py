@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lofo.cli import main
 from lofo.concentration import QEstimate, WeightVector
@@ -309,3 +311,138 @@ def test_cli_rejects_unknown_flag(bernoulli_file, unit_weight_file):
     with pytest.raises(SystemExit):
         main(["q", "--dist", bernoulli_file, "--weights", unit_weight_file,
               "--lambda", "1", "--bogus", "3"])
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["sigma_null", "atom_object", "report_array", "report_scalar_rows", "s_list_text"],
+)
+def test_cli_malformed_input_is_parse_error(case, unit_weight_file, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    out_csv = str(tmp_path / "out.csv")
+    if case in ("sigma_null", "atom_object"):
+        obj = ({"type": "gaussian", "sigma": None} if case == "sigma_null"
+               else {"type": "finite", "atoms": [{}], "masses": [1]})
+        bad.write_text(json.dumps(obj))
+        argv = ["q", "--dist", str(bad), "--weights", unit_weight_file, "--lambda", "1"]
+    elif case in ("report_array", "report_scalar_rows"):
+        bad.write_text("[]" if case == "report_array" else '{"rows": [1, 2]}')
+        argv = ["report", "--in", str(bad), "--out-csv", out_csv]
+    else:
+        argv = ["verify", "--bound", "crossover", "--s-list", "4,x"]
+    assert main(argv) == 2
+    _one_line_failure(capsys, "parse error:")
+
+
+def test_cli_tiny_L_and_zero_dstar_are_preconditions(bernoulli_file, capsys):
+    # L^2 underflows to 0 (so L^2 <= 1/P); D* = 0 leaves eps0 undefined.
+    assert main(["tau0", "--dist", bernoulli_file, "--L", "1e-300"]) == 1
+    _one_line_failure(capsys, "precondition violated: L^2 <= 1/P")
+    assert main(["tau0", "--dist", bernoulli_file, "--L", "2", "--dstar", "0"]) == 1
+    _one_line_failure(capsys, "precondition violated:")
+
+
+def test_cli_crossover_at_tiny_window(unit_weight_file, tmp_path):
+    # At eps D* = 1.5e-170 the Gaussian M is 1 to double precision, so the
+    # small-eps branch is 1 / (||a|| D*); nothing may underflow on the way.
+    dist = tmp_path / "g.json"
+    dist.write_text(json.dumps({"type": "gaussian", "sigma": 1.0}))
+    out = tmp_path / "s.json"
+    rc = main(["bound", "--shape", "crossover", "--dist", str(dist), "--weights",
+               unit_weight_file, "--L", "2", "--eps", "1e-170", "--dstar", "1.5",
+               "--out", str(out)])
+    assert rc == 0
+    shape = json.loads(out.read_text())
+    assert shape["params"]["branch"] == "small_eps"
+    assert shape["value"] == 1.0 / 1.5
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed command lines: every outcome is an exit code of the contract
+# ---------------------------------------------------------------------------
+
+
+_NUMBERS = ["nan", "inf", "-inf", "0", "-1", "0.5", "2", "3"]
+_LISTS = ["0.5,1", "x", "", "4", "nan", "4,8", "-1", "inf"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    texts = {
+        "bern.json": json.dumps({"type": "finite", "atoms": [0.0, 1.0], "masses": [0.5, 0.5]}),
+        "gauss.json": json.dumps({"type": "gaussian", "sigma": 1.0}),
+        "stable.json": json.dumps({"type": "stable", "alpha": 1.5}),
+        "truncated.json": "{",
+        "array.json": "[1, 2]",
+        "sigma_null.json": '{"type": "gaussian", "sigma": null}',
+        "atom_object.json": '{"type": "finite", "atoms": [{}], "masses": [1]}',
+        "w.txt": "1\n0.5\n",
+        "w_nan.txt": "nan\n",
+        "w_empty.txt": "",
+        "rows_scalar.json": '{"rows": [1, 2]}',
+        "report.json": '{"rows": [{"instance": "a", "eps": 0.1, "q": 0.5}]}',
+    }
+    for name, text in texts.items():
+        (d / name).write_text(text)
+    p = {name: str(d / name) for name in texts}
+    files = list(p.values()) + [str(d / "missing.json"), str(d)]
+    outs = [str(d / "out.json"), str(d), str(d / "no_dir" / "out.json")]
+    return p, files, outs
+
+
+def _fuzz_commands(p):
+    # Each subcommand: (fuzzed flag -> value kind or choices, cheap valid prefix).
+    # Fuzzed flags come after the prefix, so they override it.
+    return {
+        "q": ({"--dist": "F", "--weights": "F", "--lambda": "N", "--samples": "N",
+               "--method": ["auto", "exact", "closed-form", "monte-carlo"],
+               "--seed": "N", "--budget": "N", "--out": "O"},
+              ["--dist", p["bern.json"], "--weights", p["w.txt"], "--lambda", "0.5",
+               "--samples", "10000"]),
+        "lcd": ({"--weights": "F", "--L": "N", "--variant": ["d", "d_star"], "--tol": "N",
+                 "--out": "O"},
+                ["--weights", p["w.txt"], "--L", "2"]),
+        "tau0": ({"--dist": "F", "--L": "N", "--tol": "N", "--dstar": "N", "--samples": "N",
+                  "--seed": "N", "--out": "O"},
+                 ["--dist", p["bern.json"], "--L", "2", "--samples", "2000"]),
+        "bound": ({"--shape": ["kolmogorov_rogozin", "esseen", "vershynin", "lcd_unit", "lcd",
+                               "no_arithmetic", "crossover", "bernoulli_min"],
+                   "--lambda": "N", "--lambda-k": "L", "--q-k": "L", "--m-k": "L", "--L": "N",
+                   "--D": "N", "--m1": "N", "--m-tau": "N", "--norm-a": "N", "--norm-inf": "N",
+                   "--eps": "N", "--dstar": "N", "--p": "N", "--dist": "F", "--weights": "F",
+                   "--tol": "N", "--samples": "N", "--seed": "N", "--out": "O"},
+                  ["--shape", "crossover", "--dist", p["bern.json"], "--weights", p["w.txt"],
+                   "--L", "2", "--eps", "0.5", "--samples", "2000"]),
+        "verify": ({"--family": ["sparse", "equal_weight"],
+                    "--bound": ["crossover", "kolmogorov_rogozin", "esseen", "binomial_lower"],
+                    "--L": "N", "--s-list": "L", "--p-list": "L", "--n-eps": "N", "--seed": "N",
+                    "--perturbed": None, "--out": "O"},
+                   ["--bound", "crossover", "--s-list", "4", "--p-list", "0.5", "--n-eps", "2"]),
+        "report": ({"--in": "F", "--out-csv": "O", "--out-long": "O"},
+                   ["--in", p["report.json"], "--out-csv", p["report.json"] + ".csv"]),
+    }
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cli_fuzz_exit_codes(fuzz_paths, data):
+    p, files, outs = fuzz_paths
+    values = {"N": st.sampled_from(_NUMBERS), "L": st.sampled_from(_LISTS),
+              "F": st.sampled_from(files), "O": st.sampled_from(outs)}
+    commands = _fuzz_commands(p)
+    cmd = data.draw(st.sampled_from(sorted(commands)))
+    flags, argv = commands[cmd]
+    argv = [cmd] + argv
+    for flag in data.draw(st.lists(st.sampled_from(sorted(flags)), max_size=6)):
+        kind = flags[flag]
+        argv.append(flag)
+        if kind is not None:
+            argv.append(data.draw(st.sampled_from(kind) if isinstance(kind, list)
+                                  else values[kind]))
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse rejects the command line
+        rc = exc.code
+    assert rc in (0, 1, 2), argv

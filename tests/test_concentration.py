@@ -457,3 +457,30 @@ def test_regularity_random_instances():
         f = random_finite(rng, n_atoms=10)
         lam, mu = sorted(rng.uniform(0.01, 1.0, 2))
         assert q_regularity_check(f, lam, mu).holds
+
+
+# Frozen Esseen integrals lambda * int_0^{1/lambda} |CF_{S_a}| (repr floats)
+# for seeded symmetrized 5-atom laws and 4 weights.  The finite-law CF kernel
+# must reproduce every bit of each quadrature.
+GOLDEN_ESSEEN = {
+    (0, 0.1): 0.05989504673569741,
+    (0, 1.0): 0.5028423894617632,
+    (0, 10.0): 0.9907185163943938,
+    (1, 0.1): 0.05208731223181001,
+    (1, 1.0): 0.5089727938615751,
+    (1, 10.0): 0.9905868876667651,
+    (2, 0.1): 0.0590418012558932,
+    (2, 1.0): 0.5716916875942035,
+    (2, 10.0): 0.9929048762548491,
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_esseen_matches_frozen_output(seed):
+    rng = np.random.default_rng(seed)
+    atoms = np.sort(rng.uniform(-2.0, 2.0, 5))
+    masses = rng.random(5) + 0.05
+    g = symmetrize(FiniteDist(atoms, masses / masses.sum()))
+    a = WeightVector(rng.uniform(0.2, 1.0, 4))
+    for lam in (0.1, 1.0, 10.0):
+        assert esseen_integral(g, a, lam) == GOLDEN_ESSEEN[(seed, lam)]

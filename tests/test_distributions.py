@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammainc, gammaincc
 
 from lofo.distributions import (
     AnalyticDist,
@@ -163,6 +164,15 @@ def test_m_gaussian_quadrature_matches_closed_form():
     g = AnalyticDist.gaussian(math.sqrt(2.0))  # symmetrization of sigma = 1
     for tau in [0.05, 0.3, 1.0, 4.0, 25.0]:
         assert m_functional(g, tau) == pytest.approx(oracle(math.sqrt(2), tau), abs=1e-9)
+    # Independent oracle through regularized incomplete gamma functions:
+    # M = P(3/2, a^2/2) / a^2 + Q(1/2, a^2/2) with a = tau/sigma, across the
+    # series cutoff and down to a = 1e-300 (where a^2 underflows, M rounds to 1).
+    for a in np.geomspace(1e-300, 1e4, 1201):
+        x = 0.5 * a * a
+        gamma_oracle = gammainc(1.5, x) / (a * a) + gammaincc(0.5, x) if x > 0 else 1.0
+        assert m_functional(g, math.sqrt(2.0) * a) == pytest.approx(gamma_oracle, abs=1e-14)
+    # tau far below sigma: M is 1 to double precision, with no underflow failure.
+    assert m_functional(g, 1e-200) == 1.0
 
 
 def test_m_stable_monte_carlo_vs_cauchy_closed_form():

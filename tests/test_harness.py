@@ -254,3 +254,32 @@ def test_csv_rendering(tmp_path):
     long_lines = long.read_text().splitlines()
     assert long_lines[0] == "instance,eps,q,shape,ratio"
     assert len(long_lines) == len(rep.rows) + 1
+
+
+# Frozen stable tau0 scaling fits (alpha -> slope, half_width, tau0 per L;
+# repr floats), one 20,000-draw sample per alpha.  The shared empirical
+# sample path must reproduce every bit.
+GOLDEN_SCALING = {
+    0.5: (4.237167073965781, 0.040364250047298385,
+          (349.9574988564913, 4062.136823456953, 44385.83746546306,
+           553185.2735702156, 5934937.025392952)),
+    1.0: (2.160073052222243, 0.04422143328503252,
+          (21.543237580718696, 71.40996399625242, 237.78345986050888,
+           865.2040483394273, 3102.575950944594)),
+    1.5: (1.4333179477151257, 0.028046846651811508,
+          (8.991743843918364, 19.955992808692173, 44.757368799682894,
+           103.03579095585586, 244.92548438840512)),
+    2.0: (1.000780959761312, 0.0009017746568396746,
+          (5.987057147354421, 10.670618749405985, 18.975341614443945,
+           33.7434592914204, 60.005298881419485)),
+}
+
+
+def test_tau0_scaling_matches_frozen_output():
+    grid = np.geomspace(3.0, 30.0, 5)
+    fits = study_tau0_scaling(sorted(GOLDEN_SCALING), grid, seed=5, n_samples=20_000)
+    for fit in fits:
+        slope, half_width, taus = GOLDEN_SCALING[fit.alpha]
+        assert (fit.slope, fit.half_width) == (slope, half_width)
+        assert fit.points == tuple(zip(grid.tolist(), taus))
+        assert fit.expected == 2.0 / fit.alpha and not fit.inconclusive
