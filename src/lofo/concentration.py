@@ -231,7 +231,7 @@ def _lattice(x: np.ndarray, origin: float, limit: int):
         return None
     den = 1
     off = ratios[ratios != np.rint(ratios)]
-    for r in np.unique(off).tolist():
+    for r in sorted(set(off.tolist())):
         den = math.lcm(den, Fraction(r).limit_denominator(limit).denominator)
         if den * top > limit:
             return None

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .bounds import (
     _empirical_spread,
@@ -341,7 +340,8 @@ def check_lower_binomial(
 
     F_a is the rescaled binomial of the s-sparse equal-weight vector.  Also
     reproduces the derivation chain with explicit constants:
-      * two-sigma mass >= 3/4 (Chebyshev, checked exactly),
+      * two-sigma mass >= 3/4 (Chebyshev, checked exactly: the masses are
+        those of the exact law F_a, whose atom k/sqrt(s) carries P(B = k)),
       * Q(F_a, eps) >= (3/32) eps / sqrt(p(1-p)) for eps <= 4 sqrt(p(1-p))
         when s p(1-p) > 1 (window covering),
       * Q(F_a, 0) >= (3/64) / sqrt(s p(1-p)) (lattice pitch s^(-1/2)).
@@ -354,14 +354,14 @@ def check_lower_binomial(
     for s in s_list:
         for p in p_list:
             sig = math.sqrt(p * (1.0 - p))
-            fa = weighted_sum_dist(
-                FiniteDist.bernoulli(p), WeightVector(np.full(s, s**-0.5))
-            )
-            # Chebyshev step: mass within 2 * sd(B) of the mean, exactly.
+            w = s**-0.5
+            fa = weighted_sum_dist(FiniteDist.bernoulli(p), WeightVector(np.full(s, w)))
+            # Chebyshev step: mass within 2 * sd(B) of the mean, exactly.  The
+            # atom w * k of fa carries the binomial mass P(B = k).
             sd_b = math.sqrt(s * p * (1.0 - p))
-            k = np.arange(s + 1)
+            k = np.rint(fa.atoms / w)
             inside = np.abs(k - s * p) < 2.0 * sd_b
-            mass2sd = float(np.sum(stats.binom.pmf(k[inside], s, p)))
+            mass2sd = float(np.sum(fa.masses[inside]))
             if mass2sd < 0.75:
                 chebyshev_ok = False
             q_4sig = q_exact(fa, 4.0 * sig).value

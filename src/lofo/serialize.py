@@ -17,6 +17,7 @@ import json
 import math
 import os
 import tempfile
+from json.encoder import encode_basestring
 
 import numpy as np
 
@@ -40,21 +41,36 @@ def dist_to_json(dist: Dist) -> dict:
 
 
 def dist_from_json(obj: dict) -> Dist:
+    """Law from its JSON object.
+
+    Fields are converted to floats here, so a missing or non-numeric field is
+    a ParseError; the law's own checks (e.g. masses summing to 1) still raise
+    ValueError.
+    """
     if not isinstance(obj, dict):
         raise ParseError("distribution JSON must be an object")
     kind = obj.get("type")
-    try:
-        if kind == "finite":
-            return FiniteDist(obj["atoms"], obj["masses"])
-        if kind == "gaussian":
-            return AnalyticDist.gaussian(float(obj["sigma"]))
-        if kind == "stable":
-            return AnalyticDist.stable(float(obj["alpha"]), float(obj.get("scale", 1.0)))
-    except KeyError as exc:
-        raise ParseError(f"{kind} distribution needs the field {exc.args[0]!r}") from None
-    except TypeError as exc:
-        raise ParseError(f"{kind} distribution has a non-numeric field: {exc}") from None
+    if kind == "finite":
+        return FiniteDist(_field(obj, "atoms", _floats), _field(obj, "masses", _floats))
+    if kind == "gaussian":
+        return AnalyticDist.gaussian(_field(obj, "sigma", float))
+    if kind == "stable":
+        return AnalyticDist.stable(_field(obj, "alpha", float), _field(obj, "scale", float, 1.0))
     raise ParseError(f"unknown distribution type {kind!r}")
+
+
+def _floats(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
+def _field(obj: dict, key: str, convert, default=None):
+    kind = obj["type"]
+    if key not in obj and default is None:
+        raise ParseError(f"{kind} distribution needs the field {key!r}")
+    try:
+        return convert(obj.get(key, default))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{kind} distribution has a non-numeric field: {exc}") from None
 
 
 def load_dist(path: str) -> Dist:
@@ -77,31 +93,83 @@ def load_weights(path: str) -> WeightVector:
 
 
 def _format_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
+    if not math.isfinite(x):
         raise ValueError("non-finite float has no canonical JSON form")
     return format(x, ".17g")
 
 
 def dumps_canonical(obj) -> str:
-    """Canonical JSON text: sorted keys, 17-significant-digit floats."""
-    return _canon(obj)
+    """Canonical JSON text: sorted keys, 17-significant-digit floats.
+
+    One pass appends the pieces to a list that is joined once at the end.
+    The cost is proportional to the number of nodes.
+    """
+    out: list = []
+    _encode(obj, out, {})
+    return "".join(out)
 
 
-def _canon(obj) -> str:
-    if obj is None or isinstance(obj, bool):
-        return json.dumps(obj)
+def _encode(obj, out: list, keys: dict) -> None:
+    """Append the canonical JSON of obj to out.
+
+    Dispatch is on the exact type, with the types of report rows first;
+    subclasses and numpy scalars and arrays go through _builtin.  keys caches
+    the encoded '"key":' of each str key: report rows repeat a few dozen keys
+    thousands of times.  A container closes by overwriting its trailing
+    comma, which no value emits as a piece of its own.
+    """
+    t = type(obj)
+    if t is float:
+        out.append(_format_float(obj))
+    elif t is dict:
+        out.append("{")
+        for k in sorted(obj):
+            if type(k) is str:
+                key = keys.get(k)
+                if key is None:
+                    key = keys[k] = encode_basestring(k) + ":"
+            else:
+                key = json.dumps(k, ensure_ascii=False) + ":"
+            out.append(key)
+            _encode(obj[k], out, keys)
+            out.append(",")
+        if out[-1] == ",":
+            out[-1] = "}"
+        else:
+            out.append("}")
+    elif t is list or t is tuple:
+        out.append("[")
+        for v in obj:
+            _encode(v, out, keys)
+            out.append(",")
+        if out[-1] == ",":
+            out[-1] = "]"
+        else:
+            out.append("]")
+    elif t is str:
+        out.append(encode_basestring(obj))
+    elif t is int:
+        out.append(str(obj))
+    elif obj is None:
+        out.append("null")
+    elif t is bool:
+        out.append("true" if obj else "false")
+    elif isinstance(obj, str):
+        out.append(encode_basestring(obj))
+    else:
+        _encode(_builtin(obj), out, keys)
+
+
+def _builtin(obj):
+    """The built-in value that obj serializes as; TypeError when there is none."""
     if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
+        return int(obj)
     if isinstance(obj, (float, np.floating)):
-        return _format_float(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj, ensure_ascii=False)
+        return float(obj)
     if isinstance(obj, dict):
-        items = sorted(obj.items(), key=lambda kv: kv[0])
-        inner = ",".join(f"{json.dumps(k, ensure_ascii=False)}:{_canon(v)}" for k, v in items)
-        return "{" + inner + "}"
+        return dict(obj.items())
     if isinstance(obj, (list, tuple, np.ndarray)):
-        return "[" + ",".join(_canon(v) for v in obj) + "]"
+        return list(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

@@ -2,12 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import lofo
 from lofo.cli import main
 from lofo.concentration import QEstimate, WeightVector
 from lofo.distributions import AnalyticDist, FiniteDist
@@ -228,6 +232,31 @@ def test_cli_verify_binomial_lower(tmp_path):
     assert payload["passed"] is True
 
 
+_IMPORT_GRAPH = """
+import json, sys
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
+import lofo.cli
+after_import = scipy_modules()
+rc = lofo.cli.main(["verify", "--bound", "binomial_lower", "--s-list", "4,16",
+                    "--p-list", "0.3,0.5", "--n-eps", "4", "--out", sys.argv[1]])
+print(json.dumps([after_import, rc, scipy_modules()]))
+"""
+
+
+def test_cli_imports_no_scipy(tmp_path):
+    # The runtime needs only numpy; a module-level scipy import would put
+    # about a second on every CLI call.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lofo.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_GRAPH, str(tmp_path / "low.json")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    after_import, rc, after_verify = json.loads(proc.stdout.splitlines()[-1])
+    assert after_import == []
+    assert rc == 0
+    assert after_verify == []
+
+
 # ---------------------------------------------------------------------------
 # Determinism and exit codes
 # ---------------------------------------------------------------------------
@@ -315,15 +344,20 @@ def test_cli_rejects_unknown_flag(bernoulli_file, unit_weight_file):
 
 @pytest.mark.parametrize(
     "case",
-    ["sigma_null", "atom_object", "report_array", "report_scalar_rows", "s_list_text"],
+    ["sigma_null", "atom_object", "sigma_text", "atom_text", "report_array",
+     "report_scalar_rows", "s_list_text"],
 )
 def test_cli_malformed_input_is_parse_error(case, unit_weight_file, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     out_csv = str(tmp_path / "out.csv")
-    if case in ("sigma_null", "atom_object"):
-        obj = ({"type": "gaussian", "sigma": None} if case == "sigma_null"
-               else {"type": "finite", "atoms": [{}], "masses": [1]})
-        bad.write_text(json.dumps(obj))
+    dists = {
+        "sigma_null": {"type": "gaussian", "sigma": None},
+        "atom_object": {"type": "finite", "atoms": [{}], "masses": [1]},
+        "sigma_text": {"type": "gaussian", "sigma": "abc"},
+        "atom_text": {"type": "finite", "atoms": ["a"], "masses": [1]},
+    }
+    if case in dists:
+        bad.write_text(json.dumps(dists[case]))
         argv = ["q", "--dist", str(bad), "--weights", unit_weight_file, "--lambda", "1"]
     elif case in ("report_array", "report_scalar_rows"):
         bad.write_text("[]" if case == "report_array" else '{"rows": [1, 2]}')
@@ -332,6 +366,18 @@ def test_cli_malformed_input_is_parse_error(case, unit_weight_file, tmp_path, ca
         argv = ["verify", "--bound", "crossover", "--s-list", "4,x"]
     assert main(argv) == 2
     _one_line_failure(capsys, "parse error:")
+
+
+@pytest.mark.parametrize("dist", [
+    {"type": "finite", "atoms": [0, 1], "masses": [-0.5, 1.5]},
+    {"type": "finite", "atoms": [0, 1], "masses": [0.3, 0.3]},
+])
+def test_cli_invalid_finite_law_is_precondition(dist, unit_weight_file, tmp_path, capsys):
+    # Well-formed numbers that do not make a law stay math preconditions.
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(dist))
+    assert main(["q", "--dist", str(path), "--weights", unit_weight_file, "--lambda", "1"]) == 1
+    _one_line_failure(capsys, "precondition violated: masses")
 
 
 def test_cli_tiny_L_and_zero_dstar_are_preconditions(bernoulli_file, capsys):

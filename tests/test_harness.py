@@ -162,6 +162,30 @@ def test_lower_binomial_known_instance():
     assert row0["mass_two_sigma"] >= 0.75
 
 
+P_GRID = [0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5]
+
+
+def test_lower_binomial_two_sigma_mass_matches_scipy():
+    stats = pytest.importorskip("scipy.stats")
+    # Powers of 4 make the weight s^(-1/2) a power of 2; 8, 128 and 3000 do not.
+    for s in (4, 8, 16, 64, 128, 256, 1024, 3000, 4096):
+        rep = check_lower_binomial([s], P_GRID, n_eps=1)
+        assert [r["p"] for r in rep.rows] == P_GRID
+        for r in rep.rows:
+            p = r["p"]
+            k = np.arange(s + 1)
+            inside = np.abs(k - s * p) < 2.0 * math.sqrt(s * p * (1.0 - p))
+            expected = float(np.sum(stats.binom.pmf(k[inside], s, p)))
+            assert abs(r["mass_two_sigma"] - expected) <= 1e-14, (s, p)
+
+
+def test_lower_binomial_acceptance_grid_verdicts_unchanged():
+    # Recorded when the two-sigma mass came from scipy.stats.binom.pmf.
+    rep = check_lower_binomial([4, 8, 16, 32, 64, 128, 256], P_GRID, n_eps=40)
+    assert rep.chebyshev_ok and rep.chain_ok
+    assert rep.c_low_observed == 0.1981273529549226
+
+
 def test_lower_binomial_large_eps_order_one():
     rep = check_lower_binomial([16, 64], [0.3], n_eps=40)
     sig = math.sqrt(0.3 * 0.7)
