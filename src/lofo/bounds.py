@@ -17,7 +17,7 @@ The crossover scale tau0 solves L^2 = 1/M(tau0); M is continuous and
 nonincreasing with limit P = P(X~ != 0) at 0, so a root exists exactly when
 L^2 > 1/P.  For finite laws M is piecewise A + B/tau^2 between consecutive
 distinct |atoms| and the root is closed-form on its piece; the Gaussian path
-bisects the closed-form M, and other laws take the piecewise root of the
+bisects the closed-form M, and stable laws take the piecewise root of the
 empirical M of one seeded sample (common random numbers keep it monotone).
 """
 
@@ -231,13 +231,15 @@ def solve_tau0(
 ) -> RootSolution:
     """Solve M(tau0) = 1/L^2 for a symmetric law g.
 
-    Requires L^2 > 1/P with P = P(X~ != 0); otherwise no root exists and a
-    PreconditionError is raised.  Default residual tolerance is 1e-10 on the
-    exact finite path and 1e-6 on the Gaussian bisection and the empirical
-    (Monte Carlo) path; a root that misses it raises NumericalError.
+    Requires a finite L with L^2 > 1/P, P = P(X~ != 0); otherwise no root
+    exists and a PreconditionError is raised.  Default residual tolerance is
+    1e-10 on the exact finite path and 1e-6 on the Gaussian bisection and the
+    empirical (Monte Carlo) path; a root that misses it raises NumericalError.
     """
-    if not L > 0 or (dstar is not None and not dstar > 0):
-        raise ValueError("L and dstar must be positive")
+    if not 0 < L < math.inf:
+        raise ValueError("L must be positive and finite")
+    if dstar is not None and not dstar > 0:
+        raise ValueError("dstar must be positive")
     p_surv = atom_survival(g)
     m_star = 1.0 / (L * L) if L * L > 0.0 else math.inf  # L^2 may underflow
     if p_surv <= 0.0 or m_star >= p_surv:
@@ -269,20 +271,6 @@ def solve_tau0(
         raise NumericalError(f"crossover residual {residual:g} above tolerance {tol:g}")
     eps0 = tau0 / dstar if dstar is not None else None
     return RootSolution(tau0=tau0, residual=residual, iterations=iters, method=method, eps0=eps0)
-
-
-def solve_d0(
-    g: Dist,
-    L: float,
-    eps: float,
-    tol: Optional[float] = None,
-    **kwargs,
-) -> float:
-    """Solution D0(eps) of L^2 = 1/M(eps D): equals tau0/eps since the
-    product eps * D0(eps) is pinned to the crossover scale."""
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    return solve_tau0(g, L, tol, **kwargs).tau0 / eps
 
 
 def shape_crossover(

@@ -19,6 +19,7 @@ with nonnegative CF).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -50,8 +51,13 @@ class WeightVector:
         c = c.copy()
         c.flags.writeable = False
         self.coords = c
-        self.norm2 = float(np.sqrt(np.dot(c, c)))
         self.norm_inf = float(np.max(np.abs(c)))
+        # Only past this test can the sum of squares overflow; check it quietly.
+        if self.norm_inf * self.norm_inf * c.size > sys.float_info.max:
+            with np.errstate(over="ignore"):
+                if np.dot(c, c) == math.inf:
+                    raise ValueError("Euclidean norm of the weight vector overflows")
+        self.norm2 = float(np.sqrt(np.dot(c, c)))
         self.n = int(c.size)
 
     def scaled(self, lam: float) -> "WeightVector":
@@ -376,26 +382,3 @@ def esseen_integral(
         raise ValueError("tol must be positive")
     integrand = lambda t: abs(weighted_cf(dist, a, t))
     return lam * adaptive_simpson(integrand, 0.0, 1.0 / lam, tol=tol / lam)
-
-
-@dataclass(frozen=True)
-class RegularityReport:
-    """Window-growth check Q(F, mu) <= (1 + floor(mu/lambda)) Q(F, lambda)."""
-
-    lam: float
-    mu: float
-    q_lam: float
-    q_mu: float
-    factor: int
-    holds: bool
-
-
-def q_regularity_check(f: FiniteDist, lam: float, mu: float) -> RegularityReport:
-    """Evaluate both exact Q values and the covering inequality between them."""
-    if not (lam > 0 and mu > 0):
-        raise ValueError("lambda and mu must be positive")
-    q_lam = q_exact(f, lam).value
-    q_mu = q_exact(f, mu).value
-    factor = 1 + int(math.floor(mu / lam))
-    holds = q_mu <= factor * q_lam * (1.0 + 1e-12) + 1e-15
-    return RegularityReport(lam=lam, mu=mu, q_lam=q_lam, q_mu=q_mu, factor=factor, holds=holds)

@@ -6,8 +6,8 @@ Two carriers are supported:
   exact-computation workhorse.  All arithmetic on finite laws (symmetrization,
   convolution) coalesces atoms that floating point splits apart.
 * ``AnalyticDist`` -- a law given in closed form through its characteristic
-  function (centered Gaussian, symmetric stable, or a user-supplied CF), with
-  a seeded sampler for Monte Carlo paths.
+  function (centered Gaussian or symmetric stable), with a seeded sampler for
+  Monte Carlo paths.
 
 On top of these live the symmetrization map X -> X1 - X2, characteristic
 function evaluation, the spread functional
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -157,79 +157,50 @@ class FiniteDist:
 class AnalyticDist:
     """Law given by a closed-form characteristic function plus a sampler.
 
-    Kinds:
+    Two kinds:
       * ``gaussian``: centered with scale sigma, CF exp(-sigma^2 t^2 / 2);
-      * ``stable``: symmetric stable, CF exp(-scale * |t|^alpha), alpha in (0, 2];
-      * ``user_cf``: arbitrary evaluable CF, optional sampler.
+      * ``stable``: symmetric stable, CF exp(-scale * |t|^alpha), alpha in (0, 2].
 
-    At construction the CF is probed on a coarse grid: CF(0) must be 1 and
-    |CF| <= 1 everywhere (within 1e-12).
+    The constructors require a positive, finite scale.
     """
 
-    __slots__ = ("kind", "sigma", "alpha", "scale", "_cf", "_sampler")
+    __slots__ = ("kind", "sigma", "alpha", "scale")
 
-    def __init__(self, kind, sigma=None, alpha=None, scale=None, cf=None, sampler=None):
+    def __init__(self, kind, sigma=None, alpha=None, scale=None):
         self.kind = kind
         self.sigma = sigma
         self.alpha = alpha
         self.scale = scale
-        self._cf = cf
-        self._sampler = sampler
-        self._validate()
 
     @classmethod
     def gaussian(cls, sigma: float) -> "AnalyticDist":
-        if not sigma > 0:
-            raise ValueError("gaussian scale must be positive")
+        if not 0 < sigma < math.inf:
+            raise ValueError("gaussian scale sigma must be positive and finite")
         return cls("gaussian", sigma=float(sigma))
 
     @classmethod
     def stable(cls, alpha: float, scale: float = 1.0) -> "AnalyticDist":
         if not 0.0 < alpha <= 2.0:
             raise ValueError("stable exponent must lie in (0, 2]")
-        if not scale > 0:
-            raise ValueError("stable scale must be positive")
+        if not 0 < scale < math.inf:
+            raise ValueError("stable scale must be positive and finite")
         return cls("stable", alpha=float(alpha), scale=float(scale))
-
-    @classmethod
-    def from_cf(
-        cls,
-        cf: Callable[[np.ndarray], np.ndarray],
-        sampler: Callable[[int, np.random.Generator], np.ndarray] | None = None,
-    ) -> "AnalyticDist":
-        return cls("user_cf", cf=cf, sampler=sampler)
-
-    def _validate(self) -> None:
-        probe = np.linspace(-8.0, 8.0, 33)
-        vals = self.cf(probe)
-        if abs(complex(self.cf(np.array([0.0]))[0]) - 1.0) > 1e-12:
-            raise ValueError("characteristic function must equal 1 at t = 0")
-        if np.any(np.abs(vals) > 1.0 + 1e-12):
-            raise ValueError("characteristic function exceeds modulus 1 on probe grid")
 
     def cf(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         if self.kind == "gaussian":
             return np.exp(-0.5 * (self.sigma * t) ** 2) + 0.0j
-        if self.kind == "stable":
-            return np.exp(-self.scale * np.abs(t) ** self.alpha) + 0.0j
-        return np.asarray(self._cf(t), dtype=complex)
+        return np.exp(-self.scale * np.abs(t) ** self.alpha) + 0.0j
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         if self.kind == "gaussian":
             return rng.normal(0.0, self.sigma, n)
-        if self.kind == "stable":
-            return sample_symmetric_stable(self.alpha, self.scale, n, rng)
-        if self._sampler is None:
-            raise ValueError("user_cf distribution has no sampler")
-        return np.asarray(self._sampler(n, rng), dtype=float)
+        return sample_symmetric_stable(self.alpha, self.scale, n, rng)
 
     def __repr__(self) -> str:
         if self.kind == "gaussian":
             return f"AnalyticDist.gaussian(sigma={self.sigma:g})"
-        if self.kind == "stable":
-            return f"AnalyticDist.stable(alpha={self.alpha:g}, scale={self.scale:g})"
-        return "AnalyticDist.user_cf(...)"
+        return f"AnalyticDist.stable(alpha={self.alpha:g}, scale={self.scale:g})"
 
 
 Dist = Union[FiniteDist, AnalyticDist]
@@ -263,25 +234,12 @@ def symmetrize(dist: Dist) -> Dist:
     For a finite law the result is built on the nonnegative half and mirrored,
     so mass(x) == mass(-x) holds bitwise.  For analytic laws: a Gaussian with
     scale sigma maps to scale sigma*sqrt(2); a stable law keeps alpha and
-    doubles the scale; a user CF maps to |CF|^2 with a difference sampler.
+    doubles the scale.
     """
     if isinstance(dist, AnalyticDist):
         if dist.kind == "gaussian":
             return AnalyticDist.gaussian(dist.sigma * _SQRT2)
-        if dist.kind == "stable":
-            return AnalyticDist.stable(dist.alpha, 2.0 * dist.scale)
-        base_cf = dist._cf
-        base_sampler = dist._sampler
-        sym_sampler = None
-        if base_sampler is not None:
-            def sym_sampler(n, rng, _s=base_sampler):
-                return np.asarray(_s(n, rng), dtype=float) - np.asarray(
-                    _s(n, rng), dtype=float
-                )
-        return AnalyticDist.from_cf(
-            lambda t, _f=base_cf: np.abs(np.asarray(_f(t), dtype=complex)) ** 2 + 0.0j,
-            sampler=sym_sampler,
-        )
+        return AnalyticDist.stable(dist.alpha, 2.0 * dist.scale)
 
     x, p = dist.atoms, dist.masses
     mass_zero = float(np.dot(p, p))
@@ -316,7 +274,7 @@ def cf_eval(dist: Dist, t) -> complex | np.ndarray:
     """Characteristic function E exp(itX); vectorized over t.
 
     Exact finite sum for FiniteDist, closed form for the analytic kinds.
-    Raises if a user CF returns modulus above 1 + 1e-12.
+    Raises if a value has modulus above 1 + 1e-12.
     """
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     if isinstance(dist, FiniteDist):
@@ -351,16 +309,6 @@ def weighted_cf(dist: Dist, coords, t) -> complex | np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _require_symmetric(g: Dist) -> None:
-    if isinstance(g, FiniteDist):
-        if not g.is_symmetric():
-            raise ValueError("expected a symmetric (symmetrized) distribution")
-    elif g.kind == "user_cf":
-        probe = np.linspace(0.0, 5.0, 11)
-        if np.any(np.abs(np.imag(g.cf(probe))) > 1e-9):
-            raise ValueError("user CF is not real: law is not symmetric")
-
-
 def m_functional(
     g: Dist,
     tau: float,
@@ -371,35 +319,22 @@ def m_functional(
     """Spread functional M(tau) = E min(X~^2/tau^2, 1) of a symmetric law g.
 
     Exact sum for finite laws; closed form through erf/erfc for Gaussian
-    laws (within 1e-14 absolute for every tau > 0); seeded Monte Carlo for
-    stable and user-CF laws.  Nonincreasing in tau, with M(tau) <= P(X~ != 0).
+    laws (within 1e-14 absolute for every tau > 0); the mean over n_samples
+    seeded draws for stable laws, whose Monte Carlo error is not reported.
+    Nonincreasing in tau, with M(tau) <= P(X~ != 0).  A finite law must be
+    symmetric; the analytic kinds are symmetric by construction.
     """
-    value, _ = m_functional_with_error(g, tau, n_samples=n_samples, seed=seed)
-    return value
-
-
-def m_functional_with_error(
-    g: Dist,
-    tau: float,
-    *,
-    n_samples: int = 1_000_000,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Like m_functional, also returning the Monte Carlo standard error
-    (0.0 on the exact finite and closed-form Gaussian paths)."""
     if not tau > 0:
         raise ValueError("tau must be positive")
-    _require_symmetric(g)
     if isinstance(g, FiniteDist):
+        if not g.is_symmetric():
+            raise ValueError("expected a symmetric (symmetrized) distribution")
         ratio = g.atoms / tau
-        return float(np.dot(g.masses, np.minimum(ratio * ratio, 1.0))), 0.0
+        return float(np.dot(g.masses, np.minimum(ratio * ratio, 1.0)))
     if g.kind == "gaussian":
-        return _m_gaussian(g.sigma, tau), 0.0
+        return _m_gaussian(g.sigma, tau)
     draws = g.sample(n_samples, np.random.default_rng(seed))
-    clipped = np.minimum((draws / tau) ** 2, 1.0)
-    value = float(np.mean(clipped))
-    stderr = float(np.std(clipped) / math.sqrt(n_samples))
-    return value, stderr
+    return float(np.mean(np.minimum((draws / tau) ** 2, 1.0)))
 
 
 def _m_gaussian(sigma: float, tau: float) -> float:

@@ -71,47 +71,40 @@ def gen_sparse_family(
     n: Optional[int] = None,
     p_list: Sequence[float] = (0.5,),
     *,
-    perturbed: bool | str = False,
-    eta_exponent: float = -3.0,
+    perturbed: bool = False,
 ) -> InstanceFamily:
     """Vectors with s coordinates s^(-1/2) (rest zero), Bernoulli(p) laws.
 
-    ``perturbed=True`` replaces the zero tail by eta = s^eta_exponent, small
-    enough that the weighted sum and its least common denominator stay within
-    the unperturbed brackets; ``perturbed="both"`` emits the plain and the
-    perturbed variant side by side.  n defaults to max(s_list).
+    ``perturbed=True`` replaces the zero tail by eta = s^-3, small enough that
+    the weighted sum and its least common denominator stay within the
+    unperturbed brackets; s = n has no tail and is skipped.  n defaults to
+    max(s_list).
     """
     s_list = [int(s) for s in s_list]
     n = max(s_list) if n is None else int(n)
     if any(s > n for s in s_list):
         raise ValueError("every s must satisfy s <= n")
-    if perturbed == "both":
-        variants = (False, True)
-    else:
-        variants = (bool(perturbed),)
     instances = []
     for s in s_list:
         for p in p_list:
-            for pert in variants:
-                coords = np.zeros(n)
-                coords[:s] = s**-0.5
-                tag = f"sparse_s{s}_p{p:g}"
-                if pert:
-                    if s == n:
-                        continue  # no tail to perturb
-                    coords[s:] = float(s) ** eta_exponent
-                    tag = f"sparse_pert_s{s}_p{p:g}"
-                instances.append(
-                    Instance(
-                        id=tag,
-                        weights=WeightVector(coords),
-                        law=FiniteDist.bernoulli(p),
-                        params={"s": s, "p": p, "perturbed": pert, "n": n},
-                    )
+            coords = np.zeros(n)
+            coords[:s] = s**-0.5
+            tag = f"sparse_s{s}_p{p:g}"
+            if perturbed:
+                if s == n:
+                    continue  # no tail to perturb
+                coords[s:] = float(s) ** -3.0
+                tag = f"sparse_pert_s{s}_p{p:g}"
+            instances.append(
+                Instance(
+                    id=tag,
+                    weights=WeightVector(coords),
+                    law=FiniteDist.bernoulli(p),
+                    params={"s": s, "p": p, "perturbed": perturbed, "n": n},
                 )
-    family_id = {False: "sparse", True: "sparse_perturbed"}.get(perturbed, "sparse_both")
+            )
     return InstanceFamily(
-        id=family_id,
+        id="sparse_perturbed" if perturbed else "sparse",
         params={"s_list": s_list, "n": n, "p_list": list(p_list)},
         description="equal-weight s-sparse vectors with Bernoulli summands",
         instances=tuple(instances),
@@ -155,7 +148,7 @@ class CalibrationReport:
     ratio_sup: float
     ratio_inf: float
     n_excluded: int
-    fixture: Optional[float]
+    fixture: float
     passed: bool
 
     def to_json(self) -> dict:
@@ -172,14 +165,14 @@ class CalibrationReport:
         }
 
 
-def _crossover_rows(inst: Instance, L: float, n_eps: int, lcd_tol: float):
+def _crossover_rows(inst: Instance, L: float, n_eps: int):
     p = inst.params["p"]
     g = symmetrize(inst.law)
     p_surv = atom_survival(g)
     if L * L <= 1.0 / p_surv:
         return None  # precondition fails: excluded, counted by caller
     root = solve_tau0(g, L)
-    dstar = lcd_search(inst.weights, L, "d_star", tol=lcd_tol).value
+    dstar = lcd_search(inst.weights, L, "d_star", tol=1e-8).value
     fa = weighted_sum_dist(inst.law, inst.weights)
     eps_hi = 4.0 * math.sqrt(p * (1.0 - p))
     rows = []
@@ -249,17 +242,15 @@ def calibrate_upper(
     L: float,
     *,
     n_eps: int = 40,
-    lcd_tol: float = 1e-8,
-    fixture: Optional[float] = None,
 ) -> CalibrationReport:
     """Ratio sweep Q/shape for one bound id over a family.
 
     Instances violating the bound's precondition are excluded and counted,
-    never scored.  PASS means ratio_sup <= fixture (frozen constant for the
-    bound unless overridden).
+    never scored.  D* is certified to tol 1e-8.  PASS means ratio_sup <=
+    fixture, the bound's frozen constant in ``fixtures.RATIO_SUP``.
     """
     if bound_id == "crossover":
-        worker = lambda inst: _crossover_rows(inst, L, n_eps, lcd_tol)
+        worker = lambda inst: _crossover_rows(inst, L, n_eps)
     elif bound_id in ("kolmogorov_rogozin", "esseen"):
         worker = lambda inst: _classical_rows(inst, L, n_eps, bound_id)
     else:
@@ -275,9 +266,8 @@ def calibrate_upper(
         raise PreconditionError("no instance satisfied the bound preconditions")
     ratios = [r["ratio"] for r in rows]
     sup, inf = max(ratios), min(ratios)
-    if fixture is None:
-        fixture = fixtures.RATIO_SUP.get(bound_id)
-    passed = fixture is None or sup <= fixture
+    fixture = fixtures.RATIO_SUP[bound_id]
+    passed = sup <= fixture
     return CalibrationReport(
         bound_id=bound_id,
         family_id=family.id,
@@ -333,8 +323,6 @@ def check_lower_binomial(
     s_list: Sequence[int],
     p_list: Sequence[float],
     n_eps: int = 40,
-    *,
-    fixture: Optional[float] = None,
 ) -> LowerBoundReport:
     """Exact Q(F_a, eps) >= c_low * min{(eps + 1/sqrt(s)) / sqrt(p(1-p)), 1}.
 
@@ -345,9 +333,10 @@ def check_lower_binomial(
       * Q(F_a, eps) >= (3/32) eps / sqrt(p(1-p)) for eps <= 4 sqrt(p(1-p))
         when s p(1-p) > 1 (window covering),
       * Q(F_a, 0) >= (3/64) / sqrt(s p(1-p)) (lattice pitch s^(-1/2)).
+
+    PASS also needs the observed constant to reach the frozen
+    ``fixtures.BINOMIAL_LOWER_C``.
     """
-    if fixture is None:
-        fixture = fixtures.BINOMIAL_LOWER_C
     rows = []
     chebyshev_ok = True
     chain_ok = True
@@ -389,13 +378,13 @@ def check_lower_binomial(
                     }
                 )
     c_obs = min(r["ratio"] for r in rows)
-    passed = chebyshev_ok and chain_ok and c_obs >= fixture
+    passed = chebyshev_ok and chain_ok and c_obs >= fixtures.BINOMIAL_LOWER_C
     return LowerBoundReport(
         rows=tuple(rows),
         c_low_observed=c_obs,
         chebyshev_ok=chebyshev_ok,
         chain_ok=chain_ok,
-        fixture=fixture,
+        fixture=fixtures.BINOMIAL_LOWER_C,
         passed=passed,
     )
 
@@ -430,15 +419,14 @@ def study_tau0_scaling(
     L_grid: Sequence[float],
     seed: int = 0,
     n_samples: int = 1_000_000,
-    *,
-    max_half_width: float = 0.5,
 ) -> list[ScalingFit]:
     """Fit log tau0 against log L for symmetric stable laws.
 
     The symmetrized law of a stable variate with CF exp(-|t|^alpha) is stable
     with doubled scale; tau0(L) grows like L^(2/alpha).  One seeded sample per
     alpha backs the empirical spread functional at every L (common random
-    numbers keep tau0 monotone in L).
+    numbers keep tau0 monotone in L).  A fit whose 2-sigma slope half-width
+    exceeds 0.5 is flagged inconclusive.
     """
     out = []
     for alpha in alpha_list:
@@ -455,7 +443,7 @@ def study_tau0_scaling(
                 half_width=half_width,
                 expected=2.0 / float(alpha),
                 points=tuple(pts),
-                inconclusive=half_width > max_half_width,
+                inconclusive=half_width > 0.5,
             )
         )
     return out

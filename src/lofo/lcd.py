@@ -317,10 +317,11 @@ def lcd(
     dist = t ||a|| >= f_L(t ||a||), verified at the start point); variant "d"
     scans from L (below which the threshold is zero and the strict inequality
     cannot hold).  The scan is certified up to the returned bracket; the
-    horizon t_max guarantees a witness exists.
+    horizon t_max guarantees a witness exists.  L must be finite: at L = inf
+    the "d" scan would start at t = inf.
     """
-    if not L > 0:
-        raise ValueError("L must be positive")
+    if not 0 < L < math.inf:
+        raise ValueError("L must be positive and finite")
     if not tol > 0:
         raise ValueError("tol must be positive")
     variant = variant.lower()

@@ -22,7 +22,6 @@ from lofo.bounds import (
     shape_no_arithmetic,
     shape_vershynin,
     smoothing_cf,
-    solve_d0,
     solve_tau0,
 )
 from lofo.concentration import WeightVector, q_exact
@@ -234,26 +233,6 @@ def test_tau0_empirical_path_deterministic():
         else:
             hi = mid
     assert r1.tau0 == pytest.approx(lo, rel=0.02)
-
-
-def test_d0_identities():
-    g = symmetrize(FiniteDist.bernoulli(0.5))
-    L = 2.0
-    tau0 = solve_tau0(g, L).tau0
-    assert solve_d0(g, L, 0.1) == pytest.approx(math.sqrt(2.0) / 0.1, rel=1e-12)
-    # eps doubled -> D0 halved.
-    assert solve_d0(g, L, 0.2) == pytest.approx(solve_d0(g, L, 0.1) / 2.0, rel=1e-12)
-    # Direct bisection cross-check on D -> M(eps * D).
-    eps = 0.37
-    lo, hi = 1e-9, 1e9
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if m_functional(g, eps * mid) > 1 / L**2:
-            lo = mid
-        else:
-            hi = mid
-    assert solve_d0(g, L, eps) == pytest.approx(lo, rel=1e-9)
-    assert solve_d0(g, L, tau0 / 5.0) == pytest.approx(5.0, rel=1e-12)
 
 
 def test_crossover_branches_and_continuity():

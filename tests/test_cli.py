@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -401,6 +402,51 @@ def test_cli_crossover_at_tiny_window(unit_weight_file, tmp_path):
     shape = json.loads(out.read_text())
     assert shape["params"]["branch"] == "small_eps"
     assert shape["value"] == 1.0 / 1.5
+
+
+def _run_without_runtime_warnings(argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(argv)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    return rc
+
+
+def test_cli_lcd_rejects_overflowing_norm(tmp_path, capsys):
+    # ||a||^2 overflows to inf; the scan would certify a bracket with t_max < t_start.
+    weights = tmp_path / "big.txt"
+    weights.write_text("1e308\n1\n")
+    assert _run_without_runtime_warnings(["lcd", "--weights", str(weights), "--L", "2"]) == 1
+    _one_line_failure(capsys, "precondition violated: Euclidean norm of the weight vector")
+
+
+@pytest.mark.parametrize("cmd", ["lcd_d", "lcd_d_star", "bound_crossover", "tau0"])
+def test_cli_infinite_L_is_precondition(cmd, bernoulli_file, tmp_path, capsys):
+    weights = tmp_path / "w.txt"
+    weights.write_text("1\n0.5\n")
+    argv = {
+        "lcd_d": ["lcd", "--weights", str(weights), "--L", "inf", "--variant", "d"],
+        "lcd_d_star": ["lcd", "--weights", str(weights), "--L", "inf"],
+        "bound_crossover": ["bound", "--shape", "crossover", "--dist", bernoulli_file,
+                            "--weights", str(weights), "--L", "inf", "--eps", "0.5"],
+        "tau0": ["tau0", "--dist", bernoulli_file, "--L", "inf"],
+    }[cmd]
+    assert _run_without_runtime_warnings(argv) == 1
+    _one_line_failure(capsys, "precondition violated: L must be positive and finite")
+
+
+@pytest.mark.parametrize("dist", [
+    {"type": "gaussian", "sigma": 1e400},
+    {"type": "stable", "alpha": 1.5, "scale": 1e400},
+])
+def test_cli_infinite_analytic_scale_is_precondition(dist, unit_weight_file, tmp_path, capsys):
+    # JSON 1e400 parses to inf.
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(dist).replace("Infinity", "1e400"))
+    argv = ["q", "--dist", str(path), "--weights", unit_weight_file, "--lambda", "1",
+            "--samples", "10000"]
+    assert _run_without_runtime_warnings(argv) == 1
+    _one_line_failure(capsys, "precondition violated:")
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from lofo.concentration import (
     q_closed_form_gaussian,
     q_exact,
     q_monte_carlo,
-    q_regularity_check,
     weighted_sum_dist,
 )
 from lofo.distributions import (
@@ -429,34 +428,6 @@ def test_esseen_two_sided_for_nonnegative_cf():
             integral = esseen_integral(g, a, lam)
             assert 0.0 < integral <= 1.0 + 1e-8
             assert 0.1 <= q / integral <= 10.0
-
-
-# ---------------------------------------------------------------------------
-# Regularity
-# ---------------------------------------------------------------------------
-
-
-def test_regularity_examples():
-    f = weighted_sum_dist(FiniteDist.bernoulli(0.5), WeightVector([1.0, 1.0]))
-    rep = q_regularity_check(f, 0.4, 1.0)
-    assert rep.holds
-    assert rep.factor == 3
-    assert rep.q_lam == pytest.approx(0.5)
-    assert rep.q_mu == pytest.approx(0.75)
-    # mu == lambda: trivially Q <= 2 Q.
-    assert q_regularity_check(f, 0.4, 0.4).holds
-    # mu < lambda reduces to monotonicity.
-    rep2 = q_regularity_check(f, 1.0, 0.4)
-    assert rep2.factor == 1
-    assert rep2.holds
-
-
-def test_regularity_random_instances():
-    rng = np.random.default_rng(29)
-    for _ in range(25):
-        f = random_finite(rng, n_atoms=10)
-        lam, mu = sorted(rng.uniform(0.01, 1.0, 2))
-        assert q_regularity_check(f, lam, mu).holds
 
 
 # Frozen Esseen integrals lambda * int_0^{1/lambda} |CF_{S_a}| (repr floats)

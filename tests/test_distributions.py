@@ -14,7 +14,6 @@ from lofo.distributions import (
     atom_survival,
     cf_eval,
     m_functional,
-    m_functional_with_error,
     mixture_decompose,
     symmetrize,
     weighted_cf,
@@ -114,8 +113,6 @@ def test_symmetrize_analytic_kinds():
     assert g.kind == "gaussian" and g.sigma == pytest.approx(1.5 * math.sqrt(2))
     s = symmetrize(AnalyticDist.stable(1.0, 1.0))
     assert s.kind == "stable" and s.scale == 2.0
-    u = symmetrize(AnalyticDist.from_cf(lambda t: np.exp(1j * t - t * t)))
-    assert np.allclose(u.cf(np.array([0.7])), np.exp(-2 * 0.49))
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +180,11 @@ def test_m_stable_monte_carlo_vs_cauchy_closed_form():
         return (2 * gamma / (math.pi * tau * tau)) * (tau - gamma * at) + 1 - 2 * at / math.pi
 
     g = AnalyticDist.stable(1.0, gamma)
+    draws = g.sample(400_000, np.random.default_rng(42))
     for tau in [0.5, 2.0, 10.0]:
-        val, err = m_functional_with_error(g, tau, n_samples=400_000, seed=42)
+        val = m_functional(g, tau, n_samples=400_000, seed=42)
+        # Standard error of the mean over the same seeded draws.
+        err = float(np.std(np.minimum((draws / tau) ** 2, 1.0)) / math.sqrt(400_000))
         assert err > 0
         assert abs(val - oracle(tau)) < 6 * err + 1e-3
 

@@ -50,13 +50,15 @@ def test_sparse_family_validates_s_vs_n():
 
 
 def test_sparse_family_both_variants():
-    fam = gen_sparse_family([4, 8], n=16, p_list=[0.5], perturbed="both")
-    ids = [i.id for i in fam.instances]
-    assert "sparse_s4_p0.5" in ids and "sparse_pert_s4_p0.5" in ids
-    assert len(ids) == 4
+    def ids(s_list, n):
+        return [i.id for pert in (False, True)
+                for i in gen_sparse_family(s_list, n=n, p_list=[0.5], perturbed=pert).instances]
+
+    both = ids([4, 8], 16)
+    assert "sparse_s4_p0.5" in both and "sparse_pert_s4_p0.5" in both
+    assert len(both) == 4
     # The dense s = n case has no tail to perturb.
-    dense = gen_sparse_family([8], n=8, p_list=[0.5], perturbed="both")
-    assert [i.id for i in dense.instances] == ["sparse_s8_p0.5"]
+    assert ids([8], 8) == ["sparse_s8_p0.5"]
 
 
 def test_perturbed_family_close_to_unperturbed():
@@ -114,11 +116,14 @@ def test_calibrate_excludes_precondition_violations():
 
 
 def test_calibrate_crossover_perturbed_family():
-    fam = gen_sparse_family([4, 8], n=16, p_list=[0.5], perturbed="both")
-    rep = calibrate_upper("crossover", fam, L=2.0, n_eps=10)
-    assert rep.passed
-    pert_rows = [r for r in rep.rows if r["instance"].startswith("sparse_pert")]
-    plain_rows = [r for r in rep.rows if not r["instance"].startswith("sparse_pert")]
+    reps = [calibrate_upper("crossover",
+                            gen_sparse_family([4, 8], n=16, p_list=[0.5], perturbed=pert),
+                            L=2.0, n_eps=10)
+            for pert in (False, True)]
+    assert all(rep.passed for rep in reps)
+    rows = [r for rep in reps for r in rep.rows]
+    pert_rows = [r for r in rows if r["instance"].startswith("sparse_pert")]
+    plain_rows = [r for r in rows if not r["instance"].startswith("sparse_pert")]
     assert pert_rows and plain_rows
     # Perturbation moves neither Q nor D* by much: ratios stay comparable.
     sup_pert = max(r["ratio"] for r in pert_rows)
