@@ -157,30 +157,39 @@ class RootSolution:
         }
 
 
-def _piecewise_tau0(u: np.ndarray, w: np.ndarray, m_star: float) -> float:
-    """Root of sum_i w_i min(u_i^2/tau^2, 1) = m_star on sorted positive u.
+def _piecewise_tau0(u: np.ndarray, w: np.ndarray, m_stars) -> list[float]:
+    """Roots of sum_i w_i min(u_i^2/tau^2, 1) = m_star on sorted positive u,
+    one per target in the 1-D sequence m_stars, in order.
 
     Between consecutive support points M(tau) = A/tau^2 + B with A the
     within-radius second moment and B the outside mass, so the root is exact
-    on its piece.
+    on its piece.  The prefix sums and the knot values are built once for all
+    targets (O(len(u))); each target then costs one binary search and a short
+    walk over the pieces.
     """
     a_prefix = np.cumsum(w * u * u)
     b_suffix = np.concatenate((np.cumsum(w[::-1])[::-1][1:], [0.0]))
     knot_m = a_prefix / (u * u) + b_suffix
-    # knot_m is nonincreasing; find the piece [u_k, u_{k+1}) containing the root.
-    k = int(np.searchsorted(-knot_m, -m_star, side="left"))
-    if k == 0:
-        raise PreconditionError("target spread above M at the smallest support point")
-    idx = k - 1
-    while idx < u.size:
-        a_i, b_i = a_prefix[idx], b_suffix[idx]
-        if m_star > b_i:
-            tau = math.sqrt(a_i / (m_star - b_i))
-            hi = u[idx + 1] if idx + 1 < u.size else math.inf
-            if u[idx] <= tau * (1 + 1e-12) and tau <= hi * (1 + 1e-12):
-                return tau
-        idx += 1
-    raise NumericalError("piecewise root not bracketed; inconsistent inputs")
+    m_stars = np.asarray(m_stars, dtype=float)
+    # knot_m is nonincreasing; find the piece [u_k, u_{k+1}) containing each root.
+    starts = np.searchsorted(-knot_m, -m_stars, side="left")
+    roots = []
+    for m_star, k in zip(m_stars, starts):
+        if k == 0:
+            raise PreconditionError("target spread above M at the smallest support point")
+        idx = int(k) - 1
+        while idx < u.size:
+            a_i, b_i = a_prefix[idx], b_suffix[idx]
+            if m_star > b_i:
+                tau = math.sqrt(a_i / (m_star - b_i))
+                hi = u[idx + 1] if idx + 1 < u.size else math.inf
+                if u[idx] <= tau * (1 + 1e-12) and tau <= hi * (1 + 1e-12):
+                    roots.append(tau)
+                    break
+            idx += 1
+        else:
+            raise NumericalError("piecewise root not bracketed; inconsistent inputs")
+    return roots
 
 
 def _empirical_spread(g: Dist, n_samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -232,14 +241,20 @@ def solve_tau0(
     """Solve M(tau0) = 1/L^2 for a symmetric law g.
 
     Requires a finite L with L^2 > 1/P, P = P(X~ != 0); otherwise no root
-    exists and a PreconditionError is raised.  Default residual tolerance is
-    1e-10 on the exact finite path and 1e-6 on the Gaussian bisection and the
-    empirical (Monte Carlo) path; a root that misses it raises NumericalError.
+    exists and a PreconditionError is raised.  So does an L whose square
+    overflows, since the target 1/L^2 would round to 0.  Default residual
+    tolerance is 1e-10 on the exact finite path and 1e-6 on the Gaussian
+    bisection and the empirical (Monte Carlo) path; a root that misses it
+    raises NumericalError.
     """
     if not 0 < L < math.inf:
         raise ValueError("L must be positive and finite")
     if dstar is not None and not dstar > 0:
         raise ValueError("dstar must be positive")
+    if L * L == math.inf:
+        raise PreconditionError(
+            f"L^2 overflows (L = {L:.6g}), so the target spread 1/L^2 rounds to 0"
+        )
     p_surv = atom_survival(g)
     m_star = 1.0 / (L * L) if L * L > 0.0 else math.inf  # L^2 may underflow
     if p_surv <= 0.0 or m_star >= p_surv:
@@ -254,7 +269,7 @@ def solve_tau0(
         pos = g.atoms > 0
         u = g.atoms[pos]
         w = 2.0 * g.masses[pos]
-        tau0 = _piecewise_tau0(u, w, m_star)
+        (tau0,) = _piecewise_tau0(u, w, [m_star])
         residual = abs(m_functional(g, tau0) - m_star)
         method, iters = "piecewise_exact", 0
     elif g.kind == "gaussian":
@@ -263,7 +278,7 @@ def solve_tau0(
         method = "bisection_quadrature"
     else:
         u, w = _empirical_spread(g, n_samples, seed)
-        tau0 = _piecewise_tau0(u, w, m_star)
+        (tau0,) = _piecewise_tau0(u, w, [m_star])
         clipped = np.minimum((u / tau0) ** 2, 1.0)
         residual = abs(float(np.sum(w * clipped)) - m_star)
         method, iters = "empirical_sample", 0

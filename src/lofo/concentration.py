@@ -57,7 +57,14 @@ class WeightVector:
             with np.errstate(over="ignore"):
                 if np.dot(c, c) == math.inf:
                     raise ValueError("Euclidean norm of the weight vector overflows")
-        self.norm2 = float(np.sqrt(np.dot(c, c)))
+        sum_sq = np.dot(c, c)
+        if sum_sq < sys.float_info.min:
+            # The squares underflow; scale by the sup norm (only here, so
+            # every other vector keeps the bits of the plain formula).
+            scaled = c / self.norm_inf
+            self.norm2 = float(self.norm_inf * np.sqrt(np.dot(scaled, scaled)))
+        else:
+            self.norm2 = float(np.sqrt(sum_sq))
         self.n = int(c.size)
 
     def scaled(self, lam: float) -> "WeightVector":
@@ -374,11 +381,13 @@ def esseen_integral(
     """lambda * int_0^{1/lambda} |CF_{S_a}(t)| dt to absolute tolerance tol.
 
     Upper-bounds Q(F_a, lambda) up to an absolute constant; for symmetric
-    laws with nonnegative CF it is two-sided.
+    laws with nonnegative CF it is two-sided.  The quadrature evaluates
+    |CF_{S_a}| one bisection level at a time, so weighted_cf runs once per
+    level over all of that level's nodes.
     """
     if not lam > 0:
         raise ValueError("lambda must be positive")
     if not tol > 0:
         raise ValueError("tol must be positive")
-    integrand = lambda t: abs(weighted_cf(dist, a, t))
+    integrand = lambda t: np.abs(weighted_cf(dist, a, t))
     return lam * adaptive_simpson(integrand, 0.0, 1.0 / lam, tol=tol / lam)

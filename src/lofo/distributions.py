@@ -33,6 +33,7 @@ import numpy as np
 ATOM_REL_TOL = 1e-9
 ATOM_ABS_TOL = 1e-12
 MASS_TOL = 1e-12
+_CF_CHUNK_ENTRIES = 2**22     # cap on one weighted_cf block (64 MiB of complex128)
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -290,17 +291,27 @@ def weighted_cf(dist: Dist, coords, t) -> complex | np.ndarray:
     """CF of sum_k a_k X_k for i.i.d. X_k ~ dist: prod_k CF(a_k t).
 
     ``coords`` may be a weight vector object (anything with .coords) or a
-    plain sequence.  Vectorized over t.
+    plain sequence.  Vectorized over t (flattened).  The t values are taken
+    in chunks so that the (t, coords, atoms) complex block stays within
+    _CF_CHUNK_ENTRIES entries; a single t whose block alone is larger is
+    still evaluated whole.  Each t is reduced on its own, so chunking does
+    not change a bit.
     """
     a = np.asarray(getattr(coords, "coords", coords), dtype=float).ravel()
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    # (n_t, n_coords) grid of scaled arguments; product over coordinates.
-    args = np.outer(t_arr, a)
-    if isinstance(dist, FiniteDist):
-        flat = _finite_cf(dist, args)
-    else:
-        flat = dist.cf(args.ravel()).reshape(args.shape)
-    vals = np.prod(flat, axis=-1)
+    t_arr = np.atleast_1d(np.asarray(t, dtype=float)).ravel()
+    finite = isinstance(dist, FiniteDist)
+    per_t = a.size * (dist.n_atoms if finite else 1)
+    rows = max(1, _CF_CHUNK_ENTRIES // max(per_t, 1))
+    chunks = []
+    for lo in range(0, max(t_arr.size, 1), rows):  # an empty t still makes one chunk
+        # (rows, n_coords) grid of scaled arguments; product over coordinates.
+        args = np.outer(t_arr[lo : lo + rows], a)
+        if finite:
+            flat = _finite_cf(dist, args)
+        else:
+            flat = dist.cf(args.ravel()).reshape(args.shape)
+        chunks.append(np.prod(flat, axis=-1))
+    vals = np.concatenate(chunks)
     return complex(vals[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else vals
 
 

@@ -45,7 +45,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .concentration import WeightVector
-from .exceptions import NumericalError
+from .exceptions import NumericalError, PreconditionError
 
 _E = math.e
 
@@ -318,7 +318,9 @@ def lcd(
     scans from L (below which the threshold is zero and the strict inequality
     cannot hold).  The scan is certified up to the returned bracket; the
     horizon t_max guarantees a witness exists.  L must be finite: at L = inf
-    the "d" scan would start at t = inf.
+    the "d" scan would start at t = inf.  A start at or past the (clamped)
+    horizon, as for weights so small that 0.5/||a||_inf overflows, raises
+    PreconditionError.
     """
     if not 0 < L < math.inf:
         raise ValueError("L must be positive and finite")
@@ -331,6 +333,11 @@ def lcd(
     n_eff = int(np.count_nonzero(a.coords))
     t_lo = 0.5 / a.norm_inf if variant == "d_star" else L
     t_hi = _search_horizon(variant, L, norm, n_eff)
+    if not t_lo < t_hi:
+        raise PreconditionError(
+            f"scan start {t_lo:.6g} is not below the search horizon {t_hi:.6g} "
+            f"(||a|| = {norm:.6g}, L = {L:.6g})"
+        )
     floor = max(tol / 4.0, abs(t_lo) * 4e-16)
     scan = _first_crossing(
         np.abs(a.coords), _threshold(variant, L, norm), norm, t_lo, t_hi, floor

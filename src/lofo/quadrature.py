@@ -1,19 +1,32 @@
-"""Adaptive Simpson quadrature with interval bisection.
+"""Adaptive Simpson quadrature with interval bisection, one level at a time.
 
 Used for the Esseen characteristic-function integral (esseen_integral).
 The integrands here are smooth except at isolated zeros of |CF|, which
 plain bisection resolves; no oscillatory-integral machinery is needed.
+
+The integrand maps a 1-D float array of nodes to a 1-D float array of
+values.  The bisection tree is walked breadth first: one call evaluates the
+ends and the midpoint, then one call per level evaluates the quarter points
+of every panel still open at that level.  Each panel applies the classical
+recursive rule's arithmetic in its operation order (float64 array operations
+round exactly like Python floats), and the panel results are summed bottom
+up as ``left + right`` at every split, which is the recursion's post-order.
+So the nodes, the value and the error of the depth-first recursion are
+reproduced bit for bit.  Cost: (levels + 1) integrand calls, each over the
+open panels' nodes, instead of one call per node.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
+import numpy as np
+
 from .exceptions import QuadratureError
 
 
 def adaptive_simpson(
-    f: Callable[[float], float],
+    f: Callable[[np.ndarray], np.ndarray],
     a: float,
     b: float,
     tol: float = 1e-8,
@@ -22,38 +35,61 @@ def adaptive_simpson(
 ) -> float:
     """Integrate f over [a, b] to absolute tolerance tol.
 
-    Bisection is forced for the first min_depth levels: the Richardson
-    acceptance test can be fooled by an accidentally small correction on a
-    wide interval containing a kink (|CF| has those at its zeros).  Raises
-    QuadratureError (carrying the achieved estimate) if some subinterval
-    still disagrees after max_depth bisections.
+    f takes a 1-D float array of nodes and returns their values as a 1-D
+    float array.  Bisection is forced for the first min_depth levels: the
+    Richardson acceptance test can be fooled by an accidentally small
+    correction on a wide interval containing a kink (|CF| has those at its
+    zeros).  The tolerance halves with each level.  Raises QuadratureError
+    (carrying the achieved estimate) if some subinterval still disagrees
+    after max_depth bisections.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     if a == b:
         return 0.0
-    fa, fb = f(a), f(b)
     m = 0.5 * (a + b)
-    fm = f(m)
+    fa, fb, fm = f(np.array([a, b, m], dtype=float))
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    value, ok = _recurse(f, a, fa, b, fb, m, fm, whole, tol, max_depth, min_depth)
+    # Rows: ends and midpoint, their values, Simpson estimate; one column
+    # per panel still open at the current level.
+    panels = np.array([[a], [m], [b], [fa], [fm], [fb], [whole]], dtype=float)
+    level_tol, depth, force = tol, max_depth, min_depth
+    levels = []  # per level: (panel values, split mask)
+    ok = True
+    while panels.shape[1]:
+        pa, pm, pb, pfa, pfm, pfb, pwhole = panels
+        lm = 0.5 * (pa + pm)
+        rm = 0.5 * (pm + pb)
+        fq = f(np.concatenate((lm, rm)))
+        flm, frm = fq[: lm.size], fq[lm.size:]
+        left = (pm - pa) / 6.0 * (pfa + 4.0 * flm + pfm)
+        right = (pb - pm) / 6.0 * (pfm + 4.0 * frm + pfb)
+        delta = left + right - pwhole
+        # Standard Richardson acceptance test for Simpson halving.
+        passed = np.abs(delta) <= 15.0 * level_tol
+        accepted = passed & (force <= 0)
+        split = ~(accepted | (depth <= 0) | (lm <= pa) | (rm <= pm))
+        ok = ok and bool(np.all(passed | split))
+        levels.append((left + right + delta / 15.0, split))
+        # Children of each split panel, left then right, as the recursion visits them.
+        kids = np.stack(
+            (
+                (pa, lm, pm, pfa, flm, pfm, left),
+                (pm, rm, pb, pfm, frm, pfb, right),
+            ),
+            axis=-1,
+        )
+        panels = kids[:, split].reshape(7, -1)
+        level_tol = 0.5 * level_tol
+        depth -= 1
+        force -= 1
+    # Post-order sum: a split panel's value is its left child's plus its right's.
+    below = None
+    for values, split in reversed(levels):
+        if below is not None:
+            values[split] = below[0::2] + below[1::2]
+        below = values
+    value = float(below[0])
     if not ok:
         raise QuadratureError(value, tol, max_depth)
     return value
-
-
-def _recurse(f, a, fa, b, fb, m, fm, whole, tol, depth, force):
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    delta = left + right - whole
-    # Standard Richardson acceptance test for Simpson halving.
-    if force <= 0 and abs(delta) <= 15.0 * tol:
-        return left + right + delta / 15.0, True
-    if depth <= 0 or lm <= a or rm <= m:
-        return left + right + delta / 15.0, abs(delta) <= 15.0 * tol
-    lv, lok = _recurse(f, a, fa, m, fm, lm, flm, left, 0.5 * tol, depth - 1, force - 1)
-    rv, rok = _recurse(f, m, fm, b, fb, rm, frm, right, 0.5 * tol, depth - 1, force - 1)
-    return lv + rv, lok and rok

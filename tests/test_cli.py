@@ -435,6 +435,41 @@ def test_cli_infinite_L_is_precondition(cmd, bernoulli_file, tmp_path, capsys):
     _one_line_failure(capsys, "precondition violated: L must be positive and finite")
 
 
+@pytest.mark.parametrize("cmd", ["bound_crossover", "tau0"])
+def test_cli_overflowing_L_squared_is_precondition(cmd, bernoulli_file, tmp_path, capsys):
+    # L = 1e200 is finite, but 1/L^2 rounds to 0 and no piece holds the root.
+    weights = tmp_path / "w.txt"
+    weights.write_text("1\n0.5\n")
+    argv = {
+        "bound_crossover": ["bound", "--shape", "crossover", "--dist", bernoulli_file,
+                            "--weights", str(weights), "--L", "1e200", "--eps", "0.5",
+                            "--dstar", "2"],
+        "tau0": ["tau0", "--dist", bernoulli_file, "--L", "1e200"],
+    }[cmd]
+    assert _run_without_runtime_warnings(argv) == 1
+    _one_line_failure(capsys, "precondition violated: L^2 overflows")
+
+
+@pytest.mark.parametrize("weight,variant,rc", [
+    ("1e-200", "d", 0),
+    ("1e-200", "d_star", 0),
+    ("1e-310", "d_star", 1),
+])
+def test_cli_lcd_underflowing_norm(weight, variant, rc, tmp_path, capsys):
+    # ||a||^2 underflows to 0; the norm is taken with a sup-norm scale.  At
+    # 1e-310 the D* scan would start at 0.5/||a||_inf = inf.
+    weights = tmp_path / "tiny.txt"
+    weights.write_text(weight + "\n")
+    out = tmp_path / "lcd.json"
+    argv = ["lcd", "--weights", str(weights), "--L", "2", "--variant", variant, "--out", str(out)]
+    assert _run_without_runtime_warnings(argv) == rc
+    if rc == 0:
+        res = json.loads(out.read_text())
+        assert res["t_start"] < res["witness_t"] <= res["t_max"]
+    else:
+        _one_line_failure(capsys, "precondition violated: scan start inf")
+
+
 @pytest.mark.parametrize("dist", [
     {"type": "gaussian", "sigma": 1e400},
     {"type": "stable", "alpha": 1.5, "scale": 1e400},

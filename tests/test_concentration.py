@@ -446,6 +446,23 @@ GOLDEN_ESSEEN = {
 }
 
 
+def test_esseen_batches_cf_calls_by_level(monkeypatch):
+    # One CF call for the ends and midpoint, then one per bisection level; a
+    # fallback to one call per node would make hundreds here.
+    calls = []
+
+    def counted(dist, coords, t):
+        calls.append(np.size(t))
+        return weighted_cf(dist, coords, t)
+
+    monkeypatch.setattr(concentration, "weighted_cf", counted)
+    rng = np.random.default_rng(0)
+    g = symmetrize(FiniteDist(np.sort(rng.uniform(-2.0, 2.0, 5)), np.full(5, 0.2)))
+    value = esseen_integral(g, WeightVector([1.0]), 0.1)
+    assert 0.0 < value <= 1.0
+    assert len(calls) <= 40 + 2 and sum(calls) > 4 * len(calls)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_esseen_matches_frozen_output(seed):
     rng = np.random.default_rng(seed)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammainc, gammaincc
 
+from lofo import distributions
 from lofo.distributions import (
     AnalyticDist,
     FiniteDist,
@@ -249,6 +250,20 @@ def test_weighted_cf_product_structure():
     # Both factors vanish at t = pi * sqrt(2) for weights (1/sqrt2, 1/sqrt2).
     w = np.array([1.0, 1.0]) / math.sqrt(2)
     assert abs(weighted_cf(FiniteDist.bernoulli(0.5), w, math.pi * math.sqrt(2))) < 1e-12
+
+
+@pytest.mark.parametrize("dist", [random_finite(np.random.default_rng(3)),
+                                  AnalyticDist.stable(1.3, 0.7)])
+def test_weighted_cf_chunks_keep_bits(dist, monkeypatch):
+    # Three t values per chunk; n_t straddles the chunk boundaries.
+    a = np.random.default_rng(4).uniform(-1.0, 1.0, 6)
+    ts = np.linspace(0.0, 9.0, 10)
+    unchunked = {k: weighted_cf(dist, a, ts[:k]) for k in range(11)}
+    per_t = a.size * (dist.n_atoms if isinstance(dist, FiniteDist) else 1)
+    monkeypatch.setattr(distributions, "_CF_CHUNK_ENTRIES", 3 * per_t + 1)
+    for k, expected in unchunked.items():
+        got = weighted_cf(dist, a, ts[:k])
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
 
 
 @settings(max_examples=40, deadline=None)

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from lofo.bounds import _empirical_spread, _piecewise_tau0, solve_tau0
 from lofo.concentration import WeightVector, q_exact, weighted_sum_dist
-from lofo.distributions import FiniteDist
+from lofo.distributions import AnalyticDist, FiniteDist
 from lofo.exceptions import PreconditionError
 from lofo.harness import (
     calibrate_upper,
@@ -312,3 +313,16 @@ def test_tau0_scaling_matches_frozen_output():
         assert (fit.slope, fit.half_width) == (slope, half_width)
         assert fit.points == tuple(zip(grid.tolist(), taus))
         assert fit.expected == 2.0 / fit.alpha and not fit.inconclusive
+
+
+def test_piecewise_tau0_many_targets_match_one_at_a_time():
+    # The frozen scaling sample: all targets in one call give the roots of
+    # one call per target, the frozen taus, and solve_tau0's single root.
+    grid = np.geomspace(3.0, 30.0, 5)
+    targets = [1.0 / (L * L) for L in grid]
+    for alpha, (_, _, taus) in GOLDEN_SCALING.items():
+        u, w = _empirical_spread(AnalyticDist.stable(alpha, 2.0), 20_000, 5)
+        roots = _piecewise_tau0(u, w, targets)
+        assert roots == [_piecewise_tau0(u, w, [m])[0] for m in targets] == list(taus)
+        root = solve_tau0(AnalyticDist.stable(alpha, 2.0), grid[2], n_samples=20_000, seed=5)
+        assert root.tau0 == roots[2]

@@ -1,20 +1,58 @@
-"""Adaptive Simpson against scipy.integrate.quad oracles."""
+"""Adaptive Simpson against scipy.integrate.quad oracles and a frozen copy of
+the earlier depth-first recursion."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
+from lofo import FiniteDist, WeightVector, esseen_integral, symmetrize, weighted_cf
 from lofo.exceptions import QuadratureError
 from lofo.quadrature import adaptive_simpson
+
+
+def _oracle_simpson(f, a, b, tol=1e-8, max_depth=40, min_depth=4):
+    """The recursive adaptive_simpson the level-synchronous one replaced, kept
+    verbatim; f takes and returns one float."""
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    if a == b:
+        return 0.0
+    fa, fb = f(a), f(b)
+    m = 0.5 * (a + b)
+    fm = f(m)
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    value, ok = _oracle_recurse(f, a, fa, b, fb, m, fm, whole, tol, max_depth, min_depth)
+    if not ok:
+        raise QuadratureError(value, tol, max_depth)
+    return value
+
+
+def _oracle_recurse(f, a, fa, b, fb, m, fm, whole, tol, depth, force):
+    lm = 0.5 * (a + m)
+    rm = 0.5 * (m + b)
+    flm, frm = f(lm), f(rm)
+    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+    delta = left + right - whole
+    # Standard Richardson acceptance test for Simpson halving.
+    if force <= 0 and abs(delta) <= 15.0 * tol:
+        return left + right + delta / 15.0, True
+    if depth <= 0 or lm <= a or rm <= m:
+        return left + right + delta / 15.0, abs(delta) <= 15.0 * tol
+    lv, lok = _oracle_recurse(f, a, fa, m, fm, lm, flm, left, 0.5 * tol, depth - 1, force - 1)
+    rv, rok = _oracle_recurse(f, m, fm, b, fb, rm, frm, right, 0.5 * tol, depth - 1, force - 1)
+    return lv + rv, lok and rok
 
 
 @pytest.mark.parametrize(
     "f,a,b",
     [
-        (lambda x: math.exp(-0.5 * x * x), 0.0, 3.0),
-        (lambda x: x * x * math.exp(-x), 0.0, 10.0),
+        (lambda x: np.exp(-0.5 * x * x), 0.0, 3.0),
+        (lambda x: x * x * np.exp(-x), 0.0, 10.0),
         (lambda x: 1.0 / (1.0 + x * x), -4.0, 4.0),
     ],
 )
@@ -25,7 +63,7 @@ def test_matches_scipy_quad(f, a, b):
 
 def test_kinked_integrand_needs_breakpoint_oracle():
     # |cos(3x)| has kinks; the oracle must be told where they are.
-    f = lambda x: abs(math.cos(3 * x))
+    f = lambda x: np.abs(np.cos(3 * x))
     kinks = [(math.pi / 2 + k * math.pi) / 3 for k in range(5)]
     oracle, err = integrate.quad(f, 0.0, 5.0, points=kinks, limit=200)
     assert err < 1e-12
@@ -33,16 +71,56 @@ def test_kinked_integrand_needs_breakpoint_oracle():
 
 
 def test_degenerate_and_validation():
-    assert adaptive_simpson(math.sin, 2.0, 2.0) == 0.0
+    assert adaptive_simpson(np.sin, 2.0, 2.0) == 0.0
     with pytest.raises(ValueError):
-        adaptive_simpson(math.sin, 0.0, 1.0, tol=0.0)
+        adaptive_simpson(np.sin, 0.0, 1.0, tol=0.0)
 
 
 def test_depth_exhaustion_carries_estimate():
-    rough = lambda x: math.sin(200.0 * x) ** 2
+    rough = lambda x: np.sin(200.0 * x) ** 2
     with pytest.raises(QuadratureError) as exc:
         adaptive_simpson(rough, 0.0, 7.0, tol=1e-13, max_depth=3)
     oracle, _ = integrate.quad(rough, 0.0, 7.0, limit=400)
     # The achieved estimate is still in the right ballpark.
     assert abs(exc.value.estimate - oracle) < 0.5
     assert exc.value.depth == 3
+
+
+def _one_node(vec):
+    """The array integrand vec evaluated one node at a time, for the oracle."""
+    return lambda x: float(vec(np.array([x]))[0])
+
+
+def test_depth_exhaustion_matches_recursion():
+    rough = lambda x: np.sin(200.0 * x) ** 2
+    with pytest.raises(QuadratureError) as new:
+        adaptive_simpson(rough, 0.0, 7.0, tol=1e-13, max_depth=3)
+    with pytest.raises(QuadratureError) as old:
+        _oracle_simpson(_one_node(rough), 0.0, 7.0, tol=1e-13, max_depth=3)
+    assert (new.value.estimate, new.value.depth, new.value.tol) == (
+        old.value.estimate, old.value.depth, old.value.tol)
+
+
+@st.composite
+def _symmetrized_laws(draw):
+    k = draw(st.integers(2, 7))
+    atoms = draw(st.lists(st.floats(-2.0, 2.0), min_size=k, max_size=k, unique=True))
+    masses = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k)))
+    return symmetrize(FiniteDist(np.sort(atoms), masses / masses.sum()))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    g=_symmetrized_laws(),
+    n=st.sampled_from([1, 8, 32]),
+    seed=st.integers(0, 2**32 - 1),
+    lam=st.floats(0.05, 20.0),
+)
+def test_esseen_bit_identical_to_recursion(g, n, seed, lam):
+    # One node per call through the scalar CF (the earlier integrand) against
+    # one call per level through the batched CF: the same bits.
+    a = WeightVector(np.random.default_rng(seed).uniform(-1.0, 1.0, n))
+    f = lambda t: abs(weighted_cf(g, a, t))
+    tol = 1e-8
+    expected = lam * _oracle_simpson(f, 0.0, 1.0 / lam, tol=tol / lam)
+    assert esseen_integral(g, a, lam, tol) == expected
