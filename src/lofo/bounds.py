@@ -157,22 +157,37 @@ class RootSolution:
         }
 
 
-def _piecewise_tau0(u: np.ndarray, w: np.ndarray, m_stars) -> list[float]:
+def _piecewise_tau0(u: np.ndarray, w, m_stars) -> list[float]:
     """Roots of sum_i w_i min(u_i^2/tau^2, 1) = m_star on sorted positive u,
     one per target in the 1-D sequence m_stars, in order.
 
-    Between consecutive support points M(tau) = A/tau^2 + B with A the
-    within-radius second moment and B the outside mass, so the root is exact
-    on its piece.  The prefix sums and the knot values are built once for all
-    targets (O(len(u))); each target then costs one binary search and a short
-    walk over the pieces.
+    w is an array aligned with u, or a scalar for equal weights (the
+    empirical path), which is never expanded to a length-n array.  Between
+    consecutive support points M(tau) = A/tau^2 + B with A the within-radius
+    second moment and B the outside mass, so the root is exact on its piece.
+    The prefix sums and the knot values are built once for all targets
+    (O(len(u))), each in its own buffer, so four length-n arrays are live at
+    most: u, the prefix sums, the suffix sums and the negated knots.  Each
+    target then costs one binary search and a short walk over the pieces.
     """
-    a_prefix = np.cumsum(w * u * u)
-    b_suffix = np.concatenate((np.cumsum(w[::-1])[::-1][1:], [0.0]))
-    knot_m = a_prefix / (u * u) + b_suffix
+    n = u.size
+    a_prefix = np.multiply(w, u)
+    a_prefix *= u
+    np.cumsum(a_prefix, out=a_prefix)
+    # b_suffix[i] = sum_{j > i} w_j: one cumsum of w[n-1], ..., w[1] written
+    # into the reversed view, so the sums run from the top as before.
+    b_suffix = np.empty(n)
+    b_suffix[-1] = 0.0
+    tail = np.broadcast_to(w, (n - 1,)) if np.ndim(w) == 0 else w[:0:-1]
+    np.cumsum(tail, out=b_suffix[::-1][1:])
+    # knot_m = a_prefix/u^2 + b_suffix is nonincreasing; negate it for the search.
+    neg_knot = np.multiply(u, u)
+    np.divide(a_prefix, neg_knot, out=neg_knot)
+    neg_knot += b_suffix
+    np.negative(neg_knot, out=neg_knot)
     m_stars = np.asarray(m_stars, dtype=float)
-    # knot_m is nonincreasing; find the piece [u_k, u_{k+1}) containing each root.
-    starts = np.searchsorted(-knot_m, -m_stars, side="left")
+    # Find the piece [u_k, u_{k+1}) containing each root.
+    starts = np.searchsorted(neg_knot, -m_stars, side="left")
     roots = []
     for m_star, k in zip(m_stars, starts):
         if k == 0:
@@ -192,14 +207,23 @@ def _piecewise_tau0(u: np.ndarray, w: np.ndarray, m_stars) -> list[float]:
     return roots
 
 
-def _empirical_spread(g: Dist, n_samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted nonzero |draws| u of one seeded sample of g, weights w = 1/n_samples:
-    the empirical M that _piecewise_tau0 solves."""
-    draws = np.abs(g.sample(n_samples, np.random.default_rng(seed)))
-    u = np.sort(draws[draws > 0])
+def _empirical_spread(g: Dist, n_samples: int, seed: int) -> tuple[np.ndarray, float]:
+    """Sorted nonzero |draws| u of one seeded sample of g and the common
+    weight 1/n_samples: the empirical M that _piecewise_tau0 solves.
+
+    The draws are made absolute and sorted in place; u is the view past the
+    zeros (and before any NaN, which sorts last), so the sample is the only
+    length-n array held.
+    """
+    draws = g.sample(n_samples, np.random.default_rng(seed))
+    np.abs(draws, out=draws)
+    draws.sort()
+    lo = np.searchsorted(draws, 0.0, side="right")
+    hi = np.searchsorted(draws, np.nan, side="left")
+    u = draws[lo:hi]
     if u.size == 0:
         raise PreconditionError("sample has no nonzero draws")
-    return u, np.full(u.size, 1.0 / n_samples)
+    return u, 1.0 / n_samples
 
 
 def _bisect_tau0(m_of, m_star: float, tol: float) -> tuple[float, int]:
@@ -279,8 +303,12 @@ def solve_tau0(
     else:
         u, w = _empirical_spread(g, n_samples, seed)
         (tau0,) = _piecewise_tau0(u, w, [m_star])
-        clipped = np.minimum((u / tau0) ** 2, 1.0)
-        residual = abs(float(np.sum(w * clipped)) - m_star)
+        # w * min((u/tau0)^2, 1), elementwise as before, in one buffer.
+        terms = np.divide(u, tau0)
+        np.square(terms, out=terms)
+        np.minimum(terms, 1.0, out=terms)
+        terms *= w
+        residual = abs(float(np.sum(terms)) - m_star)
         method, iters = "empirical_sample", 0
     if residual > tol:
         raise NumericalError(f"crossover residual {residual:g} above tolerance {tol:g}")

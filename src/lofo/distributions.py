@@ -34,6 +34,7 @@ ATOM_REL_TOL = 1e-9
 ATOM_ABS_TOL = 1e-12
 MASS_TOL = 1e-12
 _CF_CHUNK_ENTRIES = 2**22     # cap on one weighted_cf block (64 MiB of complex128)
+_EXP_SKIP_BLOCK = 2**14       # exponentials skipped per block by the alpha = 1 sampler
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -210,18 +211,41 @@ Dist = Union[FiniteDist, AnalyticDist]
 def sample_symmetric_stable(
     alpha: float, scale: float, n: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Draw n variates with CF exp(-scale * |t|^alpha) (Chambers-Mallows-Stuck)."""
-    u = math.pi * (rng.random(n) - 0.5)
-    w = rng.exponential(1.0, n)
+    """Draw n variates with CF exp(-scale * |t|^alpha) (Chambers-Mallows-Stuck).
+
+    With U uniform on (-pi/2, pi/2) and W standard exponential,
+    Z = sin(alpha U) / cos(U)^(1/alpha) * (cos((1 - alpha) U) / W)^((1 - alpha)/alpha),
+    or tan(U) at alpha = 1, and the draw is scale^(1/alpha) Z.  The n
+    uniforms are drawn first and the n exponentials right after them, so the
+    generator's stream is the same as drawing both up front; the formula is
+    evaluated in place in that operation order, and W is drawn into U's
+    buffer once U is spent, so at most three length-n arrays are live.
+    alpha = 1 does not use W but still draws it, in blocks of
+    _EXP_SKIP_BLOCK, so that the generator ends where the other exponents
+    leave it: a weighted sum of several stable variates draws them one after
+    another from one generator.
+    """
+    u = rng.random(n)
+    u -= 0.5
+    u *= math.pi
     if alpha == 1.0:
-        z = np.tan(u)
+        z = np.tan(u, out=u)
+        for lo in range(0, n, _EXP_SKIP_BLOCK):
+            rng.exponential(1.0, min(_EXP_SKIP_BLOCK, n - lo))
     else:
-        z = (
-            np.sin(alpha * u)
-            / np.cos(u) ** (1.0 / alpha)
-            * (np.cos((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha)
-        )
-    return scale ** (1.0 / alpha) * z
+        z = np.multiply(u, alpha)
+        np.sin(z, out=z)
+        c = np.cos(u)
+        c **= 1.0 / alpha
+        z /= c
+        np.multiply(u, 1.0 - alpha, out=c)
+        np.cos(c, out=c)
+        w = rng.standard_exponential(out=u)  # the variates of rng.exponential(1.0, n)
+        c /= w
+        c **= (1.0 - alpha) / alpha
+        z *= c
+    z *= scale ** (1.0 / alpha)
+    return z
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +356,8 @@ def m_functional(
     Exact sum for finite laws; closed form through erf/erfc for Gaussian
     laws (within 1e-14 absolute for every tau > 0); the mean over n_samples
     seeded draws for stable laws, whose Monte Carlo error is not reported.
+    The stable path divides, squares and clips the draws in their own
+    buffer, so beyond the sampler it holds no second length-n array.
     Nonincreasing in tau, with M(tau) <= P(X~ != 0).  A finite law must be
     symmetric; the analytic kinds are symmetric by construction.
     """
@@ -345,7 +371,10 @@ def m_functional(
     if g.kind == "gaussian":
         return _m_gaussian(g.sigma, tau)
     draws = g.sample(n_samples, np.random.default_rng(seed))
-    return float(np.mean(np.minimum((draws / tau) ** 2, 1.0)))
+    draws /= tau
+    np.square(draws, out=draws)
+    np.minimum(draws, 1.0, out=draws)
+    return float(np.mean(draws))
 
 
 def _m_gaussian(sigma: float, tau: float) -> float:

@@ -427,8 +427,14 @@ def study_tau0_scaling(
     alpha backs the empirical spread functional at every L (common random
     numbers keep tau0 monotone in L); its prefix sums are built once and
     solve all L together.  A fit whose 2-sigma slope half-width
-    exceeds 0.5 is flagged inconclusive.
+    exceeds 0.5 is flagged inconclusive.  The fit and its error bar need at
+    least three L values, not all equal; fewer raise ValueError.
     """
+    n_L = len(L_grid)
+    if n_L < 3 or len({float(L) for L in L_grid}) < 2:
+        raise ValueError(
+            f"the slope fit needs at least 3 L values, not all equal; got {n_L}"
+        )
     out = []
     for alpha in alpha_list:
         u, w = _empirical_spread(AnalyticDist.stable(alpha, 2.0), n_samples, seed)

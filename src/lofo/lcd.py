@@ -293,16 +293,17 @@ def _search_horizon(variant: str, L: float, norm: float, n_eff: int) -> float:
 
     The defining inequality then holds identically, so the infimum is
     guaranteed below this horizon.  Only coordinates that are nonzero can
-    contribute to dist, hence n_eff.
+    contribute to dist, hence n_eff.  A horizon past 1e300 / min(||a||, 1)
+    is clamped there: the crossing sits far below any scale at which
+    t ||a|| is that large, and the clamp follows 1/||a|| so that it stays
+    above D* ~ 1/||a|| of tiny weights.
     """
     expo = min(n_eff / (4.0 * L * L), 700.0) if L * L > 0.0 else 700.0
     if variant == "d_star":
         base = max((L / norm) * math.exp(expo), _E * L / norm)
     else:
         base = max(L * math.exp(expo), _E * L)
-    # Clamp so interval midpoints stay finite; the crossing always sits far
-    # below any horizon this large.
-    return min(base * (1.0 + 1e-6), 1e300)
+    return min(base * (1.0 + 1e-6), 1e300 / min(norm, 1.0))
 
 
 def lcd(
@@ -320,7 +321,8 @@ def lcd(
     horizon t_max guarantees a witness exists.  L must be finite: at L = inf
     the "d" scan would start at t = inf.  A start at or past the (clamped)
     horizon, as for weights so small that 0.5/||a||_inf overflows, raises
-    PreconditionError.
+    PreconditionError, as does a horizon too large for the interval
+    midpoints and t ||a||_inf to stay finite (||a|| below about 1e-307).
     """
     if not 0 < L < math.inf:
         raise ValueError("L must be positive and finite")
@@ -336,6 +338,11 @@ def lcd(
     if not t_lo < t_hi:
         raise PreconditionError(
             f"scan start {t_lo:.6g} is not below the search horizon {t_hi:.6g} "
+            f"(||a|| = {norm:.6g}, L = {L:.6g})"
+        )
+    if not (2.0 * t_hi < math.inf and t_hi * a.norm_inf < math.inf):
+        raise PreconditionError(
+            f"search horizon {t_hi:.6g} is too large for a finite scan "
             f"(||a|| = {norm:.6g}, L = {L:.6g})"
         )
     floor = max(tol / 4.0, abs(t_lo) * 4e-16)

@@ -453,10 +453,15 @@ def test_cli_overflowing_L_squared_is_precondition(cmd, bernoulli_file, tmp_path
 @pytest.mark.parametrize("weight,variant,rc", [
     ("1e-200", "d", 0),
     ("1e-200", "d_star", 0),
+    ("6e-301", "d_star", 0),
+    ("8e-301", "d_star", 0),
+    ("2e-308", "d_star", 1),
     ("1e-310", "d_star", 1),
 ])
 def test_cli_lcd_underflowing_norm(weight, variant, rc, tmp_path, capsys):
     # ||a||^2 underflows to 0; the norm is taken with a sup-norm scale.  At
+    # 6e-301 and 8e-301 D* ~ 0.857/||a|| lies past 1e300, so the horizon
+    # clamp must follow 1/||a||.  At 2e-308 the horizon overflows, and at
     # 1e-310 the D* scan would start at 0.5/||a||_inf = inf.
     weights = tmp_path / "tiny.txt"
     weights.write_text(weight + "\n")
@@ -466,6 +471,12 @@ def test_cli_lcd_underflowing_norm(weight, variant, rc, tmp_path, capsys):
     if rc == 0:
         res = json.loads(out.read_text())
         assert res["t_start"] < res["witness_t"] <= res["t_max"]
+        if variant == "d_star":
+            # One weight a: dist(ta, Z) = 1 - ta first falls below ta/6 at ta = 6/7.
+            assert float(weight) * res["value"] <= 6 / 7 <= float(weight) * res["witness_t"] * (1 + 1e-12)
+            assert float(weight) * res["witness_t"] == pytest.approx(6 / 7, rel=1e-6)
+    elif weight == "2e-308":
+        _one_line_failure(capsys, "precondition violated: search horizon inf")
     else:
         _one_line_failure(capsys, "precondition violated: scan start inf")
 
