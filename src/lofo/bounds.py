@@ -175,7 +175,7 @@ def _piecewise_tau0(u: np.ndarray, w, m_stars) -> list[float]:
     a_prefix *= u
     np.cumsum(a_prefix, out=a_prefix)
     # b_suffix[i] = sum_{j > i} w_j: one cumsum of w[n-1], ..., w[1] written
-    # into the reversed view, so the sums run from the top as before.
+    # into the reversed view; the sums must run from the top.
     b_suffix = np.empty(n)
     b_suffix[-1] = 0.0
     tail = np.broadcast_to(w, (n - 1,)) if np.ndim(w) == 0 else w[:0:-1]
@@ -303,7 +303,8 @@ def solve_tau0(
     else:
         u, w = _empirical_spread(g, n_samples, seed)
         (tau0,) = _piecewise_tau0(u, w, [m_star])
-        # w * min((u/tau0)^2, 1), elementwise as before, in one buffer.
+        # w * min((u/tau0)^2, 1) in one buffer; np.sum's pairwise order
+        # needs exactly these elementwise values.
         terms = np.divide(u, tau0)
         np.square(terms, out=terms)
         np.minimum(terms, 1.0, out=terms)

@@ -48,6 +48,8 @@ from .concentration import WeightVector
 from .exceptions import NumericalError, PreconditionError
 
 _E = math.e
+# Largest search horizon: midpoints 0.5*(x + y) of scales below it stay finite.
+_T_FINITE = 1e307
 
 
 def _dist_rows(ts: np.ndarray, abs_a: np.ndarray) -> np.ndarray:
@@ -293,17 +295,18 @@ def _search_horizon(variant: str, L: float, norm: float, n_eff: int) -> float:
 
     The defining inequality then holds identically, so the infimum is
     guaranteed below this horizon.  Only coordinates that are nonzero can
-    contribute to dist, hence n_eff.  A horizon past 1e300 / min(||a||, 1)
-    is clamped there: the crossing sits far below any scale at which
-    t ||a|| is that large, and the clamp follows 1/||a|| so that it stays
-    above D* ~ 1/||a|| of tiny weights.
+    contribute to dist, hence n_eff.  The horizon is clamped at 1e300, or
+    at 1e10/||a|| where that is larger, so that the clamp stays above
+    D* ~ 1/||a|| of tiny weights; the crossing sits far below either.  The
+    clamp never exceeds _T_FINITE, below which the interval midpoints and
+    t ||a||_inf stay finite.
     """
     expo = min(n_eff / (4.0 * L * L), 700.0) if L * L > 0.0 else 700.0
     if variant == "d_star":
         base = max((L / norm) * math.exp(expo), _E * L / norm)
     else:
         base = max(L * math.exp(expo), _E * L)
-    return min(base * (1.0 + 1e-6), 1e300 / min(norm, 1.0))
+    return min(base * (1.0 + 1e-6), max(1e300, min(1e10 / norm, _T_FINITE)))
 
 
 def lcd(
@@ -321,8 +324,8 @@ def lcd(
     horizon t_max guarantees a witness exists.  L must be finite: at L = inf
     the "d" scan would start at t = inf.  A start at or past the (clamped)
     horizon, as for weights so small that 0.5/||a||_inf overflows, raises
-    PreconditionError, as does a horizon too large for the interval
-    midpoints and t ||a||_inf to stay finite (||a|| below about 1e-307).
+    PreconditionError, as does a scan that finds no crossing below a
+    horizon cut at _T_FINITE, as for a single weight of 6e-308 at L = 2.
     """
     if not 0 < L < math.inf:
         raise ValueError("L must be positive and finite")
@@ -340,16 +343,16 @@ def lcd(
             f"scan start {t_lo:.6g} is not below the search horizon {t_hi:.6g} "
             f"(||a|| = {norm:.6g}, L = {L:.6g})"
         )
-    if not (2.0 * t_hi < math.inf and t_hi * a.norm_inf < math.inf):
-        raise PreconditionError(
-            f"search horizon {t_hi:.6g} is too large for a finite scan "
-            f"(||a|| = {norm:.6g}, L = {L:.6g})"
-        )
     floor = max(tol / 4.0, abs(t_lo) * 4e-16)
     scan = _first_crossing(
         np.abs(a.coords), _threshold(variant, L, norm), norm, t_lo, t_hi, floor
     )
     if scan.witness is None:
+        if t_hi == _T_FINITE:
+            raise PreconditionError(
+                f"no crossing below {t_hi:.6g}, the largest scale a finite "
+                f"scan reaches (||a|| = {norm:.6g}, L = {L:.6g})"
+            )
         raise NumericalError(
             "no crossing found below the search horizon; this contradicts the "
             "horizon guarantee and indicates a numerical problem"

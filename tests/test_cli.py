@@ -455,14 +455,17 @@ def test_cli_overflowing_L_squared_is_precondition(cmd, bernoulli_file, tmp_path
     ("1e-200", "d_star", 0),
     ("6e-301", "d_star", 0),
     ("8e-301", "d_star", 0),
+    ("1e-307", "d_star", 0),
+    ("6e-308", "d_star", 1),
     ("2e-308", "d_star", 1),
     ("1e-310", "d_star", 1),
 ])
 def test_cli_lcd_underflowing_norm(weight, variant, rc, tmp_path, capsys):
     # ||a||^2 underflows to 0; the norm is taken with a sup-norm scale.  At
     # 6e-301 and 8e-301 D* ~ 0.857/||a|| lies past 1e300, so the horizon
-    # clamp must follow 1/||a||.  At 2e-308 the horizon overflows, and at
-    # 1e-310 the D* scan would start at 0.5/||a||_inf = inf.
+    # clamp must follow 1/||a||.  At 6e-308 D* lies past the largest finite
+    # horizon 1e307, at 2e-308 the D* scan would start past it, and at
+    # 1e-310 it would start at 0.5/||a||_inf = inf.
     weights = tmp_path / "tiny.txt"
     weights.write_text(weight + "\n")
     out = tmp_path / "lcd.json"
@@ -475,10 +478,29 @@ def test_cli_lcd_underflowing_norm(weight, variant, rc, tmp_path, capsys):
             # One weight a: dist(ta, Z) = 1 - ta first falls below ta/6 at ta = 6/7.
             assert float(weight) * res["value"] <= 6 / 7 <= float(weight) * res["witness_t"] * (1 + 1e-12)
             assert float(weight) * res["witness_t"] == pytest.approx(6 / 7, rel=1e-6)
+    elif weight == "6e-308":
+        _one_line_failure(capsys, "precondition violated: no crossing below 1e+307")
     elif weight == "2e-308":
-        _one_line_failure(capsys, "precondition violated: search horizon inf")
+        _one_line_failure(capsys, "precondition violated: scan start 2.5e+307")
     else:
         _one_line_failure(capsys, "precondition violated: scan start inf")
+
+
+@pytest.mark.parametrize("weights,L,ta", [
+    (["1e-9"], "0.018", 0.9640864623220867),
+    (["1e-10"] * 30, "0.1", 0.9636400114703644),
+])
+def test_cli_lcd_tiny_weights_small_L(weights, L, ta, tmp_path):
+    # The unclamped horizon (L/||a||) e^700 overflows, so the horizon is the
+    # 1e300 clamp; t * a at the witness is that of the unit-scale vector.
+    path = tmp_path / "tiny.txt"
+    path.write_text("\n".join(weights) + "\n")
+    out = tmp_path / "lcd.json"
+    argv = ["lcd", "--weights", str(path), "--L", L, "--variant", "d_star", "--out", str(out)]
+    assert _run_without_runtime_warnings(argv) == 0
+    res = json.loads(out.read_text())
+    assert float(weights[0]) * res["witness_t"] == pytest.approx(ta, rel=1e-12)
+    assert res["t_start"] < res["witness_t"] <= res["t_max"] == 1e300
 
 
 @pytest.mark.parametrize("dist", [

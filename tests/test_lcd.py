@@ -584,3 +584,29 @@ def test_lcd_matches_frozen_output(case):
 def test_clearance_matches_frozen_output(case):
     make, L, D = GOLDEN_CLEARANCE_INPUTS[case]
     assert verify_lattice_clearance(make(), L, D).to_json() == GOLDEN_CLEARANCE[case]
+
+
+# Outputs of the search with its horizon clamped at exactly 1e300, for
+# ||a|| < 1 at small L; the clamp may grow past 1e300 only for tiny ||a||.
+CLAMPED_LCD = [
+    ([0.3, 0.4], 0.01, "d_star", {
+        "value": 9.950161788846057, "error_radius": 4.450147628176637e-08,
+        "witness_t": 9.950161833347533, "L": 0.01, "variant": "d_star",
+        "t_start": 1.25, "t_max": 1e300, "n_evals": 1027, "gaps": [],
+    }),
+    ([0.3, 0.4], 0.01, "d", {
+        "value": 9.947454693216166, "error_radius": 1.7800590867977917e-07,
+        "witness_t": 9.947454871222075, "L": 0.01, "variant": "d",
+        "t_start": 0.01, "t_max": 1e300, "n_evals": 1045, "gaps": [],
+    }),
+    ([1e-9], 0.018, "d_star", {
+        "value": 964086462.3220866, "error_radius": 1.1920928955078125e-07,
+        "witness_t": 964086462.3220867, "L": 0.018, "variant": "d_star",
+        "t_start": 499999999.99999994, "t_max": 1e300, "n_evals": 1022, "gaps": [],
+    }),
+]
+
+
+@pytest.mark.parametrize("coords,L,variant,expected", CLAMPED_LCD)
+def test_lcd_horizon_clamp_matches_frozen_output(coords, L, variant, expected):
+    assert lcd(WeightVector(coords), L, variant).to_json() == expected
