@@ -1,10 +1,12 @@
 """Concentration functions Q(F, lambda) of weighted i.i.d. sums.
 
 Q(F, lambda) = sup_x F{[x, x + lambda]} over closed windows.  For a finite
-law the supremum is attained with the window's left edge at an atom, so a
-two-pointer sweep over the sorted support is exact.  The same sweep kernel,
-applied to a sorted sample with uniform weights, is the Monte Carlo
-estimator; a DKW-style bound supplies its certified error radius.
+law the supremum is attained with the window's left edge at an atom, so
+one binary search per left edge for the window's right end over the sorted
+support is exact.  The same window-sweep kernel, applied to a sorted sample
+with uniform weights, is the Monte Carlo estimator; a DKW-style bound
+supplies its certified error radius.  The kernel takes a whole grid of
+window lengths at once, so a calibration sweep of one law is one call.
 
 Also here: the exact law of S_a = sum_k a_k X_k from one convolution
 engine (lattice-exact on integer indices when the atoms lie on a lattice
@@ -33,6 +35,7 @@ from .quadrature import adaptive_simpson
 DEFAULT_BUDGET = 2**22          # coalesced support-size budget for exact paths
 _RAW_PRODUCT_CAP = 2**24        # hard cap on a single outer-sum allocation
 _ROUND_TRIP_ULPS = 4            # width of the lattice round-trip test
+_WINDOW_CHUNK_ENTRIES = 2**18   # cap on one window-sweep key block (2 MiB of float64)
 MC_MIN_SAMPLES = 10_000
 MC_CONFIDENCE = 0.99
 
@@ -104,25 +107,57 @@ class QEstimate:
         }
 
 
-def _window_sup(points: np.ndarray, cum: np.ndarray, lam: float) -> tuple[float, int]:
-    """Max total weight of a closed window [x_i, x_i + lam] over left edges.
+def _window_sup(points: np.ndarray, masses: Optional[np.ndarray], lams) -> list[float]:
+    """Max total weight of a closed window [x_i, x_i + lam] over left edges,
+    capped at 1, for every lam in the 1-D sequence ``lams``.
 
-    ``cum`` is the length n+1 prefix-sum array of the point weights.  Ties
-    resolve to the smallest left edge (first argmax).
+    ``points`` is sorted; ``masses`` holds their weights, or is None for a
+    sample whose n points weigh 1/n each.  The prefix sums cum are built
+    once; cum[k] = k/n is never stored for a sample, whose window mass is
+    hi/n - i/n straight from the index array (at most 1, so the cap, which
+    only catches prefix sums of masses rounding past 1, never bites there).
+    The lams are taken in chunks so that the (lams, points) key block stays
+    within _WINDOW_CHUNK_ENTRIES entries, and each chunk is one
+    np.searchsorted over the flattened keys; a single lam whose row alone is
+    larger is still taken whole.  Every value has the bits of a one-lam
+    sweep: the keys, searches and differences are elementwise, and a row's
+    max is exact.
+
+    Cost: (len(lams) x n log n) comparisons and one cumsum; beyond the
+    points, cum (or the left edges) and two blocks of the chunk are alive.
     """
-    hi = np.searchsorted(points, points + lam, side="right")
-    vals = cum[hi] - cum[: points.size]
-    k = int(np.argmax(vals))
-    return float(vals[k]), k
+    lams = np.asarray(lams, dtype=float).ravel()
+    n = points.size
+    uniform = masses is None
+    if not uniform:
+        cum = np.concatenate(([0.0], np.cumsum(masses)))
+        left = cum[:n]
+    out = []
+    rows = max(1, _WINDOW_CHUNK_ENTRIES // max(n, 1))
+    for lo in range(0, lams.size, rows):
+        keys = np.add.outer(lams[lo : lo + rows], points)
+        hi = np.searchsorted(points, keys.ravel(), side="right").reshape(keys.shape)
+        if uniform:
+            vals = np.divide(hi, n, out=keys)
+            del hi  # the left edges i/n are built without the indices alive
+            if lo == 0:
+                left = np.arange(n, dtype=float)
+                left /= n
+        else:
+            del keys
+            vals = cum[hi]
+            del hi
+        vals -= left
+        out += np.minimum(vals.max(axis=1), 1.0).tolist()
+    return out
 
 
 def q_exact(f: FiniteDist, lam: float) -> QEstimate:
     """Exact Q(F, lambda) for a finite law; lambda = 0 gives the largest mass."""
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError("window length lambda must be nonnegative")
-    cum = np.concatenate(([0.0], np.cumsum(f.masses)))
-    value, _ = _window_sup(f.atoms, cum, lam)
-    return QEstimate(value=min(value, 1.0), method="exact")
+    (value,) = _window_sup(f.atoms, f.masses, [lam])
+    return QEstimate(value=value, method="exact")
 
 
 def q_closed_form_gaussian(sigma_total: float, lam: float) -> QEstimate:
@@ -132,7 +167,7 @@ def q_closed_form_gaussian(sigma_total: float, lam: float) -> QEstimate:
     """
     if not sigma_total > 0:
         raise ValueError("sigma_total must be positive")
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError("window length lambda must be nonnegative")
     value = math.erf(lam / (2.0 * sigma_total * math.sqrt(2.0)))
     return QEstimate(value=value, method="closed_form")
@@ -365,20 +400,19 @@ def q_monte_carlo(
     n_samples: int = 100_000,
     seed: int = 0,
 ) -> QEstimate:
-    """Monte Carlo Q(F_a, lambda) via the sliding-window sweep on a sorted sample.
+    """Monte Carlo Q(F_a, lambda) via the window sweep on a sorted sample.
 
     The error radius is the two-sided DKW band at 99% confidence, doubled
     because a window mass is a difference of two CDF values.
     """
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError("window length lambda must be nonnegative")
     if n_samples < MC_MIN_SAMPLES:
         raise ValueError(f"n_samples must be at least {MC_MIN_SAMPLES}")
     rng = np.random.default_rng(seed)
     sample = sample_weighted_sum(dist, a, n_samples, rng)
     sample.sort()
-    cum = np.arange(n_samples + 1) / n_samples
-    value, _ = _window_sup(sample, cum, lam)
+    (value,) = _window_sup(sample, None, [lam])
     eps = math.sqrt(math.log(2.0 / (1.0 - MC_CONFIDENCE)) / (2.0 * n_samples))
     return QEstimate(
         value=value,

@@ -35,6 +35,7 @@ ATOM_ABS_TOL = 1e-12
 MASS_TOL = 1e-12
 _CF_CHUNK_ENTRIES = 2**22     # cap on one weighted_cf block (64 MiB of complex128)
 _EXP_SKIP_BLOCK = 2**14       # exponentials skipped per block by the alpha = 1 sampler
+_M_CHUNK_ENTRIES = 2**18      # cap on one finite-law M ratio block (2 MiB of float64)
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -364,10 +365,7 @@ def m_functional(
     if not tau > 0:
         raise ValueError("tau must be positive")
     if isinstance(g, FiniteDist):
-        if not g.is_symmetric():
-            raise ValueError("expected a symmetric (symmetrized) distribution")
-        ratio = g.atoms / tau
-        return float(np.dot(g.masses, np.minimum(ratio * ratio, 1.0)))
+        return _m_finite(g, [tau])[0]
     if g.kind == "gaussian":
         return _m_gaussian(g.sigma, tau)
     draws = g.sample(n_samples, np.random.default_rng(seed))
@@ -375,6 +373,32 @@ def m_functional(
     np.square(draws, out=draws)
     np.minimum(draws, 1.0, out=draws)
     return float(np.mean(draws))
+
+
+def _m_finite(g: FiniteDist, taus) -> list[float]:
+    """M(tau) = sum_j p_j min(x_j^2/tau^2, 1) of a symmetric finite law, for
+    every tau > 0 in the 1-D sequence ``taus``.
+
+    Symmetry is checked once.  The taus are taken in chunks so that the
+    (taus, atoms) ratio block stays within _M_CHUNK_ENTRIES entries; a single
+    tau whose row alone is larger is still taken whole.  Each row is summed
+    by a stacked vector-vector np.matmul, which sums in np.dot's order, so
+    every value has the bits of a one-tau call (a matrix-vector V @ p would
+    sum in another order and change bits).
+    """
+    if not g.is_symmetric():
+        raise ValueError("expected a symmetric (symmetrized) distribution")
+    taus = np.asarray(taus, dtype=float).ravel()
+    out = []
+    rows = max(1, _M_CHUNK_ENTRIES // g.n_atoms)
+    masses = g.masses[:, None]
+    for lo in range(0, taus.size, rows):
+        with np.errstate(over="ignore"):  # a ratio or square past the float range clips to 1
+            ratio = g.atoms / taus[lo : lo + rows, None]
+            np.multiply(ratio, ratio, out=ratio)
+        np.minimum(ratio, 1.0, out=ratio)
+        out += np.matmul(ratio[:, None, :], masses)[:, 0, 0].tolist()
+    return out
 
 
 def _m_gaussian(sigma: float, tau: float) -> float:

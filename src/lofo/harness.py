@@ -32,10 +32,16 @@ from .bounds import (
     shape_vershynin,
     solve_tau0,
 )
-from .concentration import WeightVector, q_closed_form_gaussian, q_exact, weighted_sum_dist
+from .concentration import (
+    WeightVector,
+    _window_sup,
+    q_closed_form_gaussian,
+    weighted_sum_dist,
+)
 from .distributions import (
     AnalyticDist,
     FiniteDist,
+    _m_finite,
     atom_survival,
     m_functional,
     symmetrize,
@@ -174,11 +180,10 @@ def _crossover_rows(inst: Instance, L: float, n_eps: int):
     root = solve_tau0(g, L)
     dstar = lcd_search(inst.weights, L, "d_star", tol=1e-8).value
     fa = weighted_sum_dist(inst.law, inst.weights)
-    eps_hi = 4.0 * math.sqrt(p * (1.0 - p))
+    eps_grid = np.linspace(0.0, 4.0 * math.sqrt(p * (1.0 - p)), n_eps)
     rows = []
-    for eps in np.linspace(0.0, eps_hi, n_eps):
+    for eps, q_val in zip(eps_grid, _window_sup(fa.atoms, fa.masses, eps_grid)):
         shape = shape_crossover(inst.weights, g, L, float(eps), dstar, root=root)
-        q_val = q_exact(fa, float(eps)).value
         rows.append(
             {
                 "instance": inst.id,
@@ -200,26 +205,30 @@ def _crossover_rows(inst: Instance, L: float, n_eps: int):
 def _classical_rows(inst: Instance, L: float, n_eps: int, bound_id: str):
     # i.i.d. summands Y_k = a_k X with windows lambda_k = a_k tau scaled to
     # lambda = ||a||_inf tau; Q and M of a scaled law are scale-covariant.
+    # The component values (Q of f, or M of its symmetrization) and Q of the
+    # sum are each fetched for the whole tau grid in one call.
     a = inst.weights
     f = inst.law
-    g = symmetrize(f)
     nz = a.coords[a.coords != 0.0]
     fa = weighted_sum_dist(f, a)
+    taus = np.geomspace(0.25, 4.0, n_eps)
+    lams = a.norm_inf * taus
+    if bound_id == "kolmogorov_rogozin":
+        comps = _window_sup(f.atoms, f.masses, taus)
+    else:
+        comps = _m_finite(symmetrize(f), taus)
+    q_vals = _window_sup(fa.atoms, fa.masses, lams)
     rows = []
-    for tau in np.geomspace(0.25, 4.0, n_eps):
-        lam = float(a.norm_inf * tau)
+    for tau, lam, comp, q_val in zip(taus, lams.tolist(), comps, q_vals):
         lam_k = np.abs(nz) * tau
         if bound_id == "kolmogorov_rogozin":
-            q_comp = q_exact(f, float(tau)).value
-            if q_comp >= 1.0:
+            if comp >= 1.0:
                 continue
-            shape_val = shape_kolmogorov_rogozin(lam, lam_k, [q_comp] * nz.size)
+            shape_val = shape_kolmogorov_rogozin(lam, lam_k, [comp] * nz.size)
         else:
-            m_comp = m_functional(g, float(tau))
-            if m_comp <= 0.0:
+            if comp <= 0.0:
                 continue
-            shape_val = shape_esseen(lam, lam_k, [m_comp] * nz.size)
-        q_val = q_exact(fa, lam).value
+            shape_val = shape_esseen(lam, lam_k, [comp] * nz.size)
         rows.append(
             {
                 "instance": inst.id,
@@ -353,18 +362,23 @@ def check_lower_binomial(
             mass2sd = float(np.sum(fa.masses[inside]))
             if mass2sd < 0.75:
                 chebyshev_ok = False
-            q_4sig = q_exact(fa, 4.0 * sig).value
+            # Every Q of fa in one sweep: the 4 sigma and zero windows, the
+            # chain grid (fetched whether or not the chain applies) and the rows.
+            chain = np.linspace(1e-6, 4.0 * sig, 8)
+            eps_grid = np.linspace(0.0, 4.0 * sig, n_eps)
+            q_4sig, q0, *q_vals = _window_sup(
+                fa.atoms, fa.masses, np.concatenate(([4.0 * sig, 0.0], chain, eps_grid))
+            )
+            q_chain, q_rows = q_vals[: chain.size], q_vals[chain.size :]
             if q_4sig < 0.75:
                 chain_ok = False
             if s * p * (1.0 - p) > 1.0:
-                for eps in np.linspace(1e-6, 4.0 * sig, 8):
-                    if q_exact(fa, float(eps)).value < (3.0 / 32.0) * eps / sig - 1e-12:
+                for eps, q_val in zip(chain, q_chain):
+                    if q_val < (3.0 / 32.0) * eps / sig - 1e-12:
                         chain_ok = False
-                q0 = q_exact(fa, 0.0).value
                 if q0 < (3.0 / 64.0) / sd_b - 1e-12:
                     chain_ok = False
-            for eps in np.linspace(0.0, 4.0 * sig, n_eps):
-                q_val = q_exact(fa, float(eps)).value
+            for eps, q_val in zip(eps_grid, q_rows):
                 form = shape_bernoulli_min(float(eps), math.sqrt(s), p)
                 rows.append(
                     {

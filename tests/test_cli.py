@@ -160,6 +160,19 @@ def test_cli_q_gaussian_closed_form(tmp_path):
     assert payload["value"] == pytest.approx(0.6826894921370859, abs=1e-12)
 
 
+@pytest.mark.parametrize("method", ["exact", "monte-carlo", "closed-form"])
+def test_cli_q_nan_lambda_is_precondition(method, bernoulli_file, unit_weight_file, tmp_path,
+                                          capsys):
+    dist = bernoulli_file
+    if method == "closed-form":
+        dist = tmp_path / "g.json"
+        dist.write_text(json.dumps({"type": "gaussian", "sigma": 1.0}))
+    argv = ["q", "--dist", str(dist), "--weights", unit_weight_file, "--lambda", "nan",
+            "--method", method, "--samples", "10000"]
+    assert _run_without_runtime_warnings(argv) == 1
+    _one_line_failure(capsys, "precondition violated: window length lambda must be nonnegative")
+
+
 def test_cli_lcd(unit_weight_file, tmp_path):
     out = tmp_path / "lcd.json"
     rc = main(["lcd", "--weights", unit_weight_file, "--L", "1",

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from lofo import AnalyticDist, FiniteDist, WeightVector, m_functional, q_monte_carlo, solve_tau0
 from lofo import distributions
 from lofo.bounds import _empirical_spread, _piecewise_tau0
-from lofo.concentration import MC_MIN_SAMPLES, _window_sup, sample_weighted_sum
+from lofo.concentration import MC_MIN_SAMPLES, sample_weighted_sum
 from lofo.distributions import sample_symmetric_stable
 from lofo.exceptions import NumericalError, PreconditionError
 from lofo.harness import study_tau0_scaling
@@ -100,6 +100,18 @@ def _oracle_weighted_sum(dist, a, n_samples, rng):
                 continue
             total += w * dist.sample(n_samples, rng)
     return total
+
+
+def _oracle_window_sup(points, cum, lam):
+    """Max total weight of a closed window [x_i, x_i + lam] over left edges.
+
+    ``cum`` is the length n+1 prefix-sum array of the point weights.  Ties
+    resolve to the smallest left edge (first argmax).
+    """
+    hi = np.searchsorted(points, points + lam, side="right")
+    vals = cum[hi] - cum[: points.size]
+    k = int(np.argmax(vals))
+    return float(vals[k]), k
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +332,7 @@ def test_q_monte_carlo_bit_identical(law, a, lam, seed):
     # The sample is sorted in place; the window sweep sees the same points.
     n = MC_MIN_SAMPLES
     sample = np.sort(_oracle_weighted_sum(law, a, n, np.random.default_rng(seed)))
-    value, _ = _window_sup(sample, np.arange(n + 1) / n, lam)
+    value, _ = _oracle_window_sup(sample, np.arange(n + 1) / n, lam)
     assert q_monte_carlo(law, a, lam, n, seed).value == value
 
 
@@ -361,6 +373,17 @@ def test_sampled_path_traced_peak(case, budget):
         "m_functional": lambda: m_functional(g, 1.0, n_samples=N_TRACED),
     }
     assert _traced_peak_arrays(calls[case]) <= budget
+
+
+def test_q_monte_carlo_traced_peak():
+    # The sample, the draw buffer and its indices while drawing; then the
+    # sample, the keys and the indices, or the sample, the window masses and
+    # the left edges i/n, in the window sweep.
+    a = WeightVector(np.linspace(0.5, 1.5, 8))
+    peak = _traced_peak_arrays(
+        lambda: q_monte_carlo(FiniteDist.bernoulli(0.3), a, 0.5, n_samples=N_TRACED)
+    )
+    assert peak <= 3.5
 
 
 # ---------------------------------------------------------------------------
