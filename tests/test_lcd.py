@@ -1,6 +1,7 @@
 """Lattice distance, growth thresholds, certified LCD search."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,6 +108,24 @@ def test_dist_array_form_equals_scalar_bitwise(ts, n, zero_share, seed):
     assert rows.shape == (len(ts),)
     for t, d in zip(ts, rows.tolist()):
         assert d.hex() == dist_to_lattice(t, coords).hex() == _copysign_dist(t, coords).hex()
+
+
+def test_dist_array_form_memory_is_one_block():
+    """20,000 t at n = 512: the temporaries stay at one block of rows beside
+    the 160 kB result (three whole k x n arrays would take 245 MB)."""
+    rng = np.random.default_rng(5)
+    coords = rng.normal(size=512)
+    ts = rng.uniform(-1e3, 1e3, 20_000)
+    tracemalloc.start()
+    try:
+        rows = dist_to_lattice(ts, coords)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+    assert [d.hex() for d in rows.tolist()] == [
+        dist_to_lattice(t, coords).hex() for t in ts.tolist()
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +307,15 @@ def test_clearance_vacuous_and_validation():
     assert rep.passed and rep.vacuous
     with pytest.raises(ValueError):
         verify_lattice_clearance(WeightVector([2.0]), 1.0, 1.0)
+
+
+@pytest.mark.parametrize("L,D", [
+    (2.0, math.inf), (math.inf, 5.0), (math.inf, math.inf),
+    (math.nan, 5.0), (2.0, math.nan), (0.0, 5.0), (2.0, -1.0),
+])
+def test_clearance_rejects_nonfinite_or_nonpositive(L, D):
+    with pytest.raises(ValueError):
+        verify_lattice_clearance(WeightVector([0.6, 0.8]), L, D)
 
 
 # ---------------------------------------------------------------------------
