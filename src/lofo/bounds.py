@@ -33,6 +33,7 @@ from .concentration import WeightVector
 from .distributions import (
     Dist,
     FiniteDist,
+    _Record,
     atom_survival,
     cf_eval,
     m_functional,
@@ -43,15 +44,12 @@ from .lcd import dist_to_lattice
 
 
 @dataclass(frozen=True)
-class BoundShape:
+class BoundShape(_Record):
     """One evaluated right-hand side: shape id, its inputs, and the value."""
 
     id: str
     params: dict
     value: float
-
-    def to_json(self) -> dict:
-        return {"id": self.id, "params": self.params, "value": self.value}
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +132,7 @@ def shape_bernoulli_min(eps: float, dstar: float, p: float) -> float:
 
 
 @dataclass(frozen=True)
-class RootSolution:
+class RootSolution(_Record):
     """Solution of M(tau0) = 1/L^2 (and eps0 = tau0/D* when D* is supplied).
 
     The Gaussian ``method`` reads "bisection_quadrature" although its M is
@@ -146,15 +144,6 @@ class RootSolution:
     iterations: int
     method: str
     eps0: Optional[float] = None
-
-    def to_json(self) -> dict:
-        return {
-            "tau0": self.tau0,
-            "residual": self.residual,
-            "iterations": self.iterations,
-            "method": self.method,
-            "eps0": self.eps0,
-        }
 
 
 def _piecewise_tau0(u: np.ndarray, w, m_stars) -> list[float]:

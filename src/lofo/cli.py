@@ -24,6 +24,7 @@ import json
 import sys
 
 from .bounds import (
+    BoundShape,
     shape_bernoulli_min,
     shape_crossover,
     shape_esseen,
@@ -111,67 +112,55 @@ def cmd_tau0(args) -> int:
     return 0
 
 
+# Shape id -> (function, its flags in argument order).  A flag's argparse
+# dest and its key in the emitted params are _key(flag).  crossover takes
+# the law and weight files, loads them and finds D* unless --dstar is given.
+_SHAPES = {
+    "kolmogorov_rogozin": (shape_kolmogorov_rogozin, ("--lambda", "--lambda-k", "--q-k")),
+    "esseen": (shape_esseen, ("--lambda", "--lambda-k", "--m-k")),
+    "vershynin": (shape_vershynin, ("--L", "--D")),
+    "lcd_unit": (shape_lcd_unit, ("--D", "--m1")),
+    "lcd": (shape_lcd, ("--D", "--norm-a", "--m-tau")),
+    "no_arithmetic": (shape_no_arithmetic, ("--norm-inf", "--norm-a", "--m-tau")),
+    "crossover": (shape_crossover, ("--dist", "--weights", "--L", "--eps")),
+    "bernoulli_min": (shape_bernoulli_min, ("--eps", "--dstar", "--p")),
+}
+_LIST_FLAGS = ("--lambda-k", "--q-k", "--m-k")
+
+
+def _key(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _required(args, shape: str, flags) -> list:
+    """The flags' values in order, list flags parsed; a missing one is a
+    precondition failure that names it."""
+    values = []
+    for flag in flags:
+        value = getattr(args, _key(flag))
+        if value is None:
+            raise PreconditionError(f"shape {shape!r} requires {flag}")
+        values.append(_csv_numbers(value) if flag in _LIST_FLAGS else value)
+    return values
+
+
 def cmd_bound(args) -> int:
     sid = args.shape
-    need = lambda flag, val: val if val is not None else _missing(sid, flag)
-    if sid == "kolmogorov_rogozin":
-        value = shape_kolmogorov_rogozin(
-            need("--lambda", args.lam),
-            _csv_numbers(need("--lambda-k", args.lam_k)),
-            _csv_numbers(need("--q-k", args.q_k)),
-        )
-        params = {"lambda": args.lam, "lambda_k": args.lam_k, "q_k": args.q_k}
-    elif sid == "esseen":
-        value = shape_esseen(
-            need("--lambda", args.lam),
-            _csv_numbers(need("--lambda-k", args.lam_k)),
-            _csv_numbers(need("--m-k", args.m_k)),
-        )
-        params = {"lambda": args.lam, "lambda_k": args.lam_k, "m_k": args.m_k}
-    elif sid == "vershynin":
-        value = shape_vershynin(need("--L", args.L), need("--D", args.D))
-        params = {"L": args.L, "D": args.D}
-    elif sid == "lcd_unit":
-        value = shape_lcd_unit(need("--D", args.D), need("--m1", args.m1))
-        params = {"D": args.D, "m1": args.m1}
-    elif sid == "lcd":
-        value = shape_lcd(
-            need("--D", args.D), need("--norm-a", args.norm_a), need("--m-tau", args.m_tau)
-        )
-        params = {"D": args.D, "norm_a": args.norm_a, "m_tau": args.m_tau}
-    elif sid == "no_arithmetic":
-        value = shape_no_arithmetic(
-            need("--norm-inf", args.norm_inf),
-            need("--norm-a", args.norm_a),
-            need("--m-tau", args.m_tau),
-        )
-        params = {"norm_inf": args.norm_inf, "norm_a": args.norm_a, "m_tau": args.m_tau}
-    elif sid == "bernoulli_min":
-        value = shape_bernoulli_min(
-            need("--eps", args.eps), need("--dstar", args.dstar), need("--p", args.p)
-        )
-        params = {"eps": args.eps, "dstar": args.dstar, "p": args.p}
-    elif sid == "crossover":
-        dist = load_dist(need("--dist", args.dist))
-        weights = load_weights(need("--weights", args.weights))
+    fn, flags = _SHAPES[sid]
+    values = _required(args, sid, flags)
+    if sid == "crossover":
+        dist_path, weights_path, L, eps = values
+        dist = load_dist(dist_path)
+        weights = load_weights(weights_path)
         g = symmetrize(dist)
         dstar = args.dstar
         if dstar is None:
-            dstar = lcd_search(weights, args.L, "d_star", tol=args.tol).value
-        shape = shape_crossover(
-            weights, g, need("--L", args.L), need("--eps", args.eps), dstar,
-            n_samples=args.samples, seed=args.seed,
-        )
-        _emit(shape.to_json(), args.out)
-        return 0
+            dstar = lcd_search(weights, L, "d_star", tol=args.tol).value
+        shape = fn(weights, g, L, eps, dstar, n_samples=args.samples, seed=args.seed)
     else:
-        raise PreconditionError(f"unknown bound shape {sid!r}")
-    _emit({"id": sid, "params": params, "value": value}, args.out)
+        shape = BoundShape(sid, {_key(f): getattr(args, _key(f)) for f in flags}, fn(*values))
+    _emit(shape.to_json(), args.out)
     return 0
-
-
-def _missing(shape, flag):
-    raise PreconditionError(f"shape {shape!r} requires {flag}")
 
 
 def cmd_verify(args) -> int:
@@ -245,24 +234,10 @@ def build_parser() -> argparse.ArgumentParser:
     t.set_defaults(func=cmd_tau0)
 
     b = sub.add_parser("bound", help="evaluate one bound shape")
-    b.add_argument("--shape", required=True,
-                   choices=["kolmogorov_rogozin", "esseen", "vershynin", "lcd_unit",
-                            "lcd", "no_arithmetic", "crossover", "bernoulli_min"])
-    b.add_argument("--lambda", dest="lam", type=float)
-    b.add_argument("--lambda-k", dest="lam_k")
-    b.add_argument("--q-k", dest="q_k")
-    b.add_argument("--m-k", dest="m_k")
-    b.add_argument("--L", type=float)
-    b.add_argument("--D", type=float)
-    b.add_argument("--m1", type=float)
-    b.add_argument("--m-tau", dest="m_tau", type=float)
-    b.add_argument("--norm-a", dest="norm_a", type=float)
-    b.add_argument("--norm-inf", dest="norm_inf", type=float)
-    b.add_argument("--eps", type=float)
-    b.add_argument("--dstar", type=float)
-    b.add_argument("--p", type=float)
-    b.add_argument("--dist")
-    b.add_argument("--weights")
+    b.add_argument("--shape", required=True, choices=list(_SHAPES))
+    for flag in dict.fromkeys(f for _, flags in _SHAPES.values() for f in flags):
+        text = flag in _LIST_FLAGS or flag in ("--dist", "--weights")
+        b.add_argument(flag, type=None if text else float)
     b.add_argument("--tol", type=float, default=1e-6)
     b.add_argument("--samples", type=int, default=1_000_000)
     b.add_argument("--seed", type=int, default=0)

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .distributions import Dist, FiniteDist, weighted_cf
+from .distributions import Dist, FiniteDist, _Record, weighted_cf
 from .exceptions import CapacityError
 from .quadrature import adaptive_simpson
 
@@ -70,20 +70,12 @@ class WeightVector:
             self.norm2 = float(np.sqrt(sum_sq))
         self.n = int(c.size)
 
-    def scaled(self, lam: float) -> "WeightVector":
-        if lam == 0.0:
-            raise ValueError("scaling by zero produces the zero vector")
-        return WeightVector(lam * self.coords)
-
-    def normalized(self) -> "WeightVector":
-        return WeightVector(self.coords / self.norm2)
-
     def __repr__(self) -> str:
         return f"WeightVector(n={self.n}, norm={self.norm2:.6g}, sup={self.norm_inf:.6g})"
 
 
 @dataclass(frozen=True)
-class QEstimate:
+class QEstimate(_Record):
     """One concentration-function value with its provenance.
 
     For the monte_carlo method the contract is
@@ -96,15 +88,6 @@ class QEstimate:
     error_radius: float = 0.0
     sample_size: Optional[int] = None
     seed: Optional[int] = None
-
-    def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "method": self.method,
-            "error_radius": self.error_radius,
-            "sample_size": self.sample_size,
-            "seed": self.seed,
-        }
 
 
 def _window_sup(points: np.ndarray, masses: Optional[np.ndarray], lams) -> list[float]:

@@ -23,7 +23,7 @@ the certified lower bound beta >= M(1)/r^2 >= M(1)/2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence, Union
 
 import numpy as np
@@ -39,6 +39,23 @@ _M_CHUNK_ENTRIES = 2**18      # cap on one finite-law M ratio block (2 MiB of fl
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+
+
+class _Record:
+    """Base of the result dataclasses: the JSON object is the fields, by name.
+
+    A tuple field (rows, gaps, points) becomes a list whose tuple items
+    become lists and whose dict items are copied.
+    """
+
+    def to_json(self) -> dict:
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, tuple):
+                value = [dict(x) if isinstance(x, dict) else list(x) for x in value]
+            out[f.name] = value
+        return out
 
 
 def _coalesce(atoms: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

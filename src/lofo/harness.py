@@ -9,7 +9,8 @@ way.  Exact Q values are used wherever a finite law permits; Monte Carlo
 rows carry their error radii.
 
 Reports are plain dataclasses with ``rows`` (one dict per evaluated
-instance/window pair) so they serialize to JSON and render to CSV directly.
+instance/window pair) so they render to CSV directly.  A report's JSON
+object is its fields, by name: ``to_json`` reads them from the dataclass.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .concentration import (
 from .distributions import (
     AnalyticDist,
     FiniteDist,
+    _Record,
     _m_finite,
     atom_survival,
     m_functional,
@@ -144,7 +146,7 @@ def gen_equal_weight_family(
 
 
 @dataclass(frozen=True)
-class CalibrationReport:
+class CalibrationReport(_Record):
     """Per-instance Q/shape ratios for one bound over one family."""
 
     bound_id: str
@@ -156,19 +158,6 @@ class CalibrationReport:
     n_excluded: int
     fixture: float
     passed: bool
-
-    def to_json(self) -> dict:
-        return {
-            "bound_id": self.bound_id,
-            "family_id": self.family_id,
-            "L": self.L,
-            "rows": [dict(r) for r in self.rows],
-            "ratio_sup": self.ratio_sup,
-            "ratio_inf": self.ratio_inf,
-            "n_excluded": self.n_excluded,
-            "fixture": self.fixture,
-            "passed": self.passed,
-        }
 
 
 def _crossover_rows(inst: Instance, L: float, n_eps: int):
@@ -309,23 +298,13 @@ def ratio_sup_by_s(report: CalibrationReport) -> dict[int, float]:
 
 
 @dataclass(frozen=True)
-class LowerBoundReport:
+class LowerBoundReport(_Record):
     rows: tuple
     c_low_observed: float
     chebyshev_ok: bool
     chain_ok: bool
     fixture: float
     passed: bool
-
-    def to_json(self) -> dict:
-        return {
-            "rows": [dict(r) for r in self.rows],
-            "c_low_observed": self.c_low_observed,
-            "chebyshev_ok": self.chebyshev_ok,
-            "chain_ok": self.chain_ok,
-            "fixture": self.fixture,
-            "passed": self.passed,
-        }
 
 
 def check_lower_binomial(
@@ -409,23 +388,13 @@ def check_lower_binomial(
 
 
 @dataclass(frozen=True)
-class ScalingFit:
+class ScalingFit(_Record):
     alpha: float
     slope: float
     half_width: float
     expected: float
     points: tuple
     inconclusive: bool
-
-    def to_json(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "slope": self.slope,
-            "half_width": self.half_width,
-            "expected": self.expected,
-            "points": [list(p) for p in self.points],
-            "inconclusive": self.inconclusive,
-        }
 
 
 def study_tau0_scaling(

@@ -53,6 +53,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .concentration import WeightVector
+from .distributions import _Record
 from .exceptions import NumericalError, PreconditionError
 
 _E = math.e
@@ -125,7 +126,7 @@ def log_plus_threshold(t: float, L: float) -> float:
 
 
 @dataclass(frozen=True)
-class LcdResult:
+class LcdResult(_Record):
     """Certified least-common-denominator value.
 
     The infimum lies in the bracket [value, witness_t], of width
@@ -147,19 +148,6 @@ class LcdResult:
     t_max: float
     n_evals: int
     gaps: tuple = ()
-
-    def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "error_radius": self.error_radius,
-            "witness_t": self.witness_t,
-            "L": self.L,
-            "variant": self.variant,
-            "t_start": self.t_start,
-            "t_max": self.t_max,
-            "n_evals": self.n_evals,
-            "gaps": [list(g) for g in self.gaps],
-        }
 
 
 def _threshold(variant: str, L: float, norm: float) -> Callable[[float], float]:
@@ -209,9 +197,8 @@ def _first_crossing(
 
     The search is a depth-first walk, left half first.  Each stack entry
     carries (u, v, d(u), d(v), thr(v)), so every point is evaluated and
-    thresholded once.  A node that fails the cone, lies at or below the
-    witness and is _RESOLVE_MIN to _RESOLVE_MAX times as wide as the last
-    certified node goes to _resolve, which settles its whole subtree in
+    thresholded once.  A node that fails the cone and is _RESOLVE_MIN to
+    _RESOLVE_MAX times as wide as the last certified node goes to _resolve, which settles its whole subtree in
     batched levels when every leaf certifies.  When a resolve aborts, the
     walk takes that subtree one node at a time, with the distances the
     resolve computed kept in ``ahead``, and starts no other resolve inside
@@ -243,12 +230,15 @@ def _first_crossing(
         u, v, du, dv, tv = pop()
         if u >= witness:
             continue
+        # Left half first: every node settled before this one moved the
+        # frontier to its v or found a witness that skips all later nodes,
+        # so u is the frontier and v lies at or left of any witness.  A
+        # settled node therefore moves the frontier to its v.
         if dv < tv and v < witness:
             witness = v
         # Two-sided Lipschitz cone under a monotone threshold.
         if 0.5 * (du + dv) - half_lip * (v - u) >= tv:
-            if u <= frontier:
-                frontier = max(frontier, v)
+            frontier = v
             certified_width = v - u
             continue
         mid = 0.5 * (u + v)
@@ -265,19 +255,17 @@ def _first_crossing(
                 witness = min(witness, found)
             else:
                 gaps.append((u, v))
-                if u <= frontier:
-                    frontier = max(frontier, v)
+                frontier = v
             continue
         dm = take(mid, None)
         if (
             dm is None
-            and scalar_to < v <= witness
+            and scalar_to < v
             and _RESOLVE_MIN * certified_width <= v - u <= _RESOLVE_MAX * certified_width
         ):
             width = _resolve(u, v, du, dv, tv, abs_a, thr, half_lip, floor, seen, ahead)
             if width is not None:
-                if u <= frontier:
-                    frontier = max(frontier, v)
+                frontier = v
                 certified_width = width
                 continue
             scalar_to = v
@@ -312,8 +300,7 @@ def _resolve(
     level.  If every leaf certifies, the midpoints go to ``seen`` and the
     width of the rightmost leaf is returned.  Below a witness-free node at
     or left of the witness, the depth-first walk would visit exactly these
-    points, make exactly these comparisons, move the frontier to v if u is
-    on it, and end with that certified width.
+    points, make exactly these comparisons, move the frontier to v and end with that certified width.
 
     A level with a midpoint below its threshold (a witness), a node at the
     floor, or more than _RESOLVE_CAP nodes aborts: every distance computed
@@ -435,7 +422,7 @@ def lcd(
 
 
 @dataclass(frozen=True)
-class ClearanceReport:
+class ClearanceReport(_Record):
     """Outcome of sweeping dist(t a, Z^n) >= f_L(t) over [1/(2||a||_inf), D]."""
 
     passed: bool
@@ -444,16 +431,6 @@ class ClearanceReport:
     t_start: float
     t_end: float
     n_evals: int
-
-    def to_json(self) -> dict:
-        return {
-            "passed": self.passed,
-            "violation_t": self.violation_t,
-            "vacuous": self.vacuous,
-            "t_start": self.t_start,
-            "t_end": self.t_end,
-            "n_evals": self.n_evals,
-        }
 
 
 def verify_lattice_clearance(

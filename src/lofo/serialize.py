@@ -5,7 +5,8 @@ Distribution files:
     {"type": "gaussian", "sigma": s}
     {"type": "stable", "alpha": a, "scale": c}
 
-Weight vectors are JSON arrays or newline-delimited text files.  All output
+Weight vectors are JSON arrays or newline-delimited text files.  A result's
+JSON object is its dataclass fields, by name (``to_json``).  All output
 JSON is canonical: UTF-8, sorted keys, floats at 17 significant digits
 (lossless round-trip), so identical configurations produce byte-identical
 files.  Writes go through a temp file plus rename.

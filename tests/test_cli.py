@@ -217,6 +217,72 @@ def test_cli_bound_crossover(bernoulli_file, unit_weight_file, tmp_path):
     assert payload["value"] > 0
 
 
+# Each bound shape's required flags, in argument order, with valid values.
+BOUND_FLAGS = {
+    "kolmogorov_rogozin": [("--lambda", "1"), ("--lambda-k", "0.5,1"), ("--q-k", "0.3,0.4")],
+    "esseen": [("--lambda", "1"), ("--lambda-k", "0.5,1"), ("--m-k", "0.3,0.4")],
+    "vershynin": [("--L", "3"), ("--D", "6")],
+    "lcd_unit": [("--D", "10"), ("--m1", "0.5")],
+    "lcd": [("--D", "10"), ("--norm-a", "2"), ("--m-tau", "0.5")],
+    "no_arithmetic": [("--norm-inf", "0.5"), ("--norm-a", "2"), ("--m-tau", "0.5")],
+    "crossover": [("--dist", "DIST"), ("--weights", "WEIGHTS"), ("--L", "2"), ("--eps", "0.5")],
+    "bernoulli_min": [("--eps", "0.1"), ("--dstar", "4"), ("--p", "0.3")],
+}
+
+
+def _bound_argv(shape, flags, dist, weights):
+    files = {"DIST": dist, "WEIGHTS": weights}
+    return ["bound", "--shape", shape] + [x for flag, value in flags
+                                          for x in (flag, files.get(value, value))]
+
+
+# The stdout of each table shape's command line above, frozen from the
+# per-shape branches that the flag table replaced.
+BOUND_STDOUT = {
+    "kolmogorov_rogozin": '{"id":"kolmogorov_rogozin","params":{"lambda":1,"lambda_k":"0.5,1",'
+                          '"q_k":"0.3,0.4"},"value":1.1359236684941298}',
+    "esseen": '{"id":"esseen","params":{"lambda":1,"lambda_k":"0.5,1","m_k":"0.3,0.4"},'
+              '"value":1.4509525002200232}',
+    "vershynin": '{"id":"vershynin","params":{"D":6,"L":3},"value":0.5}',
+    "lcd_unit": '{"id":"lcd_unit","params":{"D":10,"m1":0.5},"value":0.1414213562373095}',
+    "lcd": '{"id":"lcd","params":{"D":10,"m_tau":0.5,"norm_a":2},"value":0.070710678118654752}',
+    "no_arithmetic": '{"id":"no_arithmetic","params":{"m_tau":0.5,"norm_a":2,"norm_inf":0.5},'
+                     '"value":0.35355339059327373}',
+    "bernoulli_min": '{"id":"bernoulli_min","params":{"dstar":4,"eps":0.10000000000000001,'
+                     '"p":0.29999999999999999},"value":0.76376261582597327}',
+}
+
+
+@pytest.mark.parametrize("shape", sorted(BOUND_FLAGS))
+def test_cli_bound_every_shape(shape, bernoulli_file, unit_weight_file, capsys):
+    argv = _bound_argv(shape, BOUND_FLAGS[shape], bernoulli_file, unit_weight_file)
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    if shape == "crossover":
+        assert json.loads(out)["id"] == "crossover"
+    else:
+        assert out == BOUND_STDOUT[shape] + "\n"
+
+
+@pytest.mark.parametrize("shape,missing", [
+    (shape, k) for shape in sorted(BOUND_FLAGS) for k in range(len(BOUND_FLAGS[shape]))
+])
+def test_cli_bound_missing_flag_is_named_first(shape, missing, bernoulli_file,
+                                               unit_weight_file, capsys, monkeypatch):
+    # The missing flag is reported before anything is computed: crossover
+    # without --L once reached the LCD scan and died with a TypeError.
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the LCD scan ran before the flags were checked")
+
+    monkeypatch.setattr(lofo.cli, "lcd_search", no_scan)
+    flags = BOUND_FLAGS[shape]
+    kept = flags[:missing] + flags[missing + 1:]
+    assert main(_bound_argv(shape, kept, bernoulli_file, unit_weight_file)) == 1
+    _one_line_failure(
+        capsys, f"precondition violated: shape {shape!r} requires {flags[missing][0]}\n"
+    )
+
+
 def test_cli_verify_and_report(tmp_path):
     rep_path = tmp_path / "rep.json"
     rc = main(["verify", "--family", "sparse", "--bound", "crossover",
@@ -566,7 +632,8 @@ def fuzz_paths(tmp_path_factory):
 
 def _fuzz_commands(p):
     # Each subcommand: (fuzzed flag -> value kind or choices, cheap valid prefix).
-    # Fuzzed flags come after the prefix, so they override it.
+    # Fuzzed flags come after the prefix, so they override it; the test may
+    # drop flags from the prefix, required ones included.
     return {
         "q": ({"--dist": "F", "--weights": "F", "--lambda": "N", "--samples": "N",
                "--method": ["auto", "exact", "closed-form", "monte-carlo"],
@@ -597,7 +664,7 @@ def _fuzz_commands(p):
     }
 
 
-@settings(max_examples=150, deadline=None,
+@settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_cli_fuzz_exit_codes(fuzz_paths, data):
@@ -606,8 +673,10 @@ def test_cli_fuzz_exit_codes(fuzz_paths, data):
               "F": st.sampled_from(files), "O": st.sampled_from(outs)}
     commands = _fuzz_commands(p)
     cmd = data.draw(st.sampled_from(sorted(commands)))
-    flags, argv = commands[cmd]
-    argv = [cmd] + argv
+    flags, prefix = commands[cmd]
+    pairs = [prefix[i:i + 2] for i in range(0, len(prefix), 2)]
+    dropped = data.draw(st.sets(st.sampled_from(range(len(pairs))), max_size=2))
+    argv = [cmd] + [x for i, pair in enumerate(pairs) if i not in dropped for x in pair]
     for flag in data.draw(st.lists(st.sampled_from(sorted(flags)), max_size=6)):
         kind = flags[flag]
         argv.append(flag)
