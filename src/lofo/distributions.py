@@ -155,14 +155,14 @@ class FiniteDist:
                     return float(self.masses[j])
         return 0.0
 
-    def is_symmetric(self, tol: float = MASS_TOL) -> bool:
+    def is_symmetric(self) -> bool:
         """True when mass(x) == mass(-x) for every atom (about 0)."""
         a, p = self.atoms, self.masses
         mirrored = -a[::-1]
         scale = np.maximum(np.abs(a), np.abs(mirrored))
         if np.any(np.abs(a - mirrored) > np.maximum(ATOM_ABS_TOL, ATOM_REL_TOL * scale)):
             return False
-        return bool(np.all(np.abs(p - p[::-1]) <= tol))
+        return bool(np.all(np.abs(p - p[::-1]) <= MASS_TOL))
 
     def scaled(self, c: float) -> "FiniteDist":
         """Law of c*X."""

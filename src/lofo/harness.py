@@ -69,8 +69,6 @@ class Instance:
 @dataclass(frozen=True)
 class InstanceFamily:
     id: str
-    params: dict
-    description: str
     instances: tuple
 
 
@@ -113,8 +111,6 @@ def gen_sparse_family(
             )
     return InstanceFamily(
         id="sparse_perturbed" if perturbed else "sparse",
-        params={"s_list": s_list, "n": n, "p_list": list(p_list)},
-        description="equal-weight s-sparse vectors with Bernoulli summands",
         instances=tuple(instances),
     )
 
@@ -125,8 +121,6 @@ def gen_equal_weight_family(
     """Dense n^(-1/2)-weight vectors: the no-structure baseline corpus."""
     return InstanceFamily(
         id="equal_weight",
-        params={"n_list": list(n_list), "p_list": list(p_list)},
-        description="dense equal-weight vectors with Bernoulli summands",
         instances=tuple(
             Instance(
                 id=f"equal_n{n}_p{p:g}",

@@ -31,12 +31,11 @@ def adaptive_simpson(
     b: float,
     tol: float = 1e-8,
     max_depth: int = 40,
-    min_depth: int = 4,
 ) -> float:
     """Integrate f over [a, b] to absolute tolerance tol.
 
     f takes a 1-D float array of nodes and returns their values as a 1-D
-    float array.  Bisection is forced for the first min_depth levels: the
+    float array.  Bisection is forced for the first 4 levels: the
     Richardson acceptance test can be fooled by an accidentally small
     correction on a wide interval containing a kink (|CF| has those at its
     zeros).  The tolerance halves with each level.  Raises QuadratureError
@@ -53,7 +52,7 @@ def adaptive_simpson(
     # Rows: ends and midpoint, their values, Simpson estimate; one column
     # per panel still open at the current level.
     panels = np.array([[a], [m], [b], [fa], [fm], [fb], [whole]], dtype=float)
-    level_tol, depth, force = tol, max_depth, min_depth
+    level_tol, depth, force = tol, max_depth, 4
     levels = []  # per level: (panel values, split mask)
     ok = True
     while panels.shape[1]:

@@ -1,6 +1,7 @@
 """Lattice distance, growth thresholds, certified LCD search."""
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -16,6 +17,9 @@ from lofo.lcd import (
     log_plus_threshold,
     verify_lattice_clearance,
 )
+
+# The module itself: the package re-exports the function lcd under its name.
+LCD = sys.modules["lofo.lcd"]
 
 
 def dense_scan_oracle(a, thr, t_lo, t_hi, pitch, chunk=1 << 14):
@@ -638,3 +642,70 @@ CLAMPED_LCD = [
 @pytest.mark.parametrize("coords,L,variant,expected", CLAMPED_LCD)
 def test_lcd_horizon_clamp_matches_frozen_output(coords, L, variant, expected):
     assert lcd(WeightVector(coords), L, variant).to_json() == expected
+
+
+# ---------------------------------------------------------------------------
+# Evaluation count and scan memory
+# ---------------------------------------------------------------------------
+
+
+def _gauss_unit(n, seed):
+    v = np.random.default_rng(seed).normal(size=n)
+    return WeightVector(v / np.linalg.norm(v))
+
+
+def test_lcd_scan_memory_does_not_grow_per_evaluation():
+    """A dense scan of about 100,000 points holds its stack and the resolver's
+    distances, not one entry per evaluated point (a set of them peaks near
+    8 MB here)."""
+    a = _gauss_unit(576, [576, 2])
+    tracemalloc.start()
+    try:
+        res = lcd(a, 2.0, "d", tol=1e-8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.n_evals >= 50_000
+    assert peak < 2e6
+
+
+def _record_points(monkeypatch):
+    """Record every t whose distance either kernel computes, per kernel."""
+    scalar, batched = [], []
+    point, rows = LCD._dist_point, LCD._dist_rows
+
+    def recorded_point(t, abs_a):
+        scalar.append(t)
+        return point(t, abs_a)
+
+    def recorded_rows(ts, abs_a):
+        batched.extend(ts.tolist())
+        return rows(ts, abs_a)
+
+    monkeypatch.setattr(LCD, "_dist_point", recorded_point)
+    monkeypatch.setattr(LCD, "_dist_rows", recorded_rows)
+    return scalar, batched
+
+
+def test_lcd_scan_evaluates_no_point_twice(monkeypatch):
+    """The running count is exact because no t is evaluated twice; points a
+    resolve computed but the walk never reached are evaluated, not counted."""
+    scalar, batched = _record_points(monkeypatch)
+    res = lcd(_gauss_unit(432, [432, 2]), 2.0, "d_star", tol=1e-8)
+    points = scalar + batched
+    assert res.n_evals >= 10_000 and batched
+    assert len(set(points)) == len(points)
+    assert res.n_evals <= len(points)
+
+
+def test_clearance_floor_probes_a_few_ulps_apart_count_once(monkeypatch):
+    """At tol = 1e-300 the width floor is D * 4e-16, 3.9 ulps at the
+    violation t ~ 1.96, so the quarter points of a floor node two or three
+    ulps wide can round to the same t; each is evaluated and counted once
+    (the set-based count read 65)."""
+    scalar, batched = _record_points(monkeypatch)
+    a = WeightVector([0.855197831554018, 0.5183017160933442])
+    rep = verify_lattice_clearance(a, 2.0, 2.168173610962784, tol=1e-300)
+    points = scalar + batched
+    assert len(set(points)) == len(points)
+    assert rep.n_evals == 65
