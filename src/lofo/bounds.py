@@ -57,36 +57,39 @@ class BoundShape(_Record):
 # ---------------------------------------------------------------------------
 
 
+def _classical_shape(
+    lam: float, lam_k: Sequence[float], c_k: np.ndarray, name: str, degenerate: str
+) -> float:
+    """lambda * (sum lambda_k^2 c_k)^(-1/2), the body of both classical shapes
+    (c_k = 1 - Q_k or M_k); ``name`` is the symbol of the component values and
+    ``degenerate`` what makes them all vanish, for the messages."""
+    lk = np.asarray(lam_k, dtype=float)
+    if lk.size == 0 or lk.size != c_k.size:
+        raise ValueError(f"lambda_k and {name} must be nonempty and aligned")
+    if np.any(lk <= 0) or np.any(lk > lam * (1 + 1e-12)):
+        raise ValueError("each lambda_k must lie in (0, lambda]")
+    denom = float(np.dot(lk * lk, c_k))
+    if denom <= 0.0:
+        raise PreconditionError(f"{degenerate}: the shape diverges")
+    return lam / math.sqrt(denom)
+
+
 def shape_kolmogorov_rogozin(
     lam: float, lam_k: Sequence[float], q_k: Sequence[float]
 ) -> float:
     """lambda * (sum lambda_k^2 (1 - Q_k))^(-1/2) for independent summands."""
-    lk = np.asarray(lam_k, dtype=float)
-    qk = np.asarray(q_k, dtype=float)
-    if lk.size == 0 or lk.size != qk.size:
-        raise ValueError("lambda_k and Q_k must be nonempty and aligned")
-    if np.any(lk <= 0) or np.any(lk > lam * (1 + 1e-12)):
-        raise ValueError("each lambda_k must lie in (0, lambda]")
-    denom = float(np.dot(lk * lk, 1.0 - qk))
-    if denom <= 0.0:
-        raise PreconditionError(
-            "all component concentrations equal 1: the shape diverges"
-        )
-    return lam / math.sqrt(denom)
+    return _classical_shape(
+        lam, lam_k, 1.0 - np.asarray(q_k, dtype=float), "Q_k",
+        "all component concentrations equal 1",
+    )
 
 
 def shape_esseen(lam: float, lam_k: Sequence[float], m_k: Sequence[float]) -> float:
     """lambda * (sum lambda_k^2 M_k(lambda_k))^(-1/2); refines Kolmogorov-Rogozin."""
-    lk = np.asarray(lam_k, dtype=float)
-    mk = np.asarray(m_k, dtype=float)
-    if lk.size == 0 or lk.size != mk.size:
-        raise ValueError("lambda_k and M_k must be nonempty and aligned")
-    if np.any(lk <= 0) or np.any(lk > lam * (1 + 1e-12)):
-        raise ValueError("each lambda_k must lie in (0, lambda]")
-    denom = float(np.dot(lk * lk, mk))
-    if denom <= 0.0:
-        raise PreconditionError("all spread functionals vanish: the shape diverges")
-    return lam / math.sqrt(denom)
+    return _classical_shape(
+        lam, lam_k, np.asarray(m_k, dtype=float), "M_k",
+        "all spread functionals vanish",
+    )
 
 
 def shape_vershynin(L: float, D: float) -> float:
@@ -411,17 +414,17 @@ def check_smoothing_identities(
     y: float,
     gamma: float,
     t_grid: Sequence[float],
-    rtol: float = 1e-11,
 ) -> GadgetReport:
     """Scale identity H_{z,gamma}(t) = H_{y,gamma}(z t / y) and power identity
-    H_{z,gamma} = H_{z,1}^gamma, checked to floating-point accuracy."""
+    H_{z,gamma} = H_{z,1}^gamma, checked to floating-point accuracy (relative
+    error 1e-11)."""
     ts = np.asarray(t_grid, dtype=float)
     base = smoothing_cf(a, z, gamma, ts)
     rescaled = smoothing_cf(a, y, gamma, z * ts / y)
     powered = smoothing_cf(a, z, 1.0, ts) ** gamma
     err = np.maximum(np.abs(base - rescaled), np.abs(base - powered))
     scale = np.maximum(np.abs(base), 1e-300)
-    return _worst_margin(ts, -(err / scale), slack=rtol)
+    return _worst_margin(ts, -(err / scale), slack=1e-11)
 
 
 def check_smoothing_lattice_bound(

@@ -172,10 +172,8 @@ def cmd_verify(args) -> int:
     else:
         if args.family == "sparse":
             fam = gen_sparse_family(s_list, p_list=p_list, perturbed=args.perturbed)
-        elif args.family == "equal_weight":
-            fam = gen_equal_weight_family(s_list, p_list=p_list)
         else:
-            raise PreconditionError(f"unknown family {args.family!r}")
+            fam = gen_equal_weight_family(s_list, p_list=p_list)
         rep = calibrate_upper(args.bound, fam, args.L, n_eps=args.n_eps)
         payload = {"kind": "calibration", "seed": args.seed, **rep.to_json()}
     _emit(payload, args.out)

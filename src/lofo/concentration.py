@@ -192,11 +192,9 @@ def weighted_sum_dist(
     """
     if not budget > 0:
         raise ValueError("budget must be positive")
-    weights = a.coords[a.coords != 0.0]
-    if weights.size == 0:
-        return FiniteDist.point_mass(0.0)
+    weights = a.coords[a.coords != 0.0]  # nonempty: a WeightVector is nonzero
     if weights.size == 1:
-        return f.scaled(float(weights[0]))
+        return FiniteDist(float(weights[0]) * f.atoms, f.masses)
 
     x0 = float(f.atoms[0])
     grid = _lattice(f.atoms, x0, (budget - 1) // weights.size)

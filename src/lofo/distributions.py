@@ -164,12 +164,6 @@ class FiniteDist:
             return False
         return bool(np.all(np.abs(p - p[::-1]) <= MASS_TOL))
 
-    def scaled(self, c: float) -> "FiniteDist":
-        """Law of c*X."""
-        if c == 0.0:
-            return FiniteDist.point_mass(0.0)
-        return FiniteDist(c * self.atoms, self.masses)
-
     def __repr__(self) -> str:
         return f"FiniteDist({self.n_atoms} atoms on [{self.atoms[0]:g}, {self.atoms[-1]:g}])"
 

@@ -8,6 +8,11 @@ extended.  Lower bounds are checked against frozen minimum ratios the same
 way.  Exact Q values are used wherever a finite law permits; Monte Carlo
 rows carry their error radii.
 
+Each precondition is checked by the function that owns it, not here: an
+excluded instance is one whose solver or shape raises PreconditionError
+(the crossover recipe's ``solve_tau0`` when L^2 <= 1/P), and the family
+generators reject sizes below 1 and the Bernoulli law a p outside (0, 1).
+
 Reports are plain dataclasses with ``rows`` (one dict per evaluated
 instance/window pair) so they render to CSV directly.  A report's JSON
 object is its fields, by name: ``to_json`` reads them from the dataclass.
@@ -44,7 +49,6 @@ from .distributions import (
     FiniteDist,
     _Record,
     _m_finite,
-    atom_survival,
     m_functional,
     symmetrize,
 )
@@ -63,7 +67,8 @@ class Instance:
     id: str
     weights: WeightVector
     law: FiniteDist
-    params: dict
+    s: int
+    p: float
 
 
 @dataclass(frozen=True)
@@ -84,9 +89,11 @@ def gen_sparse_family(
     ``perturbed=True`` replaces the zero tail by eta = s^-3, small enough that
     the weighted sum and its least common denominator stay within the
     unperturbed brackets; s = n has no tail and is skipped.  n defaults to
-    max(s_list).
+    max(s_list).  Every s must be at least 1.
     """
     s_list = [int(s) for s in s_list]
+    if any(s < 1 for s in s_list):
+        raise ValueError(f"every s in --s-list must be at least 1; got {min(s_list)}")
     n = max(s_list) if n is None else int(n)
     if any(s > n for s in s_list):
         raise ValueError("every s must satisfy s <= n")
@@ -106,7 +113,8 @@ def gen_sparse_family(
                     id=tag,
                     weights=WeightVector(coords),
                     law=FiniteDist.bernoulli(p),
-                    params={"s": s, "p": p, "perturbed": perturbed, "n": n},
+                    s=s,
+                    p=p,
                 )
             )
     return InstanceFamily(
@@ -118,7 +126,12 @@ def gen_sparse_family(
 def gen_equal_weight_family(
     n_list: Sequence[int], p_list: Sequence[float] = (0.5,)
 ) -> InstanceFamily:
-    """Dense n^(-1/2)-weight vectors: the no-structure baseline corpus."""
+    """Dense n^(-1/2)-weight vectors: the no-structure baseline corpus.
+
+    Every n must be at least 1.
+    """
+    if any(n < 1 for n in n_list):
+        raise ValueError(f"every s in --s-list must be at least 1; got {min(n_list)}")
     return InstanceFamily(
         id="equal_weight",
         instances=tuple(
@@ -126,7 +139,8 @@ def gen_equal_weight_family(
                 id=f"equal_n{n}_p{p:g}",
                 weights=WeightVector(np.full(n, n**-0.5)),
                 law=FiniteDist.bernoulli(p),
-                params={"s": n, "p": p, "perturbed": False, "n": n},
+                s=n,
+                p=p,
             )
             for n in n_list
             for p in p_list
@@ -155,23 +169,22 @@ class CalibrationReport(_Record):
 
 
 def _crossover_rows(inst: Instance, L: float, n_eps: int):
-    p = inst.params["p"]
     g = symmetrize(inst.law)
-    p_surv = atom_survival(g)
-    if L * L <= 1.0 / p_surv:
-        return None  # precondition fails: excluded, counted by caller
-    root = solve_tau0(g, L)
+    try:
+        root = solve_tau0(g, L)
+    except PreconditionError:
+        return None  # no crossover scale (L^2 <= 1/P): excluded, counted by caller
     dstar = lcd_search(inst.weights, L, "d_star", tol=1e-8).value
     fa = weighted_sum_dist(inst.law, inst.weights)
-    eps_grid = np.linspace(0.0, 4.0 * math.sqrt(p * (1.0 - p)), n_eps)
+    eps_grid = np.linspace(0.0, 4.0 * math.sqrt(inst.p * (1.0 - inst.p)), n_eps)
     rows = []
     for eps, q_val in zip(eps_grid, _window_sup(fa.atoms, fa.masses, eps_grid)):
         shape = shape_crossover(inst.weights, g, L, float(eps), dstar, root=root)
         rows.append(
             {
                 "instance": inst.id,
-                "s": inst.params["s"],
-                "p": p,
+                "s": inst.s,
+                "p": inst.p,
                 "eps": float(eps),
                 "q": q_val,
                 "shape": shape.value,
@@ -189,7 +202,8 @@ def _classical_rows(inst: Instance, L: float, n_eps: int, bound_id: str):
     # i.i.d. summands Y_k = a_k X with windows lambda_k = a_k tau scaled to
     # lambda = ||a||_inf tau; Q and M of a scaled law are scale-covariant.
     # The component values (Q of f, or M of its symmetrization) and Q of the
-    # sum are each fetched for the whole tau grid in one call.
+    # sum are each fetched for the whole tau grid in one call.  A tau whose
+    # component is degenerate (Q = 1, or M = 0: the shape diverges) is skipped.
     a = inst.weights
     f = inst.law
     nz = a.coords[a.coords != 0.0]
@@ -197,26 +211,22 @@ def _classical_rows(inst: Instance, L: float, n_eps: int, bound_id: str):
     taus = np.geomspace(0.25, 4.0, n_eps)
     lams = a.norm_inf * taus
     if bound_id == "kolmogorov_rogozin":
+        shape, degenerate = shape_kolmogorov_rogozin, 1.0
         comps = _window_sup(f.atoms, f.masses, taus)
     else:
+        shape, degenerate = shape_esseen, 0.0
         comps = _m_finite(symmetrize(f), taus)
     q_vals = _window_sup(fa.atoms, fa.masses, lams)
     rows = []
     for tau, lam, comp, q_val in zip(taus, lams.tolist(), comps, q_vals):
-        lam_k = np.abs(nz) * tau
-        if bound_id == "kolmogorov_rogozin":
-            if comp >= 1.0:
-                continue
-            shape_val = shape_kolmogorov_rogozin(lam, lam_k, [comp] * nz.size)
-        else:
-            if comp <= 0.0:
-                continue
-            shape_val = shape_esseen(lam, lam_k, [comp] * nz.size)
+        if comp == degenerate:
+            continue
+        shape_val = shape(lam, np.abs(nz) * tau, [comp] * nz.size)
         rows.append(
             {
                 "instance": inst.id,
-                "s": inst.params["s"],
-                "p": inst.params["p"],
+                "s": inst.s,
+                "p": inst.p,
                 "eps": lam,
                 "q": q_val,
                 "shape": shape_val,
@@ -237,10 +247,13 @@ def calibrate_upper(
 ) -> CalibrationReport:
     """Ratio sweep Q/shape for one bound id over a family.
 
-    Instances violating the bound's precondition are excluded and counted,
-    never scored.  D* is certified to tol 1e-8.  PASS means ratio_sup <=
-    fixture, the bound's frozen constant in ``fixtures.RATIO_SUP``.
+    L must be positive and finite.  An instance whose solver or shape raises
+    PreconditionError is excluded and counted, never scored.  D* is
+    certified to tol 1e-8.  PASS means ratio_sup <= fixture, the bound's
+    frozen constant in ``fixtures.RATIO_SUP``.
     """
+    if not 0 < L < math.inf:
+        raise ValueError("L must be positive and finite")
     if bound_id == "crossover":
         worker = lambda inst: _crossover_rows(inst, L, n_eps)
     elif bound_id in ("kolmogorov_rogozin", "esseen"):
@@ -308,7 +321,8 @@ def check_lower_binomial(
 ) -> LowerBoundReport:
     """Exact Q(F_a, eps) >= c_low * min{(eps + 1/sqrt(s)) / sqrt(p(1-p)), 1}.
 
-    F_a is the rescaled binomial of the s-sparse equal-weight vector.  Also
+    F_a is the rescaled binomial of the s-sparse equal-weight vector, as
+    ``gen_equal_weight_family`` builds it and checks s and p.  Also
     reproduces the derivation chain with explicit constants:
       * two-sigma mass >= 3/4 (Chebyshev, checked exactly: the masses are
         those of the exact law F_a, whose atom k/sqrt(s) carries P(B = k)),
@@ -322,48 +336,48 @@ def check_lower_binomial(
     rows = []
     chebyshev_ok = True
     chain_ok = True
-    for s in s_list:
-        for p in p_list:
-            sig = math.sqrt(p * (1.0 - p))
-            w = s**-0.5
-            fa = weighted_sum_dist(FiniteDist.bernoulli(p), WeightVector(np.full(s, w)))
-            # Chebyshev step: mass within 2 * sd(B) of the mean, exactly.  The
-            # atom w * k of fa carries the binomial mass P(B = k).
-            sd_b = math.sqrt(s * p * (1.0 - p))
-            k = np.rint(fa.atoms / w)
-            inside = np.abs(k - s * p) < 2.0 * sd_b
-            mass2sd = float(np.sum(fa.masses[inside]))
-            if mass2sd < 0.75:
-                chebyshev_ok = False
-            # Every Q of fa in one sweep: the 4 sigma and zero windows, the
-            # chain grid (fetched whether or not the chain applies) and the rows.
-            chain = np.linspace(1e-6, 4.0 * sig, 8)
-            eps_grid = np.linspace(0.0, 4.0 * sig, n_eps)
-            q_4sig, q0, *q_vals = _window_sup(
-                fa.atoms, fa.masses, np.concatenate(([4.0 * sig, 0.0], chain, eps_grid))
-            )
-            q_chain, q_rows = q_vals[: chain.size], q_vals[chain.size :]
-            if q_4sig < 0.75:
-                chain_ok = False
-            if s * p * (1.0 - p) > 1.0:
-                for eps, q_val in zip(chain, q_chain):
-                    if q_val < (3.0 / 32.0) * eps / sig - 1e-12:
-                        chain_ok = False
-                if q0 < (3.0 / 64.0) / sd_b - 1e-12:
+    for inst in gen_equal_weight_family(s_list, p_list).instances:
+        s, p = inst.s, inst.p
+        sig = math.sqrt(p * (1.0 - p))
+        w = s**-0.5
+        fa = weighted_sum_dist(inst.law, inst.weights)
+        # Chebyshev step: mass within 2 * sd(B) of the mean, exactly.  The
+        # atom w * k of fa carries the binomial mass P(B = k).
+        sd_b = math.sqrt(s * p * (1.0 - p))
+        k = np.rint(fa.atoms / w)
+        inside = np.abs(k - s * p) < 2.0 * sd_b
+        mass2sd = float(np.sum(fa.masses[inside]))
+        if mass2sd < 0.75:
+            chebyshev_ok = False
+        # Every Q of fa in one sweep: the 4 sigma and zero windows, the
+        # chain grid (fetched whether or not the chain applies) and the rows.
+        chain = np.linspace(1e-6, 4.0 * sig, 8)
+        eps_grid = np.linspace(0.0, 4.0 * sig, n_eps)
+        q_4sig, q0, *q_vals = _window_sup(
+            fa.atoms, fa.masses, np.concatenate(([4.0 * sig, 0.0], chain, eps_grid))
+        )
+        q_chain, q_rows = q_vals[: chain.size], q_vals[chain.size :]
+        if q_4sig < 0.75:
+            chain_ok = False
+        if s * p * (1.0 - p) > 1.0:
+            for eps, q_val in zip(chain, q_chain):
+                if q_val < (3.0 / 32.0) * eps / sig - 1e-12:
                     chain_ok = False
-            for eps, q_val in zip(eps_grid, q_rows):
-                form = shape_bernoulli_min(float(eps), math.sqrt(s), p)
-                rows.append(
-                    {
-                        "s": s,
-                        "p": p,
-                        "eps": float(eps),
-                        "q": q_val,
-                        "min_form": form,
-                        "ratio": q_val / form,
-                        "mass_two_sigma": mass2sd,
-                    }
-                )
+            if q0 < (3.0 / 64.0) / sd_b - 1e-12:
+                chain_ok = False
+        for eps, q_val in zip(eps_grid, q_rows):
+            form = shape_bernoulli_min(float(eps), math.sqrt(s), p)
+            rows.append(
+                {
+                    "s": s,
+                    "p": p,
+                    "eps": float(eps),
+                    "q": q_val,
+                    "min_form": form,
+                    "ratio": q_val / form,
+                    "mass_two_sigma": mass2sd,
+                }
+            )
     c_obs = min(r["ratio"] for r in rows)
     passed = chebyshev_ok and chain_ok and c_obs >= fixtures.BINOMIAL_LOWER_C
     return LowerBoundReport(

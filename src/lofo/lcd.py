@@ -262,11 +262,10 @@ def _first_crossing(
                     if _dist_point(tp, abs_a) < thr(tp):
                         found = tp
                         break
-            if found is None and dv < tv:
-                found = v
+            # A v below its threshold is already the witness: no gap.
             if found is not None:
                 witness = found
-            else:
+            elif witness > v:
                 gaps.append((u, v))
                 frontier = v
             continue
@@ -417,9 +416,9 @@ def lcd(
             "no crossing found below the search horizon; this contradicts the "
             "horizon guarantee and indicates a numerical problem"
         )
-    relevant_gaps = [g for g in gaps if g[0] < witness]
-    bracket_left = min((g[0] for g in relevant_gaps), default=frontier)
-    bracket_left = min(bracket_left, witness)
+    # The walk goes left first, so every gap lies left of the witness, the
+    # first gap is the leftmost, and the frontier never passes the witness.
+    bracket_left = gaps[0][0] if gaps else frontier
     return LcdResult(
         value=bracket_left,
         error_radius=witness - bracket_left,
@@ -429,7 +428,7 @@ def lcd(
         t_start=t_lo,
         t_max=t_hi,
         n_evals=n_evals,
-        gaps=tuple(relevant_gaps),
+        gaps=tuple(gaps),
     )
 
 

@@ -419,3 +419,51 @@ def test_tau0_gaussian_matches_frozen_output():
         root = solve_tau0(AnalyticDist.gaussian(sigma), L)
         assert (root.tau0, root.iterations) == (tau0, iterations)
         assert root.method == "bisection_quadrature" and root.residual <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# Argument checks on outside input
+# ---------------------------------------------------------------------------
+
+
+def _crossover_at(eps, dstar):
+    g = symmetrize(FiniteDist.bernoulli(0.5))
+    return shape_crossover(WeightVector([1.0]), g, 2.0, eps, dstar)
+
+
+@pytest.mark.parametrize("call,exc,message", [
+    (lambda: shape_kolmogorov_rogozin(1.0, [], []), ValueError,
+     "lambda_k and Q_k must be nonempty and aligned"),
+    (lambda: shape_kolmogorov_rogozin(1.0, [0.5, 1.0], [0.3]), ValueError,
+     "lambda_k and Q_k must be nonempty and aligned"),
+    (lambda: shape_kolmogorov_rogozin(1.0, [0.0], [0.3]), ValueError,
+     "each lambda_k must lie in (0, lambda]"),
+    (lambda: shape_kolmogorov_rogozin(1.0, [0.5], [1.0]), PreconditionError,
+     "all component concentrations equal 1: the shape diverges"),
+    (lambda: shape_esseen(1.0, [0.5], [0.3, 0.4]), ValueError,
+     "lambda_k and M_k must be nonempty and aligned"),
+    (lambda: shape_esseen(1.0, [2.0], [0.3]), ValueError,
+     "each lambda_k must lie in (0, lambda]"),
+    (lambda: shape_esseen(1.0, [0.5], [0.0]), PreconditionError,
+     "all spread functionals vanish: the shape diverges"),
+    (lambda: shape_vershynin(0.0, 2.0), ValueError, "L and D must be positive"),
+    (lambda: shape_vershynin(2.0, math.nan), ValueError, "L and D must be positive"),
+    (lambda: shape_lcd(2.0, -1.0, 0.5), ValueError, "D and ||a|| must be positive"),
+    (lambda: shape_lcd(2.0, 1.0, 0.0), PreconditionError, "spread functional must lie in (0, 1]"),
+    (lambda: shape_lcd_unit(0.0, 0.5), ValueError, "D and ||a|| must be positive"),
+    (lambda: shape_no_arithmetic(0.0, 1.0, 0.5), ValueError, "norms must be positive"),
+    (lambda: shape_no_arithmetic(0.5, 1.0, 1.5), PreconditionError,
+     "spread functional must lie in (0, 1]"),
+    (lambda: shape_bernoulli_min(-0.1, 2.0, 0.5), ValueError,
+     "need eps >= 0, dstar > 0, p in (0, 1)"),
+    (lambda: shape_bernoulli_min(0.1, 2.0, 1.0), ValueError,
+     "need eps >= 0, dstar > 0, p in (0, 1)"),
+    (lambda: _crossover_at(-0.1, 2.0), ValueError, "eps must be nonnegative"),
+    (lambda: _crossover_at(0.1, 0.0), ValueError, "dstar must be positive"),
+    (lambda: smoothing_cf(WeightVector([1.0]), 1.0, 0.0, 0.5), ValueError,
+     "gamma must be positive"),
+])
+def test_bounds_input_checks(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert type(info.value) is exc and str(info.value).startswith(message)

@@ -312,6 +312,76 @@ def test_cli_verify_binomial_lower(tmp_path):
     assert payload["passed"] is True
 
 
+@pytest.mark.parametrize("method,dist,message", [
+    ("exact", {"type": "gaussian", "sigma": 1.0},
+     "exact concentration needs a finite distribution"),
+    ("closed-form", {"type": "stable", "alpha": 1.5},
+     "closed-form concentration needs a gaussian law"),
+])
+def test_cli_q_method_needs_its_law(method, dist, message, unit_weight_file, tmp_path, capsys):
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(dist))
+    rc = main(["q", "--dist", str(path), "--weights", unit_weight_file, "--lambda", "1",
+               "--method", method])
+    assert rc == 1
+    _one_line_failure(capsys, "precondition violated: " + message)
+
+
+@pytest.mark.parametrize("bound,family", [
+    ("crossover", "sparse"),
+    ("crossover", "equal_weight"),
+    ("kolmogorov_rogozin", "sparse"),
+    ("esseen", "equal_weight"),
+    ("binomial_lower", "sparse"),
+])
+def test_cli_verify_rejects_size_zero(bound, family, capsys):
+    # 0 ** -0.5 used to raise ZeroDivisionError; the family generators own the size check.
+    rc = main(["verify", "--bound", bound, "--family", family, "--s-list", "0"])
+    assert rc == 1
+    _one_line_failure(capsys, "precondition violated: every s in --s-list must be at least 1")
+
+
+def test_cli_verify_crossover_without_atom_survival_is_excluded(tmp_path, capsys):
+    # Bernoulli(1e-300) symmetrizes to P = 0 after rounding: no crossover scale,
+    # so the instance is excluded (the harness used to divide by P).
+    rc = main(["verify", "--bound", "crossover", "--p-list", "1e-300"])
+    assert rc == 1
+    _one_line_failure(
+        capsys, "precondition violated: no instance satisfied the bound preconditions"
+    )
+    out = tmp_path / "rep.json"
+    rc = main(["verify", "--bound", "crossover", "--p-list", "1e-300,0.5", "--s-list", "4",
+               "--n-eps", "4", "--out", str(out)])
+    assert rc == 0
+    payload = json.loads(out.read_text())
+    assert payload["n_excluded"] == 1
+    assert {row["p"] for row in payload["rows"]} == {0.5}
+
+
+def test_cli_verify_binomial_lower_names_bernoulli_parameter(capsys):
+    rc = main(["verify", "--bound", "binomial_lower", "--p-list", "1.5"])
+    assert rc == 1
+    _one_line_failure(capsys, "precondition violated: bernoulli parameter must lie in (0, 1)")
+
+
+@pytest.mark.parametrize("bound", ["crossover", "kolmogorov_rogozin", "esseen"])
+@pytest.mark.parametrize("L", ["nan", "-2", "0", "inf"])
+def test_cli_verify_rejects_bad_L_before_the_sweep(bound, L, capsys):
+    rc = main(["verify", "--bound", bound, "--L", L, "--s-list", "4", "--p-list", "0.5"])
+    assert rc == 1
+    _one_line_failure(capsys, "precondition violated: L must be positive and finite")
+
+
+def test_cli_verify_crossover_overflowing_L_excludes_every_instance(capsys):
+    # 1/L^2 rounds to 0, so solve_tau0 finds no crossover scale for any instance.
+    rc = main(["verify", "--bound", "crossover", "--L", "1e200", "--s-list", "4",
+               "--p-list", "0.5"])
+    assert rc == 1
+    _one_line_failure(
+        capsys, "precondition violated: no instance satisfied the bound preconditions"
+    )
+
+
 _IMPORT_GRAPH = """
 import json, sys
 def scipy_modules():
@@ -602,7 +672,7 @@ def test_cli_infinite_analytic_scale_is_precondition(dist, unit_weight_file, tmp
 
 
 _NUMBERS = ["nan", "inf", "-inf", "0", "-1", "0.5", "2", "3"]
-_LISTS = ["0.5,1", "x", "", "4", "nan", "4,8", "-1", "inf"]
+_LISTS = ["0.5,1", "x", "", "4", "nan", "4,8", "-1", "inf", "0", "1e-300"]
 
 
 @pytest.fixture(scope="module")

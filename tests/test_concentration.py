@@ -472,3 +472,32 @@ def test_esseen_matches_frozen_output(seed):
     a = WeightVector(rng.uniform(0.2, 1.0, 4))
     for lam in (0.1, 1.0, 10.0):
         assert esseen_integral(g, a, lam) == GOLDEN_ESSEEN[(seed, lam)]
+
+
+# ---------------------------------------------------------------------------
+# Argument checks on outside input
+# ---------------------------------------------------------------------------
+
+
+def _raw_cap_convolve():
+    # 5,000 x 4,000 outer-sum entries pass the 2^24 raw cap before any allocation.
+    current = FiniteDist.uniform_on(np.arange(5000.0))
+    return concentration._convolve(current, np.arange(4000.0) * 1e-4, np.full(4000, 1 / 4000),
+                                   DEFAULT_BUDGET)
+
+
+@pytest.mark.parametrize("call,exc,message", [
+    (lambda: esseen_integral(FiniteDist.bernoulli(0.5), WeightVector([1.0]), 0.0), ValueError,
+     "lambda must be positive"),
+    (lambda: esseen_integral(FiniteDist.bernoulli(0.5), WeightVector([1.0]), math.nan),
+     ValueError, "lambda must be positive"),
+    (lambda: esseen_integral(FiniteDist.bernoulli(0.5), WeightVector([1.0]), 1.0, tol=0.0),
+     ValueError, "tol must be positive"),
+    (lambda: weighted_sum_dist(FiniteDist.bernoulli(0.5), WeightVector([1.0]), budget=0),
+     ValueError, "budget must be positive"),
+    (_raw_cap_convolve, CapacityError, "support size 20000000 exceeds budget"),
+])
+def test_concentration_input_checks(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert type(info.value) is exc and str(info.value).startswith(message)

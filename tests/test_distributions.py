@@ -341,3 +341,41 @@ def test_mixture_rejects_bad_r():
         mixture_decompose(g, r=1.0)
     with pytest.raises(ValueError):
         mixture_decompose(g, r=1.5)
+
+
+# ---------------------------------------------------------------------------
+# Argument checks on outside input
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("call,exc,message", [
+    (lambda: FiniteDist([], []), ValueError, "atoms and masses must be nonempty and aligned"),
+    (lambda: FiniteDist([0.0, 1.0], [1.0]), ValueError,
+     "atoms and masses must be nonempty and aligned"),
+    (lambda: FiniteDist([0.0, math.nan], [0.5, 0.5]), ValueError, "atoms must be finite"),
+    (lambda: FiniteDist([0.0, math.inf], [0.5, 0.5]), ValueError, "atoms must be finite"),
+    (lambda: FiniteDist([0.0, 1.0], [-0.5, 1.5]), ValueError, "masses must be nonnegative"),
+    (lambda: FiniteDist([0.0, 1.0], [0.0, 0.0]), ValueError, "distribution has no mass"),
+    (lambda: FiniteDist([0.0, 1.0], [0.3, 0.3]), ValueError, "masses sum to 0.6"),
+    (lambda: FiniteDist.bernoulli(0.0), ValueError, "bernoulli parameter must lie in (0, 1)"),
+    (lambda: FiniteDist.bernoulli(1.5), ValueError, "bernoulli parameter must lie in (0, 1)"),
+    (lambda: FiniteDist.bernoulli(math.nan), ValueError,
+     "bernoulli parameter must lie in (0, 1)"),
+    (lambda: AnalyticDist.stable(0.0), ValueError, "stable exponent must lie in (0, 2]"),
+    (lambda: AnalyticDist.stable(2.5), ValueError, "stable exponent must lie in (0, 2]"),
+    (lambda: AnalyticDist.stable(1.5, 0.0), ValueError, "stable scale must be positive and finite"),
+    (lambda: m_functional(symmetrize(FiniteDist.bernoulli(0.5)), 0.0), ValueError,
+     "tau must be positive"),
+    (lambda: m_functional(AnalyticDist.gaussian(1.0), math.nan), ValueError,
+     "tau must be positive"),
+    (lambda: mixture_decompose(FiniteDist.bernoulli(0.3)), ValueError,
+     "mixture decomposition needs a symmetric finite law"),
+    (lambda: mixture_decompose(AnalyticDist.gaussian(1.0)), ValueError,
+     "mixture decomposition needs a symmetric finite law"),
+    (lambda: mixture_decompose(symmetrize(FiniteDist.bernoulli(0.3)), r=1.5), ValueError,
+     "annulus ratio r must lie in (1, sqrt(2)]"),
+])
+def test_distributions_input_checks(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert type(info.value) is exc and str(info.value).startswith(message)

@@ -326,3 +326,33 @@ def test_piecewise_tau0_many_targets_match_one_at_a_time():
         assert roots == [_piecewise_tau0(u, w, [m])[0] for m in targets] == list(taus)
         root = solve_tau0(AnalyticDist.stable(alpha, 2.0), grid[2], n_samples=20_000, seed=5)
         assert root.tau0 == roots[2]
+
+
+# ---------------------------------------------------------------------------
+# Argument checks on outside input
+# ---------------------------------------------------------------------------
+
+
+_FAMILY = gen_sparse_family([4], p_list=[0.5])
+
+
+@pytest.mark.parametrize("call,exc,message", [
+    (lambda: rows_to_csv([], "unused.csv"), ValueError, "no rows to render"),
+    (lambda: gen_sparse_family([0, 4]), ValueError, "every s in --s-list must be at least 1"),
+    (lambda: gen_sparse_family([8], n=4), ValueError, "every s must satisfy s <= n"),
+    (lambda: gen_equal_weight_family([-1]), ValueError, "every s in --s-list must be at least 1"),
+    (lambda: gen_equal_weight_family([4], p_list=[1.5]), ValueError,
+     "bernoulli parameter must lie in (0, 1)"),
+    (lambda: check_lower_binomial([4], [1.5]), ValueError,
+     "bernoulli parameter must lie in (0, 1)"),
+    (lambda: calibrate_upper("esseen", _FAMILY, math.nan), ValueError,
+     "L must be positive and finite"),
+    (lambda: calibrate_upper("kolmogorov_rogozin", _FAMILY, -2.0), ValueError,
+     "L must be positive and finite"),
+    (lambda: calibrate_upper("vershynin", _FAMILY, 2.0), ValueError,
+     "no calibration recipe for bound id 'vershynin'"),
+])
+def test_harness_input_checks(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert type(info.value) is exc and str(info.value).startswith(message)

@@ -709,3 +709,21 @@ def test_clearance_floor_probes_a_few_ulps_apart_count_once(monkeypatch):
     points = scalar + batched
     assert len(set(points)) == len(points)
     assert rep.n_evals == 65
+
+
+# ---------------------------------------------------------------------------
+# Argument checks on outside input
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("call,exc,message", [
+    (lambda: f_threshold(0.0, 1.0), ValueError, "t and L must be positive"),
+    (lambda: f_threshold(1.0, -1.0), ValueError, "t and L must be positive"),
+    (lambda: f_threshold(math.nan, 1.0), ValueError, "t and L must be positive"),
+    (lambda: log_plus_threshold(-1.0, 1.0), ValueError, "t and L must be positive"),
+    (lambda: log_plus_threshold(1.0, 0.0), ValueError, "t and L must be positive"),
+])
+def test_lcd_input_checks(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert type(info.value) is exc and str(info.value).startswith(message)
