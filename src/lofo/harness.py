@@ -77,6 +77,16 @@ class InstanceFamily:
     instances: tuple
 
 
+def _check_lists(s_list: Sequence[int], p_list: Sequence[float]) -> None:
+    """The family generators' list checks, in the terms of ``verify``'s flags."""
+    if not s_list:
+        raise ValueError("--s-list must name at least one s")
+    if not p_list:
+        raise ValueError("--p-list must name at least one p")
+    if any(s < 1 for s in s_list):
+        raise ValueError(f"every s in --s-list must be at least 1; got {min(s_list)}")
+
+
 def gen_sparse_family(
     s_list: Sequence[int],
     n: Optional[int] = None,
@@ -89,11 +99,10 @@ def gen_sparse_family(
     ``perturbed=True`` replaces the zero tail by eta = s^-3, small enough that
     the weighted sum and its least common denominator stay within the
     unperturbed brackets; s = n has no tail and is skipped.  n defaults to
-    max(s_list).  Every s must be at least 1.
+    max(s_list).  Both lists must be nonempty and every s at least 1.
     """
     s_list = [int(s) for s in s_list]
-    if any(s < 1 for s in s_list):
-        raise ValueError(f"every s in --s-list must be at least 1; got {min(s_list)}")
+    _check_lists(s_list, p_list)
     n = max(s_list) if n is None else int(n)
     if any(s > n for s in s_list):
         raise ValueError("every s must satisfy s <= n")
@@ -128,10 +137,9 @@ def gen_equal_weight_family(
 ) -> InstanceFamily:
     """Dense n^(-1/2)-weight vectors: the no-structure baseline corpus.
 
-    Every n must be at least 1.
+    Both lists must be nonempty and every n at least 1.
     """
-    if any(n < 1 for n in n_list):
-        raise ValueError(f"every s in --s-list must be at least 1; got {min(n_list)}")
+    _check_lists(n_list, p_list)
     return InstanceFamily(
         id="equal_weight",
         instances=tuple(

@@ -25,27 +25,30 @@ crossing" are skipped wholesale; the remainder is bisected down to a width
 floor, yielding a bracket [frontier, witness] around the infimum together
 with a point where the defining strict inequality is demonstrated.
 
-Cost model: time ~ evals x (c_dist(n) + c_thr) + levels x c_level
-+ walk nodes x c_loop, with evals ~ D* / (mean certified width); D* grows
-like exp(c n / L^2) for dense random vectors.  The search is a depth-first
-walk whose stack entries carry endpoint distances and thresholds, so no
-point is evaluated or thresholded twice.  The evaluation count is therefore
-a running integer, and the scan's memory is its stack (one entry per
-bisection level) plus the distances an aborted resolve computed ahead of
-the walk, not one entry per evaluation: under 1 MB traced at 100,000
-evaluations, where a set of the evaluated points took 8 MB.  A node that
-fails the cone and is 8 to 4096 times as wide as the last certified node has its whole subtree
+Cost model: time ~ evals x c_dist(n) + levels x c_level + walk nodes x
+c_loop, with evals ~ D* / (mean certified width); D* grows like
+exp(c n / L^2) for dense random vectors.  The search is a depth-first walk
+whose stack entries carry endpoint distances and thresholds, so no point is
+evaluated or thresholded twice.  The evaluation count is therefore a running
+integer, and the scan's memory is its stack (one entry per bisection level)
+plus the distances an aborted resolve computed ahead of the walk, not one
+entry per evaluation: under 1 MB traced at 100,000 evaluations, where a set
+of the evaluated points took 8 MB.  A node that fails the cone and is 8 to
+4096 times as wide as the last certified node has its whole subtree
 resolved one bisection level at a time: the midpoints of a level take one
-batched distance call (in blocks of 32 rows; c_dist ~ 1.25 us per point at
-n ~ 512 on a 2-vCPU x86 host), the thresholds one scalar call each
-(c_thr ~ 0.8 us there), and the cone test runs on arrays.  If every leaf certifies, the subtree is committed at
-once; a level with a witness, a node at the width floor or more than 4096
-nodes aborts the resolve, and the walk takes that subtree one node at a time
-(c_loop, a few float comparisons, plus one unbatched distance call where no
-resolve computed it).  On dense random vectors at n ~ 512 resolves cover
-about 95% of the points and abort once per scan, at the crossing.  The
-resolve visits the points the walk would visit and makes its comparisons, so
-it changes no output bit, the count of evaluations included.
+batched distance call (in blocks of 32 rows; c_dist ~ 1.0 us per point at
+n ~ 512 on a 2-vCPU x86 host) and one array threshold call (about 0.01 us
+per point, against 0.45 us for the scalar closure), and the cone test runs
+on arrays, screened so that every decision is the closure's; c_level, the
+few dozen numpy calls of a level, is about 50 us there.  If every leaf
+certifies, the subtree is committed at once; a level with a witness, a node
+at the width floor or more than 4096 nodes aborts the resolve, and the walk
+takes that subtree one node at a time (c_loop, a few float comparisons and
+one scalar threshold, plus one unbatched distance call where no resolve
+computed it).  On dense random vectors at n ~ 512 resolves cover about 95%
+of the points and abort once per scan, at the crossing.  The resolve visits
+the points the walk would visit and makes its comparisons, so it changes no
+output bit, the count of evaluations included.
 """
 
 from __future__ import annotations
@@ -76,13 +79,16 @@ def _dist_rows(ts: np.ndarray, abs_a: np.ndarray) -> np.ndarray:
 
     Per coordinate d_k = |t||a_k| - floor(|t||a_k| + 0.5), the signed offset
     from the nearest integer (half away from zero; |d_k| is the same for
-    either nearest integer).  Row norms go through matmul of 1 x n by n x 1,
-    which sums in np.dot's order for every row (einsum does not), so each
-    entry equals _dist_point bit for bit.
+    either nearest integer).  The products |t||a_k| of a block come from an
+    outer-product einsum, one rounded product per entry as in _dist_point;
+    at n ~ 512 it costs about 0.6x the broadcast [:, None] * for 16 rows or
+    more, and about 1.5 us more per call below 8 rows.  Row norms go through
+    matmul of 1 x n by n x 1, which sums in np.dot's order for every row (a
+    summing einsum does not), so each entry equals _dist_point bit for bit.
     """
     out = np.empty(ts.size)
     for s in range(0, ts.size, _ROW_BLOCK):
-        D = np.abs(ts[s:s + _ROW_BLOCK])[:, None] * abs_a
+        D = np.einsum("i,j->ij", np.abs(ts[s:s + _ROW_BLOCK]), abs_a)
         D -= np.floor(D + 0.5)
         out[s:s + _ROW_BLOCK] = np.sqrt(np.matmul(D[:, None, :], D[:, :, None])).ravel()
     return out
@@ -157,7 +163,12 @@ class LcdResult(_Record):
 def _threshold(variant: str, L: float, norm: float) -> Callable[[float], float]:
     """The scan's threshold in t, without argument checks (the scan only
     visits t > 0): f_threshold(t ||a||, L) for "d_star" and
-    log_plus_threshold(t, L) for "d", which are these closures at norm 1."""
+    log_plus_threshold(t, L) for "d", which are these closures at norm 1.
+
+    The closure is the source of truth.  Its ``array`` attribute takes a 1-D
+    array of t and repeats each step with numpy, so an entry can differ from
+    the closure only through np.log against math.log; _resolve screens those
+    entries (see _THR_MARGIN)."""
     log, sqrt = math.log, math.sqrt
     if variant == "d_star":
         eL = _E * L
@@ -167,10 +178,18 @@ def _threshold(variant: str, L: float, norm: float) -> Callable[[float], float]:
             if u < eL:
                 return u / 6.0
             return L * sqrt(log(u / L))
+
+        def thr_array(ts: np.ndarray) -> np.ndarray:
+            us = ts * norm
+            return np.where(us < eL, us / 6.0, L * np.sqrt(np.log(np.maximum(us, eL) / L)))
     else:
 
         def thr(t: float) -> float:
             return L * sqrt(max(0.0, log(t / L)))
+
+        def thr_array(ts: np.ndarray) -> np.ndarray:
+            return L * np.sqrt(np.maximum(0.0, np.log(ts / L)))
+    thr.array = thr_array
     return thr
 
 
@@ -291,6 +310,35 @@ def _first_crossing(
     return frontier, (None if witness == math.inf else witness), n_evals, gaps
 
 
+# _resolve decides each comparison of a value X (a midpoint's distance or a
+# child's cone) with a threshold T from the array form T_a, except where
+# |X - T_a| <= _THR_MARGIN * T_a: there it takes the closure's T_s.  Every
+# decision is then the closure's.  Proof: both forms apply the same correctly
+# rounded IEEE operations to the same operands (t*norm, u/6, u/L, the branch
+# test, sqrt, the product with L), except np.log against math.log.  If the
+# two logs differ by k ulps, they differ by at most k*2^-52 relatively (both
+# are normal: log(u/L) > 0.99 on the log branch of "d_star", and the
+# resolve's t > L give t/L >= 1 + 2^-52 for "d"); sqrt halves that, and sqrt
+# and the product with L each round by at most 2^-53 in either form.  So
+# |T_a - T_s| <= e*T_s with e = (k/2 + 2)*2^-52, up to terms below 2^-100.
+# Where |X - T_a| > _THR_MARGIN*T_a and e < _THR_MARGIN/(1 + _THR_MARGIN),
+# that is for k up to 896, |T_a - T_s| <= e*T_a/(1 - e) < |X - T_a|: X - T_s
+# is nonzero and has the sign of X - T_a, so < and >= decide alike.  np.log
+# and math.log differ by at most 1 ulp (k = 1) on the x86 host measured,
+# and a threshold of 0 is 0 in both forms, since log keeps its sign.
+_THR_MARGIN = 1e-13
+
+
+def _screen(
+    T: np.ndarray, X: np.ndarray, ts: np.ndarray, thr: Callable[[float], float]
+) -> np.ndarray:
+    """T, the thresholds at ts, with every entry that X comes within
+    _THR_MARGIN of replaced by the closure's value; T is updated in place."""
+    for i in np.flatnonzero(np.abs(X - T) <= _THR_MARGIN * T).tolist():
+        T[i] = thr(float(ts[i]))
+    return T
+
+
 def _resolve(
     u: float,
     v: float,
@@ -306,19 +354,25 @@ def _resolve(
     """Settle the subtree of [u, v], a node that fails the cone, a level at a time.
 
     A level bisects all of its nodes with the walk's own 0.5*(x+y), takes
-    their distances in one _dist_rows call and their thresholds from
-    ``thr`` point by point, and runs the walk's cone expression on both
-    children of every node as arrays; the children that fail make the next
-    level.  If every leaf certifies, the result is the width of the
-    rightmost leaf and the number of midpoints evaluated.  Below a
-    witness-free node at or left of the witness, the depth-first walk would
-    visit exactly these points, make exactly these comparisons, move the
-    frontier to v and end with that certified width.
+    their distances in one _dist_rows call and their thresholds in one
+    ``thr.array`` call (point by point from ``thr`` when it has no array
+    form), and runs the walk's cone expression on both children of every
+    node as arrays; the children that fail make the next level.  Each
+    threshold passes through _screen before its comparison, so every
+    decision is the one ``thr`` makes.  If every leaf certifies, the result
+    is the width of the rightmost leaf and the number of midpoints
+    evaluated.  Below a witness-free node at or left of the witness, the
+    depth-first walk would visit exactly these points, make exactly these
+    comparisons, move the frontier to v and end with that certified width.
+    Thresholds never leave this function.
 
     A level with a midpoint below its threshold (a witness), a node at the
     floor, or more than _RESOLVE_CAP nodes aborts: every distance computed
     goes to ``ahead`` for the walk, and the result is None.
     """
+    thr_array = getattr(thr, "array", None) or (
+        lambda ts: np.fromiter(map(thr, ts.tolist()), float, ts.size)
+    )
     U, V = np.array([u]), np.array([v])
     DU, DV, TV = np.array([du]), np.array([dv]), np.array([tv])
     levels = []
@@ -327,25 +381,25 @@ def _resolve(
         M = 0.5 * (U + V)
         if ((V - U <= floor) | (M <= U) | (M >= V)).any():
             break
-        mids = M.tolist()
         DM = _dist_rows(M, abs_a)
-        levels.append((mids, DM))
-        TM = np.fromiter(map(thr, mids), float, len(mids))
+        levels.append((M, DM))
+        TM = _screen(thr_array(M), DM, M, thr)
         if (DM < TM).any():
             break
         # Left children first, then right ones: the rightmost node of a
         # level stays last until it certifies.
         lo, hi = np.concatenate((U, M)), np.concatenate((M, V))
         dlo, dhi = np.concatenate((DU, DM)), np.concatenate((DM, DV))
-        thi = np.concatenate((TM, TV))
-        fail = ~(0.5 * (dlo + dhi) - half_lip * (hi - lo) >= thi)
+        cone = 0.5 * (dlo + dhi) - half_lip * (hi - lo)
+        thi = _screen(np.concatenate((TM, TV)), cone, hi, thr)
+        fail = ~(cone >= thi)
         if width is None and not fail[-1]:
             width = float(hi[-1] - lo[-1])
         if not fail.any():
-            return width, sum(len(pts) for pts, _ in levels)
+            return width, sum(M.size for M, _ in levels)
         U, V, DU, DV, TV = lo[fail], hi[fail], dlo[fail], dhi[fail], thi[fail]
-    for pts, dists in levels:
-        ahead.update(zip(pts, dists.tolist()))
+    for M, DM in levels:
+        ahead.update(zip(M.tolist(), DM.tolist()))
     return None
 
 

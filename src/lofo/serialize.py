@@ -36,9 +36,7 @@ def dist_to_json(dist: Dist) -> dict:
         }
     if dist.kind == "gaussian":
         return {"type": "gaussian", "sigma": dist.sigma}
-    if dist.kind == "stable":
-        return {"type": "stable", "alpha": dist.alpha, "scale": dist.scale}
-    raise ValueError("user-CF distributions have no file representation")
+    return {"type": "stable", "alpha": dist.alpha, "scale": dist.scale}
 
 
 def dist_from_json(obj: dict) -> Dist:

@@ -341,6 +341,22 @@ def test_cli_verify_rejects_size_zero(bound, family, capsys):
     _one_line_failure(capsys, "precondition violated: every s in --s-list must be at least 1")
 
 
+@pytest.mark.parametrize("flag,item", [("--s-list", "s"), ("--p-list", "p")])
+@pytest.mark.parametrize("bound,family", [
+    ("crossover", "sparse"),
+    ("crossover", "equal_weight"),
+    ("kolmogorov_rogozin", "sparse"),
+    ("esseen", "equal_weight"),
+    ("binomial_lower", "sparse"),
+])
+def test_cli_verify_rejects_empty_list(bound, family, flag, item, capsys):
+    # An empty --s-list used to fail in max() or min() with a message that
+    # named neither the flag nor the condition.
+    rc = main(["verify", "--bound", bound, "--family", family, flag, ""])
+    assert rc == 1
+    _one_line_failure(capsys, f"precondition violated: {flag} must name at least one {item}")
+
+
 def test_cli_verify_crossover_without_atom_survival_is_excluded(tmp_path, capsys):
     # Bernoulli(1e-300) symmetrizes to P = 0 after rounding: no crossover scale,
     # so the instance is excluded (the harness used to divide by P).

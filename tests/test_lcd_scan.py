@@ -318,3 +318,169 @@ def test_tangent_threshold_equals_frozen_scan(mode, depth, floor):
         for name, value in MODES[mode].items():
             mp.setattr(LCD, name, value)
         assert LCD._first_crossing(*args) == expected
+
+
+# ---------------------------------------------------------------------------
+# The threshold screen: a resolve takes its thresholds from the array form
+# and decides every comparison as the scalar closure would
+# ---------------------------------------------------------------------------
+
+# Every array threshold moved 4 ulps one way: more than np.log and math.log
+# differ (at most 1 ulp on the x86 host measured), far less than the margin.
+PUSHES = {"up": math.inf, "down": -math.inf}
+
+
+def _pushed(thr, push):
+    """thr, with its array form moved 4 ulps in direction ``push``."""
+    exact = thr.array
+
+    def array(ts):
+        T = exact(ts)
+        for _ in range(4):
+            T = np.nextafter(T, PUSHES[push])
+        return T
+
+    thr.array = array
+    return thr
+
+
+def _level(value: float):
+    """A constant threshold with an array form."""
+
+    def thr(t: float) -> float:
+        return value
+
+    thr.array = lambda ts: np.full(ts.shape, value)
+    return thr
+
+
+def _push_scan_thresholds(mp, push):
+    threshold = LCD._threshold
+    mp.setattr(LCD, "_threshold", lambda *args: _pushed(threshold(*args), push))
+
+
+@pytest.mark.parametrize("push", sorted(PUSHES))
+@pytest.mark.parametrize("mode", sorted(MODES))
+@settings(max_examples=20, deadline=None)
+@given(
+    spec=vectors,
+    variant=st.sampled_from(["d_star", "d"]),
+    tol=st.sampled_from([1e-3, 1e-6, 1e-8]),
+    scale=st.sampled_from([0.5, 1.0 + 1e-7, 3.0]),
+)
+def test_pushed_array_thresholds_equal_frozen_scan(push, mode, spec, variant, tol, scale):
+    a, L = _draw(spec)
+
+    def call():
+        res = lcd(a, L, variant, tol=tol)
+        D = scale * lcd(a, L, "d_star", tol=tol).witness_t
+        return res.to_json(), verify_lattice_clearance(a, L, D, tol).to_json()
+
+    with pytest.MonkeyPatch.context() as mp:
+        _push_scan_thresholds(mp, push)
+        expected, got = _both(call, mode)
+    assert got == expected
+
+
+@pytest.mark.parametrize("push", sorted(PUSHES))
+def test_long_scan_with_pushed_array_thresholds_equals_frozen_scan(push):
+    v = np.random.default_rng([0, 0]).normal(size=448)
+    a = WeightVector(v / np.linalg.norm(v))
+    with pytest.MonkeyPatch.context() as mp:
+        _push_scan_thresholds(mp, push)
+        expected, got = _both(lambda: lcd(a, 2.0, "d", tol=1e-8).to_json(), "default")
+    assert got == expected
+    assert expected["n_evals"] > 10_000
+
+
+def _tangent_scan(level, push, mode):
+    """The tangent-threshold scan of a = (1, 1/2) over [1/2, 1.9] under a
+    constant threshold, frozen and live with the array form pushed."""
+    args = (np.array([1.0, 0.5]), math.sqrt(1.25), 0.5, 1.9, 1e-6)
+    expected = _oracle_scan(args[0], _level(level), *args[1:])
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in MODES[mode].items():
+            mp.setattr(LCD, name, value)
+        got = LCD._first_crossing(args[0], _pushed(_level(level), push), *args[1:])
+    return expected, got
+
+
+@pytest.mark.parametrize("push", sorted(PUSHES))
+@pytest.mark.parametrize("mode", sorted(MODES))
+@pytest.mark.parametrize("depth", [1e-13, 1e-9, 1e-7])
+def test_tangent_threshold_with_pushed_array_equals_frozen_scan(push, mode, depth):
+    expected, got = _tangent_scan(math.sqrt(0.2) - depth, push, mode)
+    assert got == expected
+
+
+def _tie_level(push):
+    """A level at which one cone of a resolve in the tangent scan ties.
+
+    The right child [m, v] of the node [1.2, v] has cone value X; a resolve
+    tests it in the default mode.  At the level X the child certifies by
+    equality, and pushed up it would fail; at the next float above X it
+    fails, and pushed down it would certify.
+    """
+    abs_a, half_lip = np.array([1.0, 0.5]), 0.5 * math.sqrt(1.25)
+    u, v = 1.2, 1.2013671874999998
+    m = 0.5 * (u + v)
+    dm, dv = LCD._dist_point(m, abs_a), LCD._dist_point(v, abs_a)
+    cone = 0.5 * (dm + dv) - half_lip * (v - m)
+    return cone if push == "up" else float(np.nextafter(cone, math.inf))
+
+
+@pytest.mark.parametrize("push", sorted(PUSHES))
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_tie_with_pushed_array_equals_frozen_scan(push, mode):
+    expected, got = _tangent_scan(_tie_level(push), push, mode)
+    assert got == expected
+
+
+@pytest.mark.parametrize("push", sorted(PUSHES))
+def test_tie_is_decided_by_the_screen(push):
+    """Without the margin the pushed array decides the tie the other way and
+    the scan's count moves, so the tie tests above exercise the screen."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(LCD, "_THR_MARGIN", 0.0)
+        expected, got = _tangent_scan(_tie_level(push), push, "default")
+    assert got[2] != expected[2]
+
+
+def _closure_and_array(variant, L, norm, ts):
+    thr = LCD._threshold(variant, L, norm)
+    return np.array([thr(t) for t in ts.tolist()]), thr.array(ts)
+
+
+def _assert_within_margin(scalar, array):
+    assert np.all(np.abs(array - scalar) <= LCD._THR_MARGIN * array)
+
+
+@pytest.mark.parametrize("L", [0.3, 1.0, 2.0, 7.5])
+@pytest.mark.parametrize("norm", [1.0, 0.7, 3.0])
+def test_array_threshold_matches_closure_around_the_branch_point(L, norm):
+    # 2,001 consecutive floats centred on the t where t * norm reaches e*L.
+    t_branch = math.e * L / norm
+    steps = np.arange(-1000, 1001)
+    ts = t_branch + steps * np.spacing(t_branch)
+    scalar, array = _closure_and_array("d_star", L, norm, ts)
+    below = ts * norm < math.e * L
+    assert below.any() and not below.all()
+    assert np.array_equal(array[below], scalar[below])
+    _assert_within_margin(scalar, array)
+
+
+@pytest.mark.parametrize("L", [0.3, 1.0, 2.0, 7.5])
+def test_log_plus_array_threshold_matches_closure_near_L(L):
+    # L itself and the 2,000 floats above it, where log(t/L) is tiny.
+    ts = L + np.arange(0, 2001) * np.spacing(L)
+    scalar, array = _closure_and_array("d", L, 1.0, ts)
+    assert scalar[0] == array[0] == 0.0
+    assert np.all(scalar[1:] > 0.0)
+    _assert_within_margin(scalar, array)
+
+
+@pytest.mark.parametrize("variant", ["d_star", "d"])
+def test_array_threshold_matches_closure_over_the_scan_range(variant):
+    ts = np.exp(np.random.default_rng(7).uniform(math.log(10.0), math.log(3e6), 100_000))
+    scalar, array = _closure_and_array(variant, 2.0, 1.0, ts)
+    _assert_within_margin(scalar, array)
