@@ -3,10 +3,16 @@
 Q(F, lambda) = sup_x F{[x, x + lambda]} over closed windows.  For a finite
 law the supremum is attained with the window's left edge at an atom, so
 one binary search per left edge for the window's right end over the sorted
-support is exact.  The same window-sweep kernel, applied to a sorted sample
-with uniform weights, is the Monte Carlo estimator; a DKW-style bound
-supplies its certified error radius.  The kernel takes a whole grid of
-window lengths at once, so a calibration sweep of one law is one call.
+support is exact.  The sweep cuts the left edges into blocks of
+_WINDOW_BLOCK = B and searches only the blocks whose upper bound reaches
+the best window mass at a block start, which leaves the maximum's bits as
+they are.  For n atoms that costs n/B + 1 keys per window length for the
+bounds, plus (kept blocks x B) keys, each a log n search; a peaked law
+keeps a few percent of its left edges.  The same window-sweep kernel,
+applied to a sorted sample with uniform weights, is the Monte Carlo
+estimator; a DKW-style bound supplies its certified error radius.  The
+kernel takes a whole grid of window lengths at once, so a calibration sweep
+of one law is one call.
 
 Also here: the exact law of S_a = sum_k a_k X_k from one convolution
 engine (lattice-exact on integer indices when the atoms lie on a lattice
@@ -36,6 +42,8 @@ DEFAULT_BUDGET = 2**22          # coalesced support-size budget for exact paths
 _RAW_PRODUCT_CAP = 2**24        # hard cap on a single outer-sum allocation
 _ROUND_TRIP_ULPS = 4            # width of the lattice round-trip test
 _WINDOW_CHUNK_ENTRIES = 2**18   # cap on one window-sweep key block (2 MiB of float64)
+_WINDOW_BLOCK = 64              # left edges per block of the window-sweep bound
+_WINDOW_MIN_KEYS = 2**14        # smallest chunk of a full sweep that is bounded first
 MC_MIN_SAMPLES = 10_000
 MC_CONFIDENCE = 0.99
 
@@ -100,39 +108,99 @@ def _window_sup(points: np.ndarray, masses: Optional[np.ndarray], lams) -> list[
     hi/n - i/n straight from the index array (at most 1, so the cap, which
     only catches prefix sums of masses rounding past 1, never bites there).
     The lams are taken in chunks so that the (lams, points) key block stays
-    within _WINDOW_CHUNK_ENTRIES entries, and each chunk is one
-    np.searchsorted over the flattened keys; a single lam whose row alone is
-    larger is still taken whole.  Every value has the bits of a one-lam
-    sweep: the keys, searches and differences are elementwise, and a row's
-    max is exact.
+    within _WINDOW_CHUNK_ENTRIES entries; a single lam whose row alone is
+    larger is still taken whole.
 
-    Cost: (len(lams) x n log n) comparisons and one cumsum; beyond the
-    points, cum (or the left edges) and two blocks of the chunk are alive.
+    A chunk whose full sweep would search at least _WINDOW_MIN_KEYS keys is
+    bounded first (see _sweep_pruned); smaller ones, such as every law of up
+    to 257 atoms over 40 lams, would not repay the bound's fixed cost of
+    some 20 numpy calls.  A row that keeps more than 2/3 of its blocks, and
+    every row of a sample that holds a non-finite point, is swept whole as
+    one contiguous slice.  Every value has the bits of a one-lam full sweep:
+    the keys, searches and differences are elementwise, and a row's max is
+    exact.
+
+    Cost, with B = _WINDOW_BLOCK: n/B + 1 keys per lam for the bounds, plus
+    (kept blocks x B) keys, each a log n search, and one cumsum; a row swept
+    whole searches its n keys after the bounds.  Beyond the points, cum (or
+    the left edges) and two blocks of the chunk are alive.
     """
     lams = np.asarray(lams, dtype=float).ravel()
     n = points.size
     uniform = masses is None
-    if not uniform:
+    if uniform:
+        edge_mass = lambda k: k / n
+        left = None
+    else:
         cum = np.concatenate(([0.0], np.cumsum(masses)))
+        edge_mass = cum.take
         left = cum[:n]
+    bounded = n > _WINDOW_BLOCK and math.isfinite(points[0]) and math.isfinite(points[-1])
     out = []
     rows = max(1, _WINDOW_CHUNK_ENTRIES // max(n, 1))
     for lo in range(0, lams.size, rows):
-        keys = np.add.outer(lams[lo : lo + rows], points)
-        hi = np.searchsorted(points, keys.ravel(), side="right").reshape(keys.shape)
-        if uniform:
-            vals = np.divide(hi, n, out=keys)
-            del hi  # the left edges i/n are built without the indices alive
-            if lo == 0:
+        lam = lams[lo : lo + rows]
+        best = np.empty(lam.size)
+        whole = np.arange(lam.size)
+        if bounded and lam.size * n >= _WINDOW_MIN_KEYS:
+            whole = _sweep_pruned(points, edge_mass, lam, best)
+        if whole.size:
+            keys = np.add.outer(lam[whole], points)
+            hi = _right_ends(points, keys)
+            # The window masses reuse the keys; every index is in range.
+            if uniform:
+                vals = np.divide(hi, n, out=keys)
+            else:
+                vals = np.take(cum, hi, out=keys, mode="clip")
+            del hi
+            if left is None:  # a sample's left edges i/n, built without the indices alive
                 left = np.arange(n, dtype=float)
                 left /= n
-        else:
-            del keys
-            vals = cum[hi]
-            del hi
-        vals -= left
-        out += np.minimum(vals.max(axis=1), 1.0).tolist()
+            vals -= left
+            best[whole] = vals.max(axis=1)
+        out += np.minimum(best, 1.0).tolist()
     return out
+
+
+def _right_ends(points: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Index past the last point <= each key, in the shape of ``keys``."""
+    return np.searchsorted(points, keys.ravel(), side="right").reshape(keys.shape)
+
+
+def _sweep_pruned(points: np.ndarray, edge_mass, lam: np.ndarray, best: np.ndarray) -> np.ndarray:
+    """Sweep only the blocks of left edges that may hold a row's maximum.
+
+    The n > B finite left edges are cut into blocks of B = _WINDOW_BLOCK
+    starting at s_b = b B.  Per row, with H_b the right end of s_b and
+    H_nb that of the last edge, block b gets the exact window mass
+    mass(H_b) - mass(s_b) at s_b, a lower bound on the row's maximum, and
+    mass(H_{b+1}) - mass(s_b), which bounds every window mass from the
+    block.  Keys x + lam, right ends, prefix sums of
+    nonnegative masses and IEEE subtraction are all monotone, so that bound
+    dominates the entry of every left edge in the block: the block that
+    holds the maximum reaches the row's best lower bound, is never pruned,
+    and its exact entries give the row's maximum, bit for bit.  The last
+    block is padded with copies of the last edge, a real window mass.
+    Searching the kept blocks costs about 3/2 of a contiguous sweep per key.
+
+    Fills ``best`` for the rows that keep at most 2/3 of their blocks, and
+    returns the indices of the other rows, to be swept whole.
+    """
+    size, last = _WINDOW_BLOCK, points.size - 1
+    starts = np.arange(0, points.size, size)
+    mass = edge_mass(_right_ends(points, np.add.outer(lam, points[np.append(starts, last)])))
+    base = edge_mass(starts)
+    lower = mass[:, :-1] - base
+    keep = mass[:, 1:] - base >= lower.max(axis=1)[:, None]
+    swept_whole = 3 * np.count_nonzero(keep, axis=1) > 2 * starts.size
+    part = np.flatnonzero(~swept_whole)
+    if part.size:
+        r, b = np.nonzero(keep[part])
+        idx = np.minimum(starts[b][:, None] + np.arange(size), last)
+        hi = _right_ends(points, lam[part][r][:, None] + points[idx])
+        vals = (edge_mass(hi) - edge_mass(idx)).max(axis=1)
+        best[part] = np.maximum.reduceat(vals, np.flatnonzero(np.diff(r, prepend=-1)))
+    return np.flatnonzero(swept_whole)
 
 
 def q_exact(f: FiniteDist, lam: float) -> QEstimate:
@@ -173,7 +241,10 @@ def weighted_sum_dist(
     K sum m |c| below ``budget``): each group of m equal weights is the
     m-fold power of f's integer pmf by binary powering, groups combine by
     strided shift-add, and positions are placed once at the end as
-    fsum(w m x0) + g h j: exact, with no coalescing.
+    fsum(w m x0) + g h j: exact, with no coalescing.  When the last group's
+    stride is at least the accumulator's length its shifted copies do not
+    overlap, and its support is placed as an outer product, without the
+    dense index span.
 
     Fallbacks: if f is on a lattice but the weights are incommensurate or
     the span is over budget, each group's law is the same lattice power with
@@ -186,7 +257,8 @@ def weighted_sum_dist(
     never for the index span.
 
     Cost: the lattice path is about the sum over shift-add steps of (nonzeros
-    of the sparser factor x length of the other), at most n x span; a group
+    of the sparser factor x length of the other), at most n x span, except
+    that a non-overlapping last step costs its (nonzeros x nonzeros); a group
     power is O(m) for a two-atom f and O((m K)^2) otherwise; a fold step
     costs (current support x factor support) plus a sort.
     """
@@ -215,15 +287,18 @@ def weighted_sum_dist(
         if span_f * int(np.dot(counts, np.abs(c))) < budget:
             acc = np.ones(1)
             shift = 0
-            for i in np.argsort(np.abs(c), kind="stable"):
+            order = np.argsort(np.abs(c), kind="stable")
+            for i in order:
                 p = _power(pmf, int(counts[i]))
                 if c[i] < 0:
                     p = p[::-1]
                     shift += int(c[i] * counts[i]) * span_f
-                acc = _shift_add(acc, p, abs(int(c[i])))
-            j = np.flatnonzero(acc)
+                stride = abs(int(c[i]))
+                if i != order[-1]:
+                    acc = _shift_add(acc, p, stride)
+            j, mass = _shift_add_support(acc, p, stride)
             base = math.fsum((values * counts * x0).tolist())
-            return FiniteDist(base + (g * h) * (j + shift), acc[j])
+            return FiniteDist(base + (g * h) * (j + shift), mass)
 
     current = None
     for i in np.argsort(-np.abs(values), kind="stable"):
@@ -291,6 +366,25 @@ def _shift_add(x: np.ndarray, y: np.ndarray, stride: int) -> np.ndarray:
         for j in ny:
             z[stride * j : stride * j + x.size] += y[j] * x
     return z
+
+
+def _shift_add_support(x: np.ndarray, y: np.ndarray, stride: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nonzero indices of _shift_add(x, y, stride), ascending, and their masses.
+
+    When stride >= x.size the shifted copies of x do not overlap, so each
+    entry is 0.0 + x[i] * y[k], which is exactly y[k] * x[i]: the outer
+    product is placed at i + stride * k without building the dense span.
+    Products that underflow to 0 are dropped, as np.flatnonzero drops them.
+    """
+    if stride < x.size:
+        z = _shift_add(x, y, stride)
+        j = np.flatnonzero(z)
+        return j, z[j]
+    nx, ny = np.flatnonzero(x), np.flatnonzero(y)
+    j = np.add.outer(stride * ny, nx).ravel()
+    mass = np.outer(y[ny], x[nx]).ravel()
+    nonzero = mass != 0.0
+    return j[nonzero], mass[nonzero]
 
 
 def _power(p: np.ndarray, m: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Exact, closed-form, and Monte Carlo concentration computation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -237,6 +238,59 @@ def test_weighted_sum_perturbed_sparse_is_integer_exact(s):
     assert q == pytest.approx(float(np.max(cum[sites:] - cum[:-sites])), abs=1e-12)
     if s == 4:
         assert q == pytest.approx(0.9406286432808548, abs=1e-12)
+
+
+pmf_entries = st.one_of(st.just(0.0), st.just(1e-200), st.floats(1e-300, 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    x=st.lists(pmf_entries, min_size=1, max_size=30),
+    y=st.lists(pmf_entries, min_size=1, max_size=30),
+    stride=st.integers(1, 40),
+)
+def test_shift_add_support_matches_dense(x, y, stride):
+    # Where the shifted copies do not overlap the support is an outer
+    # product; 1e-200 squared underflows to 0 and is dropped.
+    x, y = np.array(x), np.array(y)
+    z = concentration._shift_add(x, y, stride)
+    j = np.flatnonzero(z)
+    got_j, got_mass = concentration._shift_add_support(x, y, stride)
+    assert np.array_equal(got_j, j) and got_mass.tobytes() == z[j].tobytes()
+
+
+@pytest.mark.parametrize("s", [8, 16, 32, 64])
+@pytest.mark.parametrize("p", [0.15, 0.5])
+def test_weighted_sum_perturbed_sparse_matches_dense_last_step(s, p, monkeypatch):
+    inst = gen_sparse_family([s], n=256, p_list=[p], perturbed=True).instances[0]
+    fa = weighted_sum_dist(inst.law, inst.weights)
+
+    def dense(x, y, stride):
+        z = concentration._shift_add(x, y, stride)
+        j = np.flatnonzero(z)
+        return j, z[j]
+
+    monkeypatch.setattr(concentration, "_shift_add_support", dense)
+    oracle = weighted_sum_dist(inst.law, inst.weights)
+    assert fa.atoms.tobytes() == oracle.atoms.tobytes()
+    assert fa.masses.tobytes() == oracle.masses.tobytes()
+
+
+def test_weighted_sum_perturbed_s64_builds_no_dense_span():
+    # The 64-weight group sits at stride 32,768 over the 193-entry pmf of the
+    # tail: a dense span would hold 2,097,345 float64 entries (16.8 MB) for
+    # 12,545 atoms.
+    inst = gen_sparse_family([64], n=256, p_list=[0.5], perturbed=True).instances[0]
+    weighted_sum_dist(inst.law, inst.weights)  # warm up outside the measurement
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fa = weighted_sum_dist(inst.law, inst.weights)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert fa.n_atoms == 12_545
+    assert peak < 4_000_000
 
 
 def test_weighted_sum_equal_weights_stay_on_lattice():

@@ -2,6 +2,7 @@
 kernel over a grid of tau, against frozen copies of the one-value code; and
 the harness making one kernel call per instance law."""
 
+import itertools
 import math
 import warnings
 
@@ -114,15 +115,41 @@ def _same(x, y):
 # ---------------------------------------------------------------------------
 
 
+def _small_blocks(mp, block):
+    """Cut the left edges into blocks of ``block`` and bound every chunk, so
+    that small laws span many blocks; None keeps the module's settings."""
+    if block is not None:
+        mp.setattr(concentration, "_WINDOW_BLOCK", block)
+        mp.setattr(concentration, "_WINDOW_MIN_KEYS", 0)
+
+
+blocks = st.one_of(st.none(), st.sampled_from([1, 2, 3, 8]))
+
+
+@pytest.fixture
+def searched(monkeypatch):
+    """The number of keys in each np.searchsorted call."""
+    sizes = []
+    searchsorted = np.searchsorted
+
+    def counted(a, v, *args, **kwargs):
+        sizes.append(np.size(v))
+        return searchsorted(a, v, *args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", counted)
+    return sizes
+
+
 @settings(max_examples=200, deadline=None)
-@given(data=st.data(), f=laws, cap=st.one_of(st.none(), st.integers(1, 4000)))
-def test_window_sweep_bit_identical(data, f, cap):
+@given(data=st.data(), f=laws, cap=st.one_of(st.none(), st.integers(1, 4000)), block=blocks)
+def test_window_sweep_bit_identical(data, f, cap, block):
     # cap monkeypatches the key-block cap down to a few rows per chunk.
     lams = data.draw(lam_grids(f))
     expected = [_oracle_q_exact(f, lam).value for lam in lams]
     with pytest.MonkeyPatch.context() as mp:
         if cap is not None:
             mp.setattr(concentration, "_WINDOW_CHUNK_ENTRIES", cap)
+        _small_blocks(mp, block)
         assert _same(_window_sup(f.atoms, f.masses, lams), expected)
     for lam in lams[:5]:
         value = q_exact(f, lam).value
@@ -136,9 +163,10 @@ def test_window_sweep_bit_identical(data, f, cap):
     lams=st.lists(st.one_of(st.just(0.0), st.just(math.inf), st.floats(0.0, 20.0)), max_size=8),
     special=st.booleans(),
     cap=st.one_of(st.none(), st.integers(1, 5000)),
+    block=blocks,
     seed=st.integers(0, 2**32 - 1),
 )
-def test_window_sweep_sample_bit_identical(law, n, lams, special, cap, seed):
+def test_window_sweep_sample_bit_identical(law, n, lams, special, cap, block, seed):
     # A sorted sample with uniform weights 1/n: ties from a discrete law, and
     # optionally infinities and NaN (sorted last).
     rng = np.random.default_rng(seed)
@@ -153,6 +181,7 @@ def test_window_sweep_sample_bit_identical(law, n, lams, special, cap, seed):
         with pytest.MonkeyPatch.context() as mp:
             if cap is not None:
                 mp.setattr(concentration, "_WINDOW_CHUNK_ENTRIES", cap)
+            _small_blocks(mp, block)
             assert _same(_window_sup(sample, None, lams), expected)
 
 
@@ -160,6 +189,152 @@ def test_window_sweep_empty_grid_and_point_mass():
     f = FiniteDist.point_mass(3.0)
     assert _window_sup(f.atoms, f.masses, []) == []
     assert _window_sup(f.atoms, f.masses, [0.0, math.inf, 2.0]) == [1.0, 1.0, 1.0]
+
+
+# ---------------------------------------------------------------------------
+# The block bound of the window sweep
+# ---------------------------------------------------------------------------
+
+
+def _perturbed_law(s, p):
+    inst = gen_sparse_family([s], n=256, p_list=[p], perturbed=True).instances[0]
+    return weighted_sum_dist(inst.law, inst.weights)
+
+
+def _geometric_law(k, ratio):
+    masses = ratio ** np.arange(k)
+    return FiniteDist(0.5 * np.arange(k), masses / masses.sum())
+
+
+PEAKED_LAWS = {
+    "binomial": lambda: weighted_sum_dist(FiniteDist.bernoulli(0.3), WeightVector([0.5] * 3000)),
+    "perturbed": lambda: _perturbed_law(16, 0.35),
+    "geometric": lambda: _geometric_law(3000, 0.995),
+}
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 8, None])
+@pytest.mark.parametrize("kind", sorted(PEAKED_LAWS))
+def test_window_bound_prunes_peaked_laws_bit_identical(kind, block, searched):
+    f = PEAKED_LAWS[kind]()
+    width = f.atoms[-1] - f.atoms[0]
+    lams = [0.0, *(width * np.geomspace(1e-4, 1.0, 30)), float(f.atoms[1] - f.atoms[0])]
+    expected = [_oracle_q_exact(f, lam).value for lam in lams]
+    searched.clear()
+    with pytest.MonkeyPatch.context() as mp:
+        _small_blocks(mp, block)
+        assert _same(_window_sup(f.atoms, f.masses, lams), expected)
+    if block in (8, None):  # blocks of 1 to 3 edges search more keys for the bounds
+        assert sum(searched) < len(lams) * f.n_atoms / 2
+
+
+def test_window_bound_keeps_every_block_of_a_flat_law(searched):
+    # At lam = 0 a window holds one atom, and a block's upper bound is the
+    # mass of all its atoms (and of the next block's first), which nearly
+    # equal masses put above every single mass: no block is pruned, and each
+    # row is swept whole after the bounds.
+    rng = np.random.default_rng(7)
+    masses = 1.0 + 1e-3 * rng.random(5000)
+    f = FiniteDist(rng.normal(size=5000), masses / masses.sum())
+    expected = _oracle_q_exact(f, 0.0).value
+    rows, n = 4, f.n_atoms
+    searched.clear()
+    assert _same(_window_sup(f.atoms, f.masses, [0.0] * rows), [expected] * rows)
+    n_blocks = -(-n // concentration._WINDOW_BLOCK)
+    assert rows * n >= concentration._WINDOW_MIN_KEYS
+    assert searched == [rows * (n_blocks + 1), rows * n]
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 8, None])
+def test_window_bound_at_one_block_bit_identical(block):
+    # One atom short of a block, one block, and two blocks that overlap in
+    # all but one edge.
+    size = block or concentration._WINDOW_BLOCK
+    sizes = range(max(1, size - 1), size + 2)
+    for n, kind, seed in itertools.product(sizes, ("lattice", "real"), range(4)):
+        f = _law(kind, n, seed)
+        gaps = np.abs(f.atoms[:, None] - f.atoms[None, :]).ravel()
+        lams = [0.0, math.inf, 1e-7, *gaps[:: max(1, gaps.size // 20)].tolist()]
+        expected = [_oracle_q_exact(f, lam).value for lam in lams]
+        with pytest.MonkeyPatch.context() as mp:
+            _small_blocks(mp, block)
+            mp.setattr(concentration, "_WINDOW_MIN_KEYS", 0)
+            assert _same(_window_sup(f.atoms, f.masses, lams), expected)
+
+
+@pytest.mark.parametrize("masses", [False, True])
+def test_window_bound_pruned_chunk_then_whole_chunk(masses, monkeypatch):
+    # One row per chunk: lam = 0.5 prunes, and at lam = 0 every block of a
+    # continuous sample is kept, so the left edges are first needed by the
+    # second chunk.
+    n = 3000
+    sample = np.sort(np.random.default_rng(5).normal(size=n))
+    weights = np.full(n, 1.0 / n) if masses else None
+    cum = np.concatenate(([0.0], np.cumsum(weights))) if masses else np.arange(n + 1) / n
+    lams = [0.5, 0.0, 0.5, 0.0]
+    expected = [min(_oracle_window_sup(sample, cum, lam)[0], 1.0) for lam in lams]
+    monkeypatch.setattr(concentration, "_WINDOW_CHUNK_ENTRIES", n)
+    monkeypatch.setattr(concentration, "_WINDOW_MIN_KEYS", 0)
+    assert _same(_window_sup(sample, weights, lams), expected)
+
+
+def test_window_bound_skips_a_sample_with_nonfinite_points(searched):
+    # -inf + inf is NaN, which sorts after every key, so the right ends are
+    # not monotone in the left edge; a sample that holds a non-finite point
+    # is swept whole, with no block pruned.
+    rng = np.random.default_rng(3)
+    body = rng.choice([0.0, 1.0, 2.5], size=400) + rng.normal(size=400)
+    swept_whole = []
+    for ends in ([-np.inf, -np.inf], [np.inf], [np.nan], [-np.inf, np.inf, np.nan]):
+        sample = np.sort(np.concatenate((body, ends)))
+        n = sample.size
+        lams = [0.0, 0.5, 3.0, math.inf]
+        with np.errstate(invalid="ignore"):
+            expected = [_oracle_window_sup(sample, np.arange(n + 1) / n, lam)[0] for lam in lams]
+            for block in (2, 3, 8):
+                with pytest.MonkeyPatch.context() as mp:
+                    _small_blocks(mp, block)
+                    searched.clear()
+                    assert _same(_window_sup(sample, None, lams), expected)
+                swept_whole.append(searched == [len(lams) * n])
+    assert all(swept_whole)
+
+
+def test_window_bound_searches_a_tenth_of_the_keys(searched, monkeypatch):
+    # The s = 128, p = 1/2 perturbed law (16,641 atoms) over the 40 eps of
+    # its crossover rows: a full sweep searches 665,640 keys.
+    grids = []
+    window_sup = concentration._window_sup
+
+    def recorded(points, masses, lams):
+        grids.append(list(lams))
+        return window_sup(points, masses, lams)
+
+    monkeypatch.setattr(harness, "_window_sup", recorded)
+    calibrate_upper("crossover", gen_sparse_family([128], n=256, p_list=[0.5], perturbed=True), 2.0)
+    (lams,) = grids
+    f = _perturbed_law(128, 0.5)
+    assert f.n_atoms * len(lams) == 665_640
+    expected = [_oracle_q_exact(f, lam).value for lam in lams]
+    searched.clear()
+    assert _same(_window_sup(f.atoms, f.masses, lams), expected)
+    assert sum(searched) <= 66_564
+
+
+@pytest.mark.parametrize("cap", [None, 20_000])
+def test_window_sweep_key_blocks_stay_within_the_cap(cap, searched, monkeypatch):
+    # The bounds, the kept blocks and the rows swept whole, at every law
+    # size up to the cap.
+    if cap is not None:
+        monkeypatch.setattr(concentration, "_WINDOW_CHUNK_ENTRIES", cap)
+    rng = np.random.default_rng(11)
+    flat = FiniteDist(rng.normal(size=6000), np.full(6000, 1.0 / 6000))
+    for f in (_perturbed_law(16, 0.5), _perturbed_law(128, 0.5), flat):
+        lams = [0.0] * 50 + np.linspace(0.0, f.atoms[-1] - f.atoms[0], 150).tolist()
+        searched.clear()
+        _window_sup(f.atoms, f.masses, lams)
+        assert sum(searched) >= len(lams) * (f.n_atoms // concentration._WINDOW_BLOCK)
+        assert max(searched) <= concentration._WINDOW_CHUNK_ENTRIES
 
 
 # ---------------------------------------------------------------------------
