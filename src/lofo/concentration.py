@@ -240,11 +240,11 @@ def weighted_sum_dist(
     Lattice path (f on a lattice, weights commensurate, dense index span
     K sum m |c| below ``budget``): each group of m equal weights is the
     m-fold power of f's integer pmf by binary powering, groups combine by
-    strided shift-add, and positions are placed once at the end as
-    fsum(w m x0) + g h j: exact, with no coalescing.  When the last group's
-    stride is at least the accumulator's length its shifted copies do not
-    overlap, and its support is placed as an outer product, without the
-    dense index span.
+    strided shift-add into one zeroed buffer, and positions are placed once
+    at the end as fsum(w m x0) + g h j: exact, with no coalescing.  When the
+    last group's stride is at least the accumulator's length its shifted
+    copies do not overlap, and its support is placed as an outer product,
+    without the dense index span.
 
     Fallbacks: if f is on a lattice but the weights are incommensurate or
     the span is over budget, each group's law is the same lattice power with
@@ -284,19 +284,25 @@ def weighted_sum_dist(
     multiples = _lattice(values, 0.0, budget)
     if multiples is not None:
         g, c = multiples
-        if span_f * int(np.dot(counts, np.abs(c))) < budget:
-            acc = np.ones(1)
+        span = span_f * int(np.dot(counts, np.abs(c)))
+        if span < budget:
             shift = 0
             order = np.argsort(np.abs(c), kind="stable")
+            last = order[-1]
+            # One zeroed buffer holds the accumulator up to the last group,
+            # which _shift_add_support places.
+            acc = np.zeros(1 + span - span_f * int(counts[last]) * abs(int(c[last])))
+            acc[0] = 1.0
+            size = 1
             for i in order:
                 p = _power(pmf, int(counts[i]))
                 if c[i] < 0:
                     p = p[::-1]
                     shift += int(c[i] * counts[i]) * span_f
                 stride = abs(int(c[i]))
-                if i != order[-1]:
-                    acc = _shift_add(acc, p, stride)
-            j, mass = _shift_add_support(acc, p, stride)
+                if i != last:
+                    size = _shift_add_into(acc, size, p, stride)
+            j, mass = _shift_add_support(acc[:size], p, stride)
             base = math.fsum((values * counts * x0).tolist())
             return FiniteDist(base + (g * h) * (j + shift), mass)
 
@@ -366,6 +372,28 @@ def _shift_add(x: np.ndarray, y: np.ndarray, stride: int) -> np.ndarray:
         for j in ny:
             z[stride * j : stride * j + x.size] += y[j] * x
     return z
+
+
+def _shift_add_into(buf: np.ndarray, size: int, y: np.ndarray, stride: int) -> int:
+    """_shift_add(buf[:size], y, stride) written into buf; returns its size.
+
+    Entries of buf past size must be zero.  A two-point y = (y0, y1) with
+    both entries nonzero, against an x of more than two nonzeros at stride
+    > 1, is the case where _shift_add adds y0 * x and then y1 * x shifted by
+    stride into zeros; since 0 + y0 * x is y0 * x exactly, scaling x in
+    place and adding the shifted copy gives the same bits with one product
+    array instead of a zeroed array of the new span and two products.
+    Every other step goes through _shift_add.
+    """
+    x = buf[:size]
+    end = size + stride * (y.size - 1)
+    if y.size == 2 and stride > 1 and y.all() and np.count_nonzero(x) > 2:
+        tmp = y[1] * x
+        x *= y[0]
+        buf[stride:end] += tmp
+    else:
+        buf[:end] = _shift_add(x, y, stride)
+    return end
 
 
 def _shift_add_support(x: np.ndarray, y: np.ndarray, stride: int) -> tuple[np.ndarray, np.ndarray]:

@@ -36,9 +36,8 @@ entry per evaluation: under 1 MB traced at 100,000 evaluations, where a set
 of the evaluated points took 8 MB.  A node that fails the cone and is 8 to
 4096 times as wide as the last certified node has its whole subtree
 resolved one bisection level at a time: the midpoints of a level take one
-batched distance call (in blocks of 32 rows; c_dist ~ 1.0 us per point at
-n ~ 512 on a 2-vCPU x86 host) and one array threshold call (about 0.01 us
-per point, against 0.45 us for the scalar closure), and the cone test runs
+batched distance call and one array threshold call (about 0.01 us per
+point, against 0.45 us for the scalar closure), and the cone test runs
 on arrays, screened so that every decision is the closure's; c_level, the
 few dozen numpy calls of a level, is about 50 us there.  If every leaf
 certifies, the subtree is committed at once; a level with a witness, a node
@@ -49,6 +48,14 @@ computed it).  On dense random vectors at n ~ 512 resolves cover about 95%
 of the points and abort once per scan, at the crossing.  The resolve visits
 the points the walk would visit and makes its comparisons, so it changes no
 output bit, the count of evaluations included.
+
+A batched distance call works in blocks of max(1, 2^15 // n) rows, inside
+one workspace of two such blocks that the scan allocates once: a block
+makes four passes over its k x n entries (product, rint, subtraction, row
+norms) and allocates nothing of that size.  Over the resolve levels of the
+ten perfbench lcd_scan vectors (n = 448..576) c_dist is about 0.9-1.3 us
+per point on a 2-vCPU x86 host; full blocks of 64 rows at n = 512 take
+about 0.8 us per point.
 """
 
 from __future__ import annotations
@@ -68,36 +75,50 @@ _E = math.e
 _T_FINITE = 1e307
 
 
-# _dist_rows works through its t in blocks of this many rows: a block's k x n
-# temporaries stay in cache (at n ~ 512, unblocked batches of 64 rows or more
-# cost about three times as much per row), and memory stays at one block.
-_ROW_BLOCK = 32
+# _dist_rows works through its t in blocks of this many entries, max(1,
+# _BLOCK_ENTRIES // n) rows of n: a block's two k x n buffers stay in cache
+# (at n ~ 512, blocks of 256 rows or more cost 25-60% more per row).
+_BLOCK_ENTRIES = 2**15
 
 
-def _dist_rows(ts: np.ndarray, abs_a: np.ndarray) -> np.ndarray:
+def _workspace(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two block buffers _dist_rows fills in place, for n coordinates."""
+    rows = max(1, _BLOCK_ENTRIES // max(n, 1))
+    return np.empty((rows, n)), np.empty((rows, n))
+
+
+def _dist_rows(
+    ts: np.ndarray, abs_a: np.ndarray, work: tuple[np.ndarray, np.ndarray]
+) -> np.ndarray:
     """dist(t a, Z^n) for every t of a 1-D array; abs_a holds |a_k|.
 
-    Per coordinate d_k = |t||a_k| - floor(|t||a_k| + 0.5), the signed offset
-    from the nearest integer (half away from zero; |d_k| is the same for
-    either nearest integer).  The products |t||a_k| of a block come from an
-    outer-product einsum, one rounded product per entry as in _dist_point;
-    at n ~ 512 it costs about 0.6x the broadcast [:, None] * for 16 rows or
-    more, and about 1.5 us more per call below 8 rows.  Row norms go through
+    Per coordinate d_k = |t||a_k| - rint(|t||a_k|), the signed offset from
+    the nearest integer (ties go to the even one; |d_k| is the same for
+    either nearest integer).  ``work`` is a _workspace(n): each block of its
+    rows takes the products |t||a_k| from an outer-product einsum into the
+    first buffer, one rounded product per entry as in _dist_point, their
+    np.rint into the second, and the difference in place, so a block makes
+    four passes and allocates nothing of size k x n.  Row norms go through
     matmul of 1 x n by n x 1, which sums in np.dot's order for every row (a
     summing einsum does not), so each entry equals _dist_point bit for bit.
     """
+    D_all, R_all = work
+    rows = D_all.shape[0]
     out = np.empty(ts.size)
-    for s in range(0, ts.size, _ROW_BLOCK):
-        D = np.einsum("i,j->ij", np.abs(ts[s:s + _ROW_BLOCK]), abs_a)
-        D -= np.floor(D + 0.5)
-        out[s:s + _ROW_BLOCK] = np.sqrt(np.matmul(D[:, None, :], D[:, :, None])).ravel()
+    for s in range(0, ts.size, rows):
+        t = np.abs(ts[s:s + rows])
+        D, R = D_all[:t.size], R_all[:t.size]
+        np.einsum("i,j->ij", t, abs_a, out=D)
+        np.rint(D, out=R)
+        D -= R
+        out[s:s + rows] = np.sqrt(np.matmul(D[:, None, :], D[:, :, None])).ravel()
     return out
 
 
 def _dist_point(t: float, abs_a: np.ndarray) -> float:
     """One row of _dist_rows, without the batch axis."""
     d = abs(t) * abs_a
-    d -= np.floor(d + 0.5)
+    d -= np.rint(d)
     return math.sqrt(np.dot(d, d))
 
 
@@ -106,7 +127,7 @@ def dist_to_lattice(t, a: WeightVector | np.ndarray):
 
     t is a scalar (returns a float) or a 1-D array of k values (returns k
     distances, each bitwise equal to the scalar call, in blocks of
-    _ROW_BLOCK rows, so memory beyond the result stays at one block).
+    _BLOCK_ENTRIES entries, so memory beyond the result stays at two blocks).
     """
     abs_a = np.abs(np.asarray(getattr(a, "coords", a), dtype=float))
     ts = np.asarray(t, dtype=float)
@@ -114,7 +135,7 @@ def dist_to_lattice(t, a: WeightVector | np.ndarray):
         return _dist_point(float(ts), abs_a)
     if ts.ndim > 1:
         raise ValueError("t must be a scalar or a 1-D array")
-    return _dist_rows(ts, abs_a)
+    return _dist_rows(ts, abs_a, _workspace(abs_a.size))
 
 
 def f_threshold(t: float, L: float) -> float:
@@ -230,6 +251,8 @@ def _first_crossing(
     not counted, so the count, like every other output, is the same as with
     one evaluation per point.
 
+    Every batched distance call of the scan fills the same _workspace.
+
     n_evals is a running count, and it counts distinct points because no t
     is evaluated twice.  t_lo and t_hi end the root node.  Each midpoint and
     each floor probe lies strictly inside its own node, and a probe that
@@ -250,6 +273,7 @@ def _first_crossing(
     scalar_to = -math.inf
     half_lip = 0.5 * lip
     ahead: dict[float, float] = {}
+    work = _workspace(abs_a.size)
     stack = [(t_lo, t_hi, d_lo, _dist_point(t_hi, abs_a), thr(t_hi))]
     pop, push, take = stack.pop, stack.append, ahead.pop
     while stack:
@@ -294,7 +318,7 @@ def _first_crossing(
             and scalar_to < v
             and _RESOLVE_MIN * certified_width <= v - u <= _RESOLVE_MAX * certified_width
         ):
-            committed = _resolve(u, v, du, dv, tv, abs_a, thr, half_lip, floor, ahead)
+            committed = _resolve(u, v, du, dv, tv, abs_a, work, thr, half_lip, floor, ahead)
             if committed is not None:
                 frontier = v
                 certified_width, points = committed
@@ -346,6 +370,7 @@ def _resolve(
     dv: float,
     tv: float,
     abs_a: np.ndarray,
+    work: tuple[np.ndarray, np.ndarray],
     thr: Callable[[float], float],
     half_lip: float,
     floor: float,
@@ -381,7 +406,7 @@ def _resolve(
         M = 0.5 * (U + V)
         if ((V - U <= floor) | (M <= U) | (M >= V)).any():
             break
-        DM = _dist_rows(M, abs_a)
+        DM = _dist_rows(M, abs_a, work)
         levels.append((M, DM))
         TM = _screen(thr_array(M), DM, M, thr)
         if (DM < TM).any():

@@ -293,6 +293,83 @@ def test_weighted_sum_perturbed_s64_builds_no_dense_span():
     assert peak < 4_000_000
 
 
+def _frozen_shift_add(x: np.ndarray, y: np.ndarray, stride: int) -> np.ndarray:
+    """_shift_add as it was before two-point steps went in place, verbatim."""
+    if stride == 1:
+        return np.convolve(x, y)
+    nx, ny = np.flatnonzero(x), np.flatnonzero(y)
+    z = np.zeros(x.size + stride * (y.size - 1))
+    if nx.size <= ny.size:
+        for i in nx:
+            z[i : i + stride * y.size : stride] += x[i] * y
+    else:
+        for j in ny:
+            z[stride * j : stride * j + x.size] += y[j] * x
+    return z
+
+
+def _frozen_lattice_law(f, a):
+    """The lattice path's chain with a fresh array per step, verbatim."""
+    weights = a.coords[a.coords != 0.0]
+    x0 = float(f.atoms[0])
+    h, idx = concentration._lattice(f.atoms, x0, (DEFAULT_BUDGET - 1) // weights.size)
+    span_f = int(idx[-1])
+    pmf = np.zeros(span_f + 1)
+    pmf[idx] = f.masses
+    values, counts = np.unique(weights, return_counts=True)
+    g, c = concentration._lattice(values, 0.0, DEFAULT_BUDGET)
+    acc = np.ones(1)
+    shift = 0
+    order = np.argsort(np.abs(c), kind="stable")
+    for i in order:
+        p = concentration._power(pmf, int(counts[i]))
+        if c[i] < 0:
+            p = p[::-1]
+            shift += int(c[i] * counts[i]) * span_f
+        stride = abs(int(c[i]))
+        if i != order[-1]:
+            acc = _frozen_shift_add(acc, p, stride)
+    j, mass = concentration._shift_add_support(acc, p, stride)
+    base = math.fsum((values * counts * x0).tolist())
+    return FiniteDist(base + (g * h) * (j + shift), mass)
+
+
+@pytest.mark.parametrize("law", [
+    FiniteDist([-1.0, 1.0], [0.5, 0.5]),
+    FiniteDist([0.0, 1.0], [0.5, 0.5]),
+    FiniteDist([0.0, 1.0], [0.85, 0.15]),
+])
+@pytest.mark.parametrize("weights", [
+    np.arange(1.0, 301.0),
+    -np.arange(1.0, 41.0),
+    np.array([3.0, -5.0, 7.0, 2.0, 2.0, -9.0, 11.0, 13.0, 1.0, -4.0, 0.0]),
+    np.array([1.0, 1.0, 2.0, -2.0, 6.0, 6.0, 6.0, 24.0]),
+])
+def test_weighted_sum_two_point_steps_match_fresh_arrays(law, weights):
+    a = WeightVector(weights)
+    fa = weighted_sum_dist(law, a)
+    oracle = _frozen_lattice_law(law, a)
+    assert fa.atoms.tobytes() == oracle.atoms.tobytes()
+    assert fa.masses.tobytes() == oracle.masses.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    x=st.lists(pmf_entries, min_size=1, max_size=30),
+    y=st.lists(pmf_entries, min_size=1, max_size=3),
+    stride=st.integers(1, 40),
+    slack=st.integers(0, 5),
+)
+def test_shift_add_into_matches_fresh_array(x, y, stride, slack):
+    x, y = np.array(x), np.array(y)
+    z = _frozen_shift_add(x, y, stride)
+    buf = np.zeros(z.size + slack)
+    buf[: x.size] = x
+    assert concentration._shift_add_into(buf, x.size, y, stride) == z.size
+    assert buf[: z.size].tobytes() == z.tobytes()
+    assert not buf[z.size :].any()
+
+
 def test_weighted_sum_equal_weights_stay_on_lattice():
     # Coalescing drift once split these atoms until the support passed 4M.
     f = FiniteDist([0.0, 1.0, 3.0], [0.2, 0.5, 0.3])

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lofo.concentration import WeightVector
@@ -128,6 +128,46 @@ def test_dist_array_form_memory_is_one_block():
         tracemalloc.stop()
     assert peak < 4e6
     assert [d.hex() for d in rows.tolist()] == [
+        dist_to_lattice(t, coords).hex() for t in ts.tolist()
+    ]
+
+
+def test_dist_exact_near_two_to_the_52():
+    """In [2^52, 2^53), t + 0.5 rounds to even, so rounding by floor(t + 0.5)
+    read an odd integer t as distance 1; just below 0.5 it read 0.5."""
+    a = WeightVector([1.0])
+    cases = [
+        (2.0**52 + 1, 0.0),
+        (3 * 2.0**51 + 1, 0.0),
+        (2.0**53 - 1, 0.0),
+        (0.49999999999999994, 0.49999999999999994),
+    ]
+    rows = dist_to_lattice(np.array([t for t, _ in cases]), a).tolist()
+    for (t, want), row in zip(cases, rows):
+        assert dist_to_lattice(t, a).hex() == row.hex() == want.hex()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.sampled_from([0, 1, 7, 512, 4097, 40_000]),
+    batch=st.sampled_from(["1", "rows - 1", "rows", "rows + 1", "3 rows + 5"]),
+    seed=st.integers(0, 2**31),
+)
+@example(n=0, batch="3 rows + 5", seed=0)
+@example(n=40_000, batch="rows - 1", seed=0)
+def test_dist_array_form_equals_scalar_across_blocks(n, batch, seed):
+    """Batches around the block's row count, one-row blocks (n = 4097 has 7
+    rows, n = 40,000 one), empty batches and an empty vector are bitwise the
+    scalar form."""
+    rows = max(1, LCD._BLOCK_ENTRIES // max(n, 1))
+    k = {"1": 1, "rows - 1": rows - 1, "rows": rows, "rows + 1": rows + 1,
+         "3 rows + 5": 3 * rows + 5}[batch]
+    rng = np.random.default_rng(seed)
+    coords = rng.normal(size=n)
+    ts = rng.uniform(-1e3, 1e3, k) * 10.0 ** rng.uniform(-3, 3, k)
+    got = dist_to_lattice(ts, coords)
+    assert got.shape == (k,)
+    assert [d.hex() for d in got.tolist()] == [
         dist_to_lattice(t, coords).hex() for t in ts.tolist()
     ]
 
@@ -678,9 +718,9 @@ def _record_points(monkeypatch):
         scalar.append(t)
         return point(t, abs_a)
 
-    def recorded_rows(ts, abs_a):
+    def recorded_rows(ts, abs_a, work):
         batched.extend(ts.tolist())
-        return rows(ts, abs_a)
+        return rows(ts, abs_a, work)
 
     monkeypatch.setattr(LCD, "_dist_point", recorded_point)
     monkeypatch.setattr(LCD, "_dist_rows", recorded_rows)
@@ -696,6 +736,24 @@ def test_lcd_scan_evaluates_no_point_twice(monkeypatch):
     assert res.n_evals >= 10_000 and batched
     assert len(set(points)) == len(points)
     assert res.n_evals <= len(points)
+
+
+def test_lcd_scan_reuses_one_distance_workspace(monkeypatch):
+    """Every batched distance call of a scan fills the same two buffers."""
+    buffers = []
+    rows = LCD._dist_rows
+
+    def recorded_rows(ts, abs_a, work):
+        buffers.append(work)
+        return rows(ts, abs_a, work)
+
+    monkeypatch.setattr(LCD, "_dist_rows", recorded_rows)
+    lcd(_gauss_unit(432, [432, 2]), 2.0, "d_star", tol=1e-8)
+    assert len(buffers) > 10
+    first, second = buffers[0]
+    assert first.shape == second.shape == (LCD._BLOCK_ENTRIES // 432, 432)
+    assert not np.shares_memory(first, second)
+    assert all(w[0] is first and w[1] is second for w in buffers)
 
 
 def test_clearance_floor_probes_a_few_ulps_apart_count_once(monkeypatch):
