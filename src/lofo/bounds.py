@@ -57,35 +57,44 @@ class BoundShape(_Record):
 # ---------------------------------------------------------------------------
 
 
-def _classical_shape(
-    lam: float, lam_k: Sequence[float], c_k: np.ndarray, name: str, degenerate: str
-) -> float:
+def _classical_shape(lam, lam_k, c_k, name: str, degenerate: str):
     """lambda * (sum lambda_k^2 c_k)^(-1/2), the body of both classical shapes
     (c_k = 1 - Q_k or M_k); ``name`` is the symbol of the component values and
-    ``degenerate`` what makes them all vanish, for the messages."""
+    ``degenerate`` what makes them all vanish, for the messages.
+
+    lambda is a scalar (gives a float) or a grid (gives a list); lambda_k and
+    c_k have its shape plus a last axis of n.  Each sum is a stacked
+    vector-vector np.matmul, in np.dot's order.  Needs lambda positive and
+    finite, lambda_k in (0, lambda] and c_k in [0, 1 + 1e-12]."""
+    lam = np.asarray(lam, dtype=float)
     lk = np.asarray(lam_k, dtype=float)
-    if lk.size == 0 or lk.size != c_k.size:
+    if not np.all((lam > 0) & (lam < math.inf)):
+        raise ValueError("lambda must be positive and finite")
+    n = lk.shape[-1:]
+    if n in ((), (0,)) or lk.shape != lam.shape + n or c_k.shape != lk.shape:
         raise ValueError(f"lambda_k and {name} must be nonempty and aligned")
-    if np.any(lk <= 0) or np.any(lk > lam * (1 + 1e-12)):
+    if not np.all((lk > 0) & (lk <= lam[..., None] * (1 + 1e-12))):
         raise ValueError("each lambda_k must lie in (0, lambda]")
-    denom = float(np.dot(lk * lk, c_k))
-    if denom <= 0.0:
+    if not np.all((c_k >= 0) & (c_k <= 1 + 1e-12)):
+        raise ValueError(f"each {name} must lie in [0, 1]")
+    denom = np.matmul((lk * lk)[..., None, :], c_k[..., :, None])[..., 0, 0]
+    if np.any(denom <= 0.0):
         raise PreconditionError(f"{degenerate}: the shape diverges")
-    return lam / math.sqrt(denom)
+    return (lam / np.sqrt(denom)).tolist()
 
 
-def shape_kolmogorov_rogozin(
-    lam: float, lam_k: Sequence[float], q_k: Sequence[float]
-) -> float:
-    """lambda * (sum lambda_k^2 (1 - Q_k))^(-1/2) for independent summands."""
+def shape_kolmogorov_rogozin(lam, lam_k, q_k):
+    """lambda * (sum lambda_k^2 (1 - Q_k))^(-1/2) for independent summands;
+    lambda may be a grid of windows (see ``_classical_shape``)."""
     return _classical_shape(
         lam, lam_k, 1.0 - np.asarray(q_k, dtype=float), "Q_k",
         "all component concentrations equal 1",
     )
 
 
-def shape_esseen(lam: float, lam_k: Sequence[float], m_k: Sequence[float]) -> float:
-    """lambda * (sum lambda_k^2 M_k(lambda_k))^(-1/2); refines Kolmogorov-Rogozin."""
+def shape_esseen(lam, lam_k, m_k):
+    """lambda * (sum lambda_k^2 M_k(lambda_k))^(-1/2); refines Kolmogorov-Rogozin;
+    lambda may be a grid of windows (see ``_classical_shape``)."""
     return _classical_shape(
         lam, lam_k, np.asarray(m_k, dtype=float), "M_k",
         "all spread functionals vanish",
@@ -313,7 +322,7 @@ def shape_crossover(
     a: WeightVector,
     g: Dist,
     L: float,
-    eps: float,
+    eps,
     dstar: float,
     *,
     root: Optional[RootSolution] = None,
@@ -325,36 +334,47 @@ def shape_crossover(
     For eps <= eps0 = tau0/D*: 1 / (||a|| D* sqrt(M(eps D*))) (with the
     eps -> 0 limit 1 / (||a|| D* sqrt(P))); for eps >= eps0 the linear
     continuation eps L / (eps0 ||a|| D*).  The branches agree at eps0.
+
+    eps is a scalar, or a 1-D grid for which ``value`` and the ``eps`` and
+    ``branch`` params are lists, one entry per window; M of every small eps
+    comes from one ``m_functional`` call.
     """
-    if eps < 0:
+    eps_arr = np.asarray(eps, dtype=float)
+    if eps_arr.ndim > 1:
+        raise ValueError("eps must be a scalar or a 1-D grid")
+    if not np.all(eps_arr >= 0):
         raise ValueError("eps must be nonnegative")
     if not dstar > 0:
         raise ValueError("dstar must be positive")
     if root is None:
         root = solve_tau0(g, L, n_samples=n_samples, seed=seed)
     eps0 = root.tau0 / dstar
-    if eps == 0.0:
-        value = 1.0 / (a.norm2 * dstar * math.sqrt(atom_survival(g)))
-        branch = "zero"
-    elif eps <= eps0:
-        m_val = m_functional(g, eps * dstar, n_samples=n_samples, seed=seed)
-        value = 1.0 / (a.norm2 * dstar * math.sqrt(m_val))
-        branch = "small_eps"
-    else:
-        value = eps * L / (eps0 * a.norm2 * dstar)
-        branch = "large_eps"
+    eps_list = eps_arr.ravel().tolist()
+    small = [e * dstar for e in eps_list if 0.0 < e <= eps0]
+    m_vals = iter(m_functional(g, small, n_samples=n_samples, seed=seed))
+    values, branches = [], []
+    for e in eps_list:
+        if e > eps0:
+            values.append(e * L / (eps0 * a.norm2 * dstar))
+            branches.append("large_eps")
+        else:  # M(0+) = P
+            m_val = next(m_vals) if e > 0.0 else atom_survival(g)
+            values.append(1.0 / (a.norm2 * dstar * math.sqrt(m_val)))
+            branches.append("small_eps" if e > 0.0 else "zero")
+    if eps_arr.ndim == 0:
+        eps_list, values, branches = eps_list[0], values[0], branches[0]
     return BoundShape(
         id="crossover",
         params={
-            "eps": eps,
+            "eps": eps_list,
             "eps0": eps0,
             "tau0": root.tau0,
             "L": L,
             "dstar": dstar,
             "norm_a": a.norm2,
-            "branch": branch,
+            "branch": branches,
         },
-        value=value,
+        value=values,
     )
 
 

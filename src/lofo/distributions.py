@@ -58,6 +58,13 @@ class _Record:
         return out
 
 
+def _same_atom(x, y):
+    """True where positions x and y are one atom: |x - y| is at most
+    max(ATOM_ABS_TOL, ATOM_REL_TOL * max(|x|, |y|)).  Elementwise on arrays."""
+    scale = np.maximum(np.abs(x), np.abs(y))
+    return np.abs(x - y) <= np.maximum(ATOM_ABS_TOL, ATOM_REL_TOL * scale)
+
+
 def _coalesce(atoms: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Merge near-duplicate sorted atoms; masses add, positions mass-average.
 
@@ -68,9 +75,7 @@ def _coalesce(atoms: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.nda
     """
     if atoms.size <= 1:
         return atoms, masses
-    gaps = np.diff(atoms)
-    scale = np.maximum(np.abs(atoms[1:]), np.abs(atoms[:-1]))
-    starts = gaps > np.maximum(ATOM_ABS_TOL, ATOM_REL_TOL * scale)
+    starts = ~_same_atom(atoms[1:], atoms[:-1])
     if np.all(starts):
         return atoms, masses
     group = np.concatenate(([0], np.cumsum(starts)))
@@ -149,18 +154,14 @@ class FiniteDist:
         """Mass of the atom coalescing with x (0.0 if none)."""
         i = int(np.searchsorted(self.atoms, x))
         for j in (i - 1, i):
-            if 0 <= j < self.atoms.size:
-                ref = max(abs(x), abs(self.atoms[j]))
-                if abs(self.atoms[j] - x) <= max(ATOM_ABS_TOL, ATOM_REL_TOL * ref):
-                    return float(self.masses[j])
+            if 0 <= j < self.atoms.size and _same_atom(self.atoms[j], x):
+                return float(self.masses[j])
         return 0.0
 
     def is_symmetric(self) -> bool:
         """True when mass(x) == mass(-x) for every atom (about 0)."""
         a, p = self.atoms, self.masses
-        mirrored = -a[::-1]
-        scale = np.maximum(np.abs(a), np.abs(mirrored))
-        if np.any(np.abs(a - mirrored) > np.maximum(ATOM_ABS_TOL, ATOM_REL_TOL * scale)):
+        if not np.all(_same_atom(a, -a[::-1])):
             return False
         return bool(np.all(np.abs(p - p[::-1]) <= MASS_TOL))
 
@@ -287,8 +288,8 @@ def symmetrize(dist: Dist) -> Dist:
     weights = p[i] * p[j]
     order = np.argsort(diffs, kind="stable")
     d, w = _coalesce(diffs[order], weights[order])
-    # A positive difference below the absolute tolerance belongs to the zero atom.
-    near_zero = d <= ATOM_ABS_TOL
+    # A positive difference that is one atom with 0 belongs to the zero atom.
+    near_zero = _same_atom(d, 0.0)
     if np.any(near_zero):
         mass_zero += 2.0 * float(np.sum(w[near_zero]))
         d, w = d[~near_zero], w[~near_zero]
@@ -358,25 +359,35 @@ def weighted_cf(dist: Dist, coords, t) -> complex | np.ndarray:
 
 def m_functional(
     g: Dist,
-    tau: float,
+    tau,
     *,
     n_samples: int = 1_000_000,
     seed: int = 0,
-) -> float:
+) -> float | list[float]:
     """Spread functional M(tau) = E min(X~^2/tau^2, 1) of a symmetric law g.
 
-    Exact sum for finite laws; closed form through erf/erfc for Gaussian
-    laws (within 1e-14 absolute for every tau > 0); the mean over n_samples
-    seeded draws for stable laws, whose Monte Carlo error is not reported.
+    tau is a scalar (returns a float) or a 1-D grid (returns a list whose
+    every value has the bits of the scalar call).  Exact sum for finite
+    laws, the whole grid in one ``_m_finite`` call; closed form through
+    erf/erfc for Gaussian laws (within 1e-14 absolute for every tau > 0);
+    the mean over n_samples seeded draws for stable laws, whose Monte Carlo
+    error is not reported.  The analytic kinds take a grid one tau at a time.
     The stable path divides, squares and clips the draws in their own
     buffer, so beyond the sampler it holds no second length-n array.
     Nonincreasing in tau, with M(tau) <= P(X~ != 0).  A finite law must be
     symmetric; the analytic kinds are symmetric by construction.
     """
-    if not tau > 0:
+    taus = np.asarray(tau, dtype=float)
+    if taus.ndim > 1:
+        raise ValueError("tau must be a scalar or a 1-D grid")
+    tau_list = taus.ravel().tolist()
+    if not all(t > 0 for t in tau_list):
         raise ValueError("tau must be positive")
     if isinstance(g, FiniteDist):
-        return _m_finite(g, [tau])[0]
+        vals = _m_finite(g, taus)
+        return vals if taus.ndim else vals[0]
+    if taus.ndim:
+        return [m_functional(g, t, n_samples=n_samples, seed=seed) for t in tau_list]
     if g.kind == "gaussian":
         return _m_gaussian(g.sigma, tau)
     draws = g.sample(n_samples, np.random.default_rng(seed))
@@ -478,7 +489,7 @@ def mixture_decompose(g: FiniteDist, r: float = _SQRT2) -> MixtureDecomposition:
         raise ValueError("mixture decomposition needs a symmetric finite law")
     q = g.mass_at(0.0)
     abs_atoms = np.abs(g.atoms)
-    nonzero = abs_atoms > ATOM_ABS_TOL
+    nonzero = ~_same_atom(abs_atoms, 0.0)
     if not np.any(nonzero):
         return MixtureDecomposition(
             r=r, q=q, p=(), annuli=(), beta_j=(), beta=0.0, mu=(),

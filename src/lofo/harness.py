@@ -48,7 +48,6 @@ from .distributions import (
     AnalyticDist,
     FiniteDist,
     _Record,
-    _m_finite,
     m_functional,
     symmetrize,
 )
@@ -176,74 +175,43 @@ class CalibrationReport(_Record):
     passed: bool
 
 
-def _crossover_rows(inst: Instance, L: float, n_eps: int):
+# A recipe returns None for an excluded instance, or from one shape call its
+# window grid, the shape value and branch at each window, and the columns
+# that every row of the instance shares.
+def _crossover_shapes(inst: Instance, L: float, n_eps: int):
     g = symmetrize(inst.law)
     try:
         root = solve_tau0(g, L)
     except PreconditionError:
         return None  # no crossover scale (L^2 <= 1/P): excluded, counted by caller
     dstar = lcd_search(inst.weights, L, "d_star", tol=1e-8).value
-    fa = weighted_sum_dist(inst.law, inst.weights)
     eps_grid = np.linspace(0.0, 4.0 * math.sqrt(inst.p * (1.0 - inst.p)), n_eps)
-    rows = []
-    for eps, q_val in zip(eps_grid, _window_sup(fa.atoms, fa.masses, eps_grid)):
-        shape = shape_crossover(inst.weights, g, L, float(eps), dstar, root=root)
-        rows.append(
-            {
-                "instance": inst.id,
-                "s": inst.s,
-                "p": inst.p,
-                "eps": float(eps),
-                "q": q_val,
-                "shape": shape.value,
-                "ratio": q_val / shape.value,
-                "branch": shape.params["branch"],
-                "dstar": dstar,
-                "eps0": shape.params["eps0"],
-                "precondition": "L^2 > 1/P",
-            }
-        )
-    return rows
+    shape = shape_crossover(inst.weights, g, L, eps_grid, dstar, root=root)
+    shared = {"dstar": dstar, "eps0": shape.params["eps0"], "precondition": "L^2 > 1/P"}
+    return eps_grid, shape.value, shape.params["branch"], shared
 
 
-def _classical_rows(inst: Instance, L: float, n_eps: int, bound_id: str):
+def _classical_shapes(inst: Instance, n_eps: int, bound_id: str):
     # i.i.d. summands Y_k = a_k X with windows lambda_k = a_k tau scaled to
     # lambda = ||a||_inf tau; Q and M of a scaled law are scale-covariant.
-    # The component values (Q of f, or M of its symmetrization) and Q of the
-    # sum are each fetched for the whole tau grid in one call.  A tau whose
-    # component is degenerate (Q = 1, or M = 0: the shape diverges) is skipped.
-    a = inst.weights
-    f = inst.law
-    nz = a.coords[a.coords != 0.0]
-    fa = weighted_sum_dist(f, a)
+    # A tau whose component value (Q of f, or M of its symmetrization) is
+    # degenerate (Q = 1, or M = 0: the shape diverges) is dropped.
+    a, f = inst.weights, inst.law
+    nz = np.abs(a.coords[a.coords != 0.0])
     taus = np.geomspace(0.25, 4.0, n_eps)
-    lams = a.norm_inf * taus
     if bound_id == "kolmogorov_rogozin":
         shape, degenerate = shape_kolmogorov_rogozin, 1.0
         comps = _window_sup(f.atoms, f.masses, taus)
     else:
         shape, degenerate = shape_esseen, 0.0
-        comps = _m_finite(symmetrize(f), taus)
-    q_vals = _window_sup(fa.atoms, fa.masses, lams)
-    rows = []
-    for tau, lam, comp, q_val in zip(taus, lams.tolist(), comps, q_vals):
-        if comp == degenerate:
-            continue
-        shape_val = shape(lam, np.abs(nz) * tau, [comp] * nz.size)
-        rows.append(
-            {
-                "instance": inst.id,
-                "s": inst.s,
-                "p": inst.p,
-                "eps": lam,
-                "q": q_val,
-                "shape": shape_val,
-                "ratio": q_val / shape_val,
-                "branch": "",
-                "precondition": "nondegenerate components",
-            }
-        )
-    return rows
+        comps = m_functional(symmetrize(f), taus)
+    comps = np.array(comps)
+    keep = comps != degenerate
+    taus, comps = taus[keep], comps[keep]
+    lams = a.norm_inf * taus
+    # Contiguous rows: np.dot's summation order needs unit inner strides.
+    values = shape(lams, nz * taus[:, None], np.repeat(comps[:, None], nz.size, axis=1))
+    return lams, values, [""] * lams.size, {"precondition": "nondegenerate components"}
 
 
 def calibrate_upper(
@@ -258,23 +226,29 @@ def calibrate_upper(
     L must be positive and finite.  An instance whose solver or shape raises
     PreconditionError is excluded and counted, never scored.  D* is
     certified to tol 1e-8.  PASS means ratio_sup <= fixture, the bound's
-    frozen constant in ``fixtures.RATIO_SUP``.
+    frozen constant in ``fixtures.RATIO_SUP``.  An instance takes one shape
+    call and one window sweep of its sum.
     """
     if not 0 < L < math.inf:
         raise ValueError("L must be positive and finite")
     if bound_id == "crossover":
-        worker = lambda inst: _crossover_rows(inst, L, n_eps)
+        recipe = lambda inst: _crossover_shapes(inst, L, n_eps)
     elif bound_id in ("kolmogorov_rogozin", "esseen"):
-        worker = lambda inst: _classical_rows(inst, L, n_eps, bound_id)
+        recipe = lambda inst: _classical_shapes(inst, n_eps, bound_id)
     else:
         raise ValueError(f"no calibration recipe for bound id {bound_id!r}")
-    results = [worker(inst) for inst in family.instances]
     rows, excluded = [], 0
-    for res in results:
+    for inst in family.instances:
+        res = recipe(inst)
         if res is None:
             excluded += 1
-        else:
-            rows.extend(res)
+            continue
+        grid, shapes, branches, shared = res
+        fa = weighted_sum_dist(inst.law, inst.weights)
+        q_vals = _window_sup(fa.atoms, fa.masses, grid)
+        for eps, q_val, shape, branch in zip(grid.tolist(), q_vals, shapes, branches):
+            rows.append({"instance": inst.id, "s": inst.s, "p": inst.p, "eps": eps, "q": q_val,
+                         "shape": shape, "ratio": q_val / shape, "branch": branch, **shared})
     if not rows:
         raise PreconditionError("no instance satisfied the bound preconditions")
     ratios = [r["ratio"] for r in rows]
@@ -465,18 +439,11 @@ def gaussian_spread_relation(
     fixed bracket for all tau, reflecting 1/sqrt(M) ~ 1 + tau/sigma.
     """
     g = AnalyticDist.gaussian(sigma * math.sqrt(2.0))
-    rows = []
-    for x in tau_over_sigma_grid:
-        tau = float(x) * sigma
-        m = m_functional(g, tau)
-        rows.append(
-            {
-                "tau_over_sigma": float(x),
-                "m": m,
-                "ratio": (1.0 / math.sqrt(m)) / (1.0 + x),
-            }
-        )
-    return rows
+    xs = [float(x) for x in tau_over_sigma_grid]
+    return [
+        {"tau_over_sigma": x, "m": m, "ratio": (1.0 / math.sqrt(m)) / (1.0 + x)}
+        for x, m in zip(xs, m_functional(g, [x * sigma for x in xs]))
+    ]
 
 
 def study_gaussian_window(
@@ -497,19 +464,20 @@ def study_gaussian_window(
         m_at_edge = m_functional(g, sigma * dstar)
         L = 1.05 / math.sqrt(m_at_edge)
         root = solve_tau0(g, L)
-        for eps in np.geomspace(sigma / dstar, sigma, n_eps):
-            q_val = q_closed_form_gaussian(sigma, float(eps)).value
-            shape = shape_crossover(a, g, L, float(eps), dstar, root=root)
+        eps_grid = np.geomspace(sigma / dstar, sigma, n_eps)
+        shape = shape_crossover(a, g, L, eps_grid, dstar, root=root)
+        for eps, value, branch in zip(shape.params["eps"], shape.value, shape.params["branch"]):
+            q_val = q_closed_form_gaussian(sigma, eps).value
             rows.append(
                 {
                     "sigma": sigma,
-                    "eps": float(eps),
-                    "eps_over_sigma": float(eps) / sigma,
+                    "eps": eps,
+                    "eps_over_sigma": eps / sigma,
                     "q": q_val,
                     "q_ratio": q_val * sigma / eps,
-                    "shape": shape.value,
-                    "shape_ratio": shape.value * sigma / eps,
-                    "branch": shape.params["branch"],
+                    "shape": value,
+                    "shape_ratio": value * sigma / eps,
+                    "branch": branch,
                 }
             )
     return rows

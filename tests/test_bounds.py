@@ -446,6 +446,30 @@ def _crossover_at(eps, dstar):
      "each lambda_k must lie in (0, lambda]"),
     (lambda: shape_esseen(1.0, [0.5], [0.0]), PreconditionError,
      "all spread functionals vanish: the shape diverges"),
+    (lambda: shape_kolmogorov_rogozin(1.0, [1.0, 1.0], [1.5, 0.2]), ValueError,
+     "each Q_k must lie in [0, 1]"),
+    (lambda: shape_kolmogorov_rogozin(1.0, [1.0], [1.5]), ValueError,
+     "each Q_k must lie in [0, 1]"),
+    (lambda: shape_kolmogorov_rogozin(1.0, [1.0], [math.nan]), ValueError,
+     "each Q_k must lie in [0, 1]"),
+    (lambda: shape_esseen(1.0, [1.0], [2.0]), ValueError, "each M_k must lie in [0, 1]"),
+    (lambda: shape_esseen(1.0, [1.0], [-1e-300]), ValueError, "each M_k must lie in [0, 1]"),
+    (lambda: shape_esseen(1.0, [1.0], [1.0 + 2e-12]), ValueError, "each M_k must lie in [0, 1]"),
+    (lambda: shape_kolmogorov_rogozin(math.nan, [1.0], [0.5]), ValueError,
+     "lambda must be positive and finite"),
+    (lambda: shape_esseen(math.inf, [1.0], [0.5]), ValueError,
+     "lambda must be positive and finite"),
+    (lambda: shape_esseen(0.0, [1.0], [0.5]), ValueError, "lambda must be positive and finite"),
+    (lambda: shape_esseen(1.0, [math.nan], [0.5]), ValueError,
+     "each lambda_k must lie in (0, lambda]"),
+    (lambda: shape_esseen(1.0, [[1.0]], [0.5]), ValueError,
+     "lambda_k and M_k must be nonempty and aligned"),
+    (lambda: shape_esseen([1.0, 2.0], [[1.0]] * 3, [[0.5]] * 3), ValueError,
+     "lambda_k and M_k must be nonempty and aligned"),
+    (lambda: shape_esseen([1.0, 2.0], [[1.0], [1.0]], [0.5]), ValueError,
+     "lambda_k and M_k must be nonempty and aligned"),
+    (lambda: shape_kolmogorov_rogozin([1.0, 2.0], [[1.0], [1.0]], [[0.5], [1.0]]),
+     PreconditionError, "all component concentrations equal 1: the shape diverges"),
     (lambda: shape_vershynin(0.0, 2.0), ValueError, "L and D must be positive"),
     (lambda: shape_vershynin(2.0, math.nan), ValueError, "L and D must be positive"),
     (lambda: shape_lcd(2.0, -1.0, 0.5), ValueError, "D and ||a|| must be positive"),
@@ -460,6 +484,9 @@ def _crossover_at(eps, dstar):
      "need eps >= 0, dstar > 0, p in (0, 1)"),
     (lambda: _crossover_at(-0.1, 2.0), ValueError, "eps must be nonnegative"),
     (lambda: _crossover_at(0.1, 0.0), ValueError, "dstar must be positive"),
+    (lambda: _crossover_at(math.nan, 2.0), ValueError, "eps must be nonnegative"),
+    (lambda: _crossover_at([0.1, -0.1], 2.0), ValueError, "eps must be nonnegative"),
+    (lambda: _crossover_at([[0.1]], 2.0), ValueError, "eps must be a scalar or a 1-D grid"),
     (lambda: smoothing_cf(WeightVector([1.0]), 1.0, 0.0, 0.5), ValueError,
      "gamma must be positive"),
 ])

@@ -479,6 +479,24 @@ def _one_line_failure(capsys, prefix):
     assert err.count("\n") == 1 and err.startswith(prefix)
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--shape", "kolmogorov_rogozin", "--lambda", "1", "--lambda-k", "1,1", "--q-k", "1.5,0.2"],
+     "each Q_k must lie in [0, 1]"),
+    (["--shape", "kolmogorov_rogozin", "--lambda", "1", "--lambda-k", "1", "--q-k", "1.5"],
+     "each Q_k must lie in [0, 1]"),
+    (["--shape", "esseen", "--lambda", "1", "--lambda-k", "1", "--m-k", "2"],
+     "each M_k must lie in [0, 1]"),
+    (["--shape", "kolmogorov_rogozin", "--lambda", "nan", "--lambda-k", "1", "--q-k", "0.5"],
+     "lambda must be positive and finite"),
+    (["--shape", "esseen", "--lambda", "inf", "--lambda-k", "1", "--m-k", "0.5"],
+     "lambda must be positive and finite"),
+])
+def test_cli_bound_classical_rejects_invalid_components(flags, message, capsys):
+    # These once exited 0 with a value, or exited 1 blaming the wrong input.
+    assert main(["bound", *flags]) == 1
+    _one_line_failure(capsys, f"precondition violated: {message}\n")
+
+
 def test_cli_exit_2_on_tau0_numerical_failure(bernoulli_file, capsys):
     # The exact root cannot meet a residual tolerance below double rounding.
     rc = main(["tau0", "--dist", bernoulli_file, "--L", "2", "--tol", "1e-30"])

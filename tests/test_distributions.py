@@ -57,6 +57,28 @@ def test_construction_rejects_bad_mass():
         FiniteDist([0.0, 1.0], [1.2, -0.2])
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 60))
+def test_same_atom_matches_the_spelled_out_rule(seed, k):
+    # Near-duplicates at gaps around both tolerances, at scales 1e-15..1e6.
+    rng = np.random.default_rng(seed)
+    base = rng.normal(size=k) * 10.0 ** rng.integers(-15, 7)
+    step = rng.choice([0.0, 5e-13, 1e-12, 2e-12, 1e-9, 1e-6], size=k) * (1.0 + np.abs(base))
+    x = np.sort(np.concatenate((base, base + step, -base, [0.0])))
+    tol = lambda scale: np.maximum(distributions.ATOM_ABS_TOL, distributions.ATOM_REL_TOL * scale)
+    same = distributions._same_atom
+    gaps, scale = np.diff(x), np.maximum(np.abs(x[1:]), np.abs(x[:-1]))
+    assert np.array_equal(~same(x[1:], x[:-1]), gaps > tol(scale))  # _coalesce
+    mirrored = -x[::-1]
+    mirror_scale = np.maximum(np.abs(x), np.abs(mirrored))
+    assert np.array_equal(same(x, mirrored), np.abs(x - mirrored) <= tol(mirror_scale))
+    d = np.abs(x)  # symmetrize and mixture_decompose: d >= 0 is one atom with 0
+    assert np.array_equal(same(d, 0.0), d <= distributions.ATOM_ABS_TOL)
+    for y in rng.choice(x, size=min(k, 5)) + rng.choice([0.0, 1e-13, 1e-10], size=min(k, 5)):
+        ref = np.maximum(np.abs(x), abs(y))  # FiniteDist.mass_at
+        assert np.array_equal(same(x, y), np.abs(x - y) <= tol(ref))
+
+
 def test_atoms_strictly_increasing_random():
     rng = np.random.default_rng(7)
     for _ in range(50):
