@@ -34,6 +34,7 @@ from .distributions import (
     Dist,
     FiniteDist,
     _Record,
+    _m_gaussian,
     atom_survival,
     cf_eval,
     m_functional,
@@ -149,6 +150,8 @@ class RootSolution(_Record):
 
     The Gaussian ``method`` reads "bisection_quadrature" although its M is
     closed-form: the label is part of the ``lofo tau0`` JSON and stored reports.
+    Its ``iterations`` count bracket halvings and doublings plus bisection
+    steps; the finite and stable roots are exact on their piece and report 0.
     """
 
     tau0: float
@@ -227,7 +230,13 @@ def _empirical_spread(g: Dist, n_samples: int, seed: int) -> tuple[np.ndarray, f
     return u, 1.0 / n_samples
 
 
-def _bisect_tau0(m_of, m_star: float, tol: float) -> tuple[float, int]:
+def _bisect_tau0(m_of, m_star: float) -> tuple[float, int]:
+    """Root of the nonincreasing m_of(tau) = m_star, and the step count.
+
+    Halve lo or double hi from 1 until [lo, hi] brackets the root, then
+    bisect until hi - lo <= 1e-15 * mid, the only stop: lo >= 2^-600 keeps
+    mid a normal float, so the halving width always gets there.
+    """
     lo = hi = 1.0
     it = 0
     while m_of(lo) < m_star:
@@ -240,18 +249,15 @@ def _bisect_tau0(m_of, m_star: float, tol: float) -> tuple[float, int]:
         it += 1
         if it > 1200:
             raise NumericalError("bracket expansion failed toward infinity")
-    mid = 0.5 * (lo + hi)
-    while it < 2000:
+    while True:
         mid = 0.5 * (lo + hi)
-        val = m_of(mid)
+        if hi - lo <= 1e-15 * mid:
+            return mid, it
         it += 1
-        if abs(val - m_star) <= tol or (hi - lo) <= 1e-15 * mid:
-            break
-        if val > m_star:
+        if m_of(mid) > m_star:
             lo = mid
         else:
             hi = mid
-    return mid, it
 
 
 def solve_tau0(
@@ -267,10 +273,9 @@ def solve_tau0(
 
     Requires a finite L with L^2 > 1/P, P = P(X~ != 0); otherwise no root
     exists and a PreconditionError is raised.  So does an L whose square
-    overflows, since the target 1/L^2 would round to 0.  Default residual
-    tolerance is 1e-10 on the exact finite path and 1e-6 on the Gaussian
-    bisection and the empirical (Monte Carlo) path; a root that misses it
-    raises NumericalError.
+    overflows, since the target 1/L^2 would round to 0.  tol bounds the
+    residual |M(tau0) - 1/L^2| accepted (default 1e-10 for finite laws, 1e-6
+    for the analytic kinds); a larger or NaN residual raises NumericalError.
     """
     if not 0 < L < math.inf:
         raise ValueError("L must be positive and finite")
@@ -298,8 +303,8 @@ def solve_tau0(
         residual = abs(m_functional(g, tau0) - m_star)
         method, iters = "piecewise_exact", 0
     elif g.kind == "gaussian":
-        tau0, iters = _bisect_tau0(lambda t: m_functional(g, t), m_star, tol)
-        residual = abs(m_functional(g, tau0) - m_star)
+        tau0, iters = _bisect_tau0(lambda t: _m_gaussian(g.sigma, t), m_star)
+        residual = abs(_m_gaussian(g.sigma, tau0) - m_star)
         method = "bisection_quadrature"
     else:
         u, w = _empirical_spread(g, n_samples, seed)
@@ -312,7 +317,7 @@ def solve_tau0(
         terms *= w
         residual = abs(float(np.sum(terms)) - m_star)
         method, iters = "empirical_sample", 0
-    if residual > tol:
+    if not residual <= tol:
         raise NumericalError(f"crossover residual {residual:g} above tolerance {tol:g}")
     eps0 = tau0 / dstar if dstar is not None else None
     return RootSolution(tau0=tau0, residual=residual, iterations=iters, method=method, eps0=eps0)

@@ -208,6 +208,8 @@ class AnalyticDist:
         return np.exp(-self.scale * np.abs(t) ** self.alpha) + 0.0j
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        if n < 1:
+            raise ValueError(f"n_samples must be at least 1, got {n}")
         if self.kind == "gaussian":
             return rng.normal(0.0, self.sigma, n)
         return sample_symmetric_stable(self.alpha, self.scale, n, rng)
@@ -367,15 +369,14 @@ def m_functional(
     """Spread functional M(tau) = E min(X~^2/tau^2, 1) of a symmetric law g.
 
     tau is a scalar (returns a float) or a 1-D grid (returns a list whose
-    every value has the bits of the scalar call).  Exact sum for finite
-    laws, the whole grid in one ``_m_finite`` call; closed form through
-    erf/erfc for Gaussian laws (within 1e-14 absolute for every tau > 0);
-    the mean over n_samples seeded draws for stable laws, whose Monte Carlo
-    error is not reported.  The analytic kinds take a grid one tau at a time.
-    The stable path divides, squares and clips the draws in their own
-    buffer, so beyond the sampler it holds no second length-n array.
-    Nonincreasing in tau, with M(tau) <= P(X~ != 0).  A finite law must be
-    symmetric; the analytic kinds are symmetric by construction.
+    every value has the bits of the scalar call).  tau is checked once and
+    the whole grid goes to one kernel per law kind: the exact sum for finite
+    laws (``_m_finite``); the closed form through erf/erfc for Gaussian laws
+    (``_m_gaussian``, within 1e-14 absolute for every tau > 0); the mean over
+    one seeded sample of n_samples draws for stable laws (``_m_stable``),
+    whose Monte Carlo error is not reported.  Nonincreasing in tau, with
+    M(tau) <= P(X~ != 0).  A finite law must be symmetric; the analytic
+    kinds are symmetric by construction.
     """
     taus = np.asarray(tau, dtype=float)
     if taus.ndim > 1:
@@ -385,16 +386,11 @@ def m_functional(
         raise ValueError("tau must be positive")
     if isinstance(g, FiniteDist):
         vals = _m_finite(g, taus)
-        return vals if taus.ndim else vals[0]
-    if taus.ndim:
-        return [m_functional(g, t, n_samples=n_samples, seed=seed) for t in tau_list]
-    if g.kind == "gaussian":
-        return _m_gaussian(g.sigma, tau)
-    draws = g.sample(n_samples, np.random.default_rng(seed))
-    draws /= tau
-    np.square(draws, out=draws)
-    np.minimum(draws, 1.0, out=draws)
-    return float(np.mean(draws))
+    elif g.kind == "gaussian":
+        vals = [_m_gaussian(g.sigma, t) for t in tau_list]
+    else:
+        vals = _m_stable(g, tau_list, n_samples, seed)
+    return vals if taus.ndim else vals[0]
 
 
 def _m_finite(g: FiniteDist, taus) -> list[float]:
@@ -420,6 +416,25 @@ def _m_finite(g: FiniteDist, taus) -> list[float]:
             np.multiply(ratio, ratio, out=ratio)
         np.minimum(ratio, 1.0, out=ratio)
         out += np.matmul(ratio[:, None, :], masses)[:, 0, 0].tolist()
+    return out
+
+
+def _m_stable(g: AnalyticDist, taus: list, n_samples: int, seed: int) -> list[float]:
+    """M(tau) of a stable law g at every tau of the list ``taus``, from one
+    seeded sample of n_samples draws (none for an empty list).  One tau
+    works in the draws' buffer, more in one scratch buffer; a ratio or
+    square past the float range clips to 1."""
+    if not taus:
+        return []
+    draws = g.sample(n_samples, np.random.default_rng(seed))
+    buf = draws if len(taus) == 1 else np.empty_like(draws)
+    out = []
+    with np.errstate(over="ignore"):
+        for tau in taus:
+            np.divide(draws, tau, out=buf)
+            np.square(buf, out=buf)
+            np.minimum(buf, 1.0, out=buf)
+            out.append(float(np.mean(buf)))
     return out
 
 

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
+from scipy.special import gammainc, gammaincc
 
 from lofo.bounds import (
     check_cf_exponential_bound,
@@ -382,19 +384,6 @@ GOLDEN_EMPIRICAL_TAU0 = {
     (1.5, 1.0, 10.0): (28.510124588589203, 5.204170427930421e-18),
 }
 
-# (sigma, L) -> (tau0, iterations) of the Gaussian bisection (default tol).
-GOLDEN_GAUSSIAN_TAU0 = {
-    (math.sqrt(2.0), 1.2): (0.8410263061523438, 17),
-    (math.sqrt(2.0), 2.0): (2.6832542419433594, 20),
-    (math.sqrt(2.0), 5.0): (7.0710601806640625, 19),
-    (math.sqrt(2.0), 100.0): (141.44921875, 16),
-    (0.3, 1.2): (0.17840909957885742, 21),
-    (0.3, 2.0): (0.5692024230957031, 18),
-    (0.3, 5.0): (1.5, 2),
-    (0.3, 100.0): (30.0625, 9),
-}
-
-
 def test_cf_bound_matches_frozen_output():
     for seed, expected in GOLDEN_CF_BOUND.items():
         rng = np.random.default_rng(seed)
@@ -414,11 +403,33 @@ def test_tau0_empirical_matches_frozen_output():
                                   "method": "empirical_sample", "eps0": None}
 
 
-def test_tau0_gaussian_matches_frozen_output():
-    for (sigma, L), (tau0, iterations) in GOLDEN_GAUSSIAN_TAU0.items():
-        root = solve_tau0(AnalyticDist.gaussian(sigma), L)
-        assert (root.tau0, root.iterations) == (tau0, iterations)
-        assert root.method == "bisection_quadrature" and root.residual <= 1e-6
+def _gaussian_tau0_oracle(sigma, L):
+    """brentq root of M(tau) = 1/L^2 through regularized incomplete gamma
+    functions: M = P(3/2, a^2/2) / a^2 + Q(1/2, a^2/2) with a = tau/sigma."""
+    def m_of(tau):
+        a = tau / sigma
+        x = 0.5 * a * a
+        return gammainc(1.5, x) / (a * a) + gammaincc(0.5, x)
+
+    return brentq(lambda t: m_of(t) - 1.0 / (L * L), 1e-3 * sigma, 2.0 * sigma * L,
+                  xtol=1e-300, rtol=4 * np.finfo(float).eps, maxiter=2000)
+
+
+@pytest.mark.parametrize("sigma", [0.3, math.sqrt(2.0)])
+@pytest.mark.parametrize("L", [1.01, 1.2, 2.0, 5.0, 100.0, 300.0, 1e3, 1e4, 1e6, 1e150])
+def test_tau0_gaussian_matches_incomplete_gamma_root(sigma, L):
+    # The bisection runs to its bracket, so the root is good to the last
+    # few ulps at every L, not only to a residual of 1e-6.
+    root = solve_tau0(AnalyticDist.gaussian(sigma), L)
+    expected = _gaussian_tau0_oracle(sigma, L)
+    assert abs(root.tau0 - expected) <= 1e-13 * expected
+    assert root.method == "bisection_quadrature" and root.residual <= 1e-6
+
+
+def test_tau0_nan_residual_is_numerical_error():
+    # tau0 ~ sigma L overflows; M(inf) is NaN and must not pass the tolerance.
+    with pytest.raises(NumericalError, match="residual nan"):
+        solve_tau0(AnalyticDist.gaussian(1e300), 1e10)
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +500,12 @@ def _crossover_at(eps, dstar):
     (lambda: _crossover_at([[0.1]], 2.0), ValueError, "eps must be a scalar or a 1-D grid"),
     (lambda: smoothing_cf(WeightVector([1.0]), 1.0, 0.0, 0.5), ValueError,
      "gamma must be positive"),
+    (lambda: solve_tau0(AnalyticDist.stable(1.0), 3.0, n_samples=0), ValueError,
+     "n_samples must be at least 1"),
+    (lambda: solve_tau0(AnalyticDist.stable(1.0), 3.0, n_samples=-3), ValueError,
+     "n_samples must be at least 1"),
+    (lambda: shape_crossover(WeightVector([1.0]), AnalyticDist.stable(1.0), 3.0, 0.5, 2.0,
+                             n_samples=-3), ValueError, "n_samples must be at least 1"),
 ])
 def test_bounds_input_checks(call, exc, message):
     with pytest.raises(exc) as info:

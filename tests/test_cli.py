@@ -587,6 +587,41 @@ def test_cli_crossover_at_tiny_window(unit_weight_file, tmp_path):
     assert shape["value"] == 1.0 / 1.5
 
 
+def test_cli_tau0_gaussian_root_at_large_L(tmp_path):
+    # The bisection runs to its bracket: tau0 = sqrt(2) L for N(0, 1) at large L.
+    dist = tmp_path / "g.json"
+    dist.write_text(json.dumps({"type": "gaussian", "sigma": 1}))
+    out = tmp_path / "tau0.json"
+    assert main(["tau0", "--dist", str(dist), "--L", "1000", "--out", str(out)]) == 0
+    assert abs(json.loads(out.read_text())["tau0"] - 1000.0 * math.sqrt(2.0)) <= 1e-12
+
+
+def test_cli_stable_crossover_at_overflowing_window_is_quiet(tmp_path):
+    # (x / (eps D*))^2 overflows for every draw; the stable M clips it to 1
+    # without a RuntimeWarning, so an interpreter that raises on them exits 0.
+    dist = tmp_path / "s.json"
+    dist.write_text(json.dumps({"type": "stable", "alpha": 1.5}))
+    weights = tmp_path / "w.txt"
+    weights.write_text("1\n0.5\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lofo.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "lofo.cli", "bound", "--shape",
+         "crossover", "--dist", str(dist), "--weights", str(weights), "--L", "3", "--eps",
+         "1e-300", "--dstar", "2", "--samples", "1000"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(proc.stdout)["params"]["branch"] == "small_eps"
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_cli_stable_without_draws_is_precondition(samples, tmp_path, capsys):
+    dist = tmp_path / "s.json"
+    dist.write_text(json.dumps({"type": "stable", "alpha": 1.5}))
+    assert main(["tau0", "--dist", str(dist), "--L", "3", "--samples", samples]) == 1
+    _one_line_failure(capsys, f"precondition violated: n_samples must be at least 1, got {samples}")
+
+
 def _run_without_runtime_warnings(argv):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

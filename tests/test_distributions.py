@@ -390,6 +390,12 @@ def test_mixture_rejects_bad_r():
      "tau must be positive"),
     (lambda: m_functional(AnalyticDist.gaussian(1.0), math.nan), ValueError,
      "tau must be positive"),
+    (lambda: m_functional(AnalyticDist.stable(1.0), 1.0, n_samples=0), ValueError,
+     "n_samples must be at least 1"),
+    (lambda: m_functional(AnalyticDist.stable(1.0), [1.0, 2.0], n_samples=-3), ValueError,
+     "n_samples must be at least 1"),
+    (lambda: AnalyticDist.gaussian(1.0).sample(0, np.random.default_rng(0)), ValueError,
+     "n_samples must be at least 1"),
     (lambda: mixture_decompose(FiniteDist.bernoulli(0.3)), ValueError,
      "mixture decomposition needs a symmetric finite law"),
     (lambda: mixture_decompose(AnalyticDist.gaussian(1.0)), ValueError,

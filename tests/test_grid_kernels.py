@@ -868,6 +868,36 @@ def test_m_functional_grid_matches_scalar_calls_stable(alpha, n_samples, seed, t
     assert _same(grid, expected)
 
 
+def _count_samples(monkeypatch):
+    """Record the n of every AnalyticDist.sample call from here on."""
+    calls = []
+    sample = AnalyticDist.sample
+
+    def counted(self, n, rng):
+        calls.append(n)
+        return sample(self, n, rng)
+
+    monkeypatch.setattr(AnalyticDist, "sample", counted)
+    return calls
+
+
+def test_m_functional_stable_grid_draws_one_sample(monkeypatch):
+    calls = _count_samples(monkeypatch)
+    g = AnalyticDist.stable(1.5)
+    values = m_functional(g, np.geomspace(0.1, 10.0, 10), n_samples=500, seed=3)
+    assert len(values) == 10 and calls == [500]
+    assert m_functional(g, [], n_samples=500) == [] and calls == [500]
+
+
+def test_shape_crossover_stable_grid_draws_twice(monkeypatch):
+    # One sample for tau0 and one for M at every small eps.
+    calls = _count_samples(monkeypatch)
+    g = AnalyticDist.stable(1.5)
+    shape = shape_crossover(WeightVector([1.0, 0.5]), g, 3.0, np.geomspace(1e-3, 10.0, 12),
+                            2.0, n_samples=400, seed=1)
+    assert shape.params["branch"].count("small_eps") > 1 and calls == [400, 400]
+
+
 @pytest.mark.parametrize("law", ["finite", "gaussian", "stable"])
 def test_shape_crossover_grid_matches_scalar_calls(law):
     # eps = 0, eps0 exactly and one ulp either side of it, and large eps.
@@ -881,9 +911,7 @@ def test_shape_crossover_grid_matches_scalar_calls(law):
     root = solve_tau0(g, L, **kw)
     eps0 = root.tau0 / dstar
     grid = [0.0, eps0, np.nextafter(eps0, 0.0), np.nextafter(eps0, math.inf), eps0 / 3.0,
-            50.0 * eps0, 0.0]
-    if law != "stable":  # the stable M warns where (x/tau)^2 overflows
-        grid.append(1e-300)
+            50.0 * eps0, 0.0, 1e-300]
     shape = shape_crossover(a, g, L, np.array(grid), dstar, root=root, **kw)
     assert shape.params["branch"][:4] == ["zero", "small_eps", "small_eps", "large_eps"]
     for i, eps in enumerate(grid):

@@ -362,15 +362,18 @@ def _traced_peak_arrays(fn):
     ("solve_tau0", 4.5),
     ("study_tau0_scaling", 4.5),
     ("m_functional", 1.5),
+    ("m_functional_grid", 2.5),
 ])
 def test_sampled_path_traced_peak(case, budget):
     # u, the prefix sums, the suffix sums and the knots for tau0; the draws
-    # alone for the stable M (alpha = 1 skips its exponentials in blocks).
+    # alone for the stable M at one tau (alpha = 1 skips its exponentials in
+    # blocks), and the draws plus one scratch buffer for a tau grid.
     g = AnalyticDist.stable(1.0, 2.0)
     calls = {
         "solve_tau0": lambda: solve_tau0(g, 3.0, n_samples=N_TRACED),
         "study_tau0_scaling": lambda: study_tau0_scaling([0.5], [3, 10, 30], n_samples=N_TRACED),
         "m_functional": lambda: m_functional(g, 1.0, n_samples=N_TRACED),
+        "m_functional_grid": lambda: m_functional(g, [0.5, 1.0, 2.0], n_samples=N_TRACED),
     }
     assert _traced_peak_arrays(calls[case]) <= budget
 
