@@ -173,10 +173,19 @@ def _piecewise_tau0(u: np.ndarray, w, m_stars) -> list[float]:
     (O(len(u))), each in its own buffer, so four length-n arrays are live at
     most: u, the prefix sums, the suffix sums and the negated knots.  Each
     target then costs one binary search and a short walk over the pieces.
+
+    The sums are taken on u times 2^-e, e the binary exponent of max(u)
+    (at most 1023), so the squares neither overflow nor underflow however
+    large or small u is.  Products, sums, quotients and square roots commute
+    with a power-of-two scaling away from subnormals, so a root scaled back
+    by 2^e has the bits of the unscaled sums wherever those stayed normal.
     """
     n = u.size
-    a_prefix = np.multiply(w, u)
-    a_prefix *= u
+    exp = min(math.frexp(u[-1])[1], 1023)  # 2^exp stays a finite float
+    back = 2.0**exp
+    neg_knot = np.ldexp(u, -exp)  # scaled u, until it holds the knots
+    a_prefix = np.multiply(w, neg_knot)
+    a_prefix *= neg_knot
     np.cumsum(a_prefix, out=a_prefix)
     # b_suffix[i] = sum_{j > i} w_j: one cumsum of w[n-1], ..., w[1] written
     # into the reversed view; the sums must run from the top.
@@ -185,7 +194,7 @@ def _piecewise_tau0(u: np.ndarray, w, m_stars) -> list[float]:
     tail = np.broadcast_to(w, (n - 1,)) if np.ndim(w) == 0 else w[:0:-1]
     np.cumsum(tail, out=b_suffix[::-1][1:])
     # knot_m = a_prefix/u^2 + b_suffix is nonincreasing; negate it for the search.
-    neg_knot = np.multiply(u, u)
+    np.multiply(neg_knot, neg_knot, out=neg_knot)
     np.divide(a_prefix, neg_knot, out=neg_knot)
     neg_knot += b_suffix
     np.negative(neg_knot, out=neg_knot)
@@ -200,7 +209,7 @@ def _piecewise_tau0(u: np.ndarray, w, m_stars) -> list[float]:
         while idx < u.size:
             a_i, b_i = a_prefix[idx], b_suffix[idx]
             if m_star > b_i:
-                tau = math.sqrt(a_i / (m_star - b_i))
+                tau = math.sqrt(a_i / (m_star - b_i)) * back
                 hi = u[idx + 1] if idx + 1 < u.size else math.inf
                 if u[idx] <= tau * (1 + 1e-12) and tau <= hi * (1 + 1e-12):
                     roots.append(tau)

@@ -177,14 +177,19 @@ class CalibrationReport(_Record):
 
 # A recipe returns None for an excluded instance, or from one shape call its
 # window grid, the shape value and branch at each window, and the columns
-# that every row of the instance shares.
-def _crossover_shapes(inst: Instance, L: float, n_eps: int):
+# that every row of the instance shares.  The crossover recipe's dstars holds
+# D* by weight-vector bytes for one calibrate_upper call, since a sparse
+# family reuses one vector across every p.
+def _crossover_shapes(inst: Instance, L: float, n_eps: int, dstars: dict):
     g = symmetrize(inst.law)
     try:
         root = solve_tau0(g, L)
     except PreconditionError:
         return None  # no crossover scale (L^2 <= 1/P): excluded, counted by caller
-    dstar = lcd_search(inst.weights, L, "d_star", tol=1e-8).value
+    key = inst.weights.coords.tobytes()
+    dstar = dstars.get(key)
+    if dstar is None:
+        dstar = dstars[key] = lcd_search(inst.weights, L, "d_star", tol=1e-8).value
     eps_grid = np.linspace(0.0, 4.0 * math.sqrt(inst.p * (1.0 - inst.p)), n_eps)
     shape = shape_crossover(inst.weights, g, L, eps_grid, dstar, root=root)
     shared = {"dstar": dstar, "eps0": shape.params["eps0"], "precondition": "L^2 > 1/P"}
@@ -227,12 +232,14 @@ def calibrate_upper(
     PreconditionError is excluded and counted, never scored.  D* is
     certified to tol 1e-8.  PASS means ratio_sup <= fixture, the bound's
     frozen constant in ``fixtures.RATIO_SUP``.  An instance takes one shape
-    call and one window sweep of its sum.
+    call and one window sweep of its sum; D* is searched once per distinct
+    weight vector.
     """
     if not 0 < L < math.inf:
         raise ValueError("L must be positive and finite")
     if bound_id == "crossover":
-        recipe = lambda inst: _crossover_shapes(inst, L, n_eps)
+        dstars: dict = {}
+        recipe = lambda inst: _crossover_shapes(inst, L, n_eps, dstars)
     elif bound_id in ("kolmogorov_rogozin", "esseen"):
         recipe = lambda inst: _classical_shapes(inst, n_eps, bound_id)
     else:
@@ -517,27 +524,61 @@ def improvement_report(family: InstanceFamily, L: float) -> list[dict]:
 
 
 def rows_to_csv(rows: Sequence[dict], path: str) -> None:
-    """One CSV row per report row; keys of the first row fix the header."""
+    """One CSV row per report row; keys of the first row fix the header.
+
+    The bytes are those of ``csv.DictWriter`` with its defaults: a key
+    missing from a row writes "", and a key outside the header raises
+    ValueError naming it, after the rows before it are written.
+    """
     rows = list(rows)
     if not rows:
         raise ValueError("no rows to render")
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
+    header = list(rows[0].keys())
+    _write_csv(path, header, _dict_cells(rows, header))
 
 
 def rows_to_long_csv(rows: Sequence[dict], path: str) -> None:
     """Plot-ready long format: (instance, eps, Q, shape, ratio)."""
-    out = []
-    for r in rows:
-        out.append(
-            {
-                "instance": r.get("instance", ""),
-                "eps": r.get("eps", ""),
-                "q": r.get("q", ""),
-                "shape": r.get("shape", r.get("min_form", "")),
-                "ratio": r.get("ratio", ""),
-            }
+    cells = [
+        (r.get("instance", ""), r.get("eps", ""), r.get("q", ""),
+         r.get("shape", r.get("min_form", "")), r.get("ratio", ""))
+        for r in rows
+    ]
+    if not cells:
+        raise ValueError("no rows to render")
+    _write_csv(path, ["instance", "eps", "q", "shape", "ratio"], cells)
+
+
+def _dict_cells(rows: list, header: list):
+    """DictWriter's cells of each row, made as the writer asks for them."""
+    for row in rows:
+        wrong_fields = row.keys() - header
+        if wrong_fields:
+            raise ValueError("dict contains fields not in fieldnames: "
+                             + ", ".join([repr(x) for x in wrong_fields]))
+        yield [row.get(key, "") for key in header]
+
+
+def _write_csv(path: str, header: list, rows) -> None:
+    """Write the header and the rows of cells, each distinct float's repr made once.
+
+    csv writes a float as its repr, so a cell whose type is exactly float
+    is handed over as its memoized repr, which holds no delimiter, quote or
+    newline and is written unquoted as before.  Every other cell, numpy
+    scalars, None and bools included, goes to csv unchanged.
+    """
+    reprs: dict = {}
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(
+            [(reprs.get(v) or _float_repr(v, reprs)) if type(v) is float else v for v in cells]
+            for cells in rows
         )
-    rows_to_csv(out, path)
+
+
+def _float_repr(x: float, reprs: dict) -> str:
+    text = repr(x)
+    if x:  # 0.0 and -0.0 compare equal but print differently
+        reprs[x] = text
+    return text

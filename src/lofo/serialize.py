@@ -9,7 +9,8 @@ Weight vectors are JSON arrays or newline-delimited text files.  A result's
 JSON object is its dataclass fields, by name (``to_json``).  All output
 JSON is canonical: UTF-8, sorted keys, floats at 17 significant digits
 (lossless round-trip), so identical configurations produce byte-identical
-files.  Writes go through a temp file plus rename.
+files.  The encoder formats each distinct float once per call, since report
+rows repeat most of their floats.  Writes go through a temp file plus rename.
 """
 
 from __future__ import annotations
@@ -101,25 +102,35 @@ def dumps_canonical(obj) -> str:
     """Canonical JSON text: sorted keys, 17-significant-digit floats.
 
     One pass appends the pieces to a list that is joined once at the end.
-    The cost is proportional to the number of nodes.
+    Formatting a float costs several times a dict lookup, so each distinct
+    float is formatted once per call and looked up after that: the cost is
+    about c_float * (distinct floats) + c_node * (nodes).
     """
     out: list = []
-    _encode(obj, out, {})
+    _encode(obj, out, {}, {})
     return "".join(out)
 
 
-def _encode(obj, out: list, keys: dict) -> None:
+def _encode(obj, out: list, keys: dict, floats: dict) -> None:
     """Append the canonical JSON of obj to out.
 
     Dispatch is on the exact type, with the types of report rows first;
     subclasses and numpy scalars and arrays go through _builtin.  keys caches
     the encoded '"key":' of each str key: report rows repeat a few dozen keys
-    thousands of times.  A container closes by overwriting its trailing
-    comma, which no value emits as a piece of its own.
+    thousands of times.  floats caches the text of each finite nonzero float:
+    0.0 and -0.0 compare equal but print differently, so zeros are never
+    stored, and a non-finite float raises before it could be.  A container
+    closes by overwriting its trailing comma, which no value emits as a
+    piece of its own.
     """
     t = type(obj)
     if t is float:
-        out.append(_format_float(obj))
+        text = floats.get(obj)
+        if text is None:
+            text = _format_float(obj)
+            if obj:
+                floats[obj] = text
+        out.append(text)
     elif t is dict:
         out.append("{")
         for k in sorted(obj):
@@ -130,7 +141,7 @@ def _encode(obj, out: list, keys: dict) -> None:
             else:
                 key = json.dumps(k, ensure_ascii=False) + ":"
             out.append(key)
-            _encode(obj[k], out, keys)
+            _encode(obj[k], out, keys, floats)
             out.append(",")
         if out[-1] == ",":
             out[-1] = "}"
@@ -139,7 +150,7 @@ def _encode(obj, out: list, keys: dict) -> None:
     elif t is list or t is tuple:
         out.append("[")
         for v in obj:
-            _encode(v, out, keys)
+            _encode(v, out, keys, floats)
             out.append(",")
         if out[-1] == ",":
             out[-1] = "]"
@@ -156,7 +167,7 @@ def _encode(obj, out: list, keys: dict) -> None:
     elif isinstance(obj, str):
         out.append(encode_basestring(obj))
     else:
-        _encode(_builtin(obj), out, keys)
+        _encode(_builtin(obj), out, keys, floats)
 
 
 def _builtin(obj):

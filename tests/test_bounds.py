@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -401,6 +402,23 @@ def test_tau0_empirical_matches_frozen_output():
         root = solve_tau0(AnalyticDist.stable(alpha, scale), L, n_samples=50_000, seed=7)
         assert root.to_json() == {"tau0": tau0, "residual": residual, "iterations": 0,
                                   "method": "empirical_sample", "eps0": None}
+
+
+@pytest.mark.parametrize("k", [530, -530, 1000, -1000])
+def test_tau0_scales_by_powers_of_two(k):
+    # The draws' squares overflow (k > 0) or underflow (k < 0) unscaled; the
+    # root of a law scaled by 2^k is the unit root times 2^k, bit for bit.
+    c = 2.0**k
+    base = solve_tau0(AnalyticDist.stable(1.0, 1.0), 2.0, n_samples=10_000, seed=1)
+    finite = symmetrize(FiniteDist([0.0, 1.0, 3.0], [0.5, 0.3, 0.2]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled = solve_tau0(AnalyticDist.stable(1.0, c), 2.0, n_samples=10_000, seed=1)
+        assert scaled.tau0 == base.tau0 * c
+        assert scaled.residual == base.residual
+        if k > 0:  # atoms 2^-530 apart merge by the absolute atom tolerance
+            big = symmetrize(FiniteDist([0.0, c, 3.0 * c], [0.5, 0.3, 0.2]))
+            assert solve_tau0(big, 2.0).tau0 == solve_tau0(finite, 2.0).tau0 * c
 
 
 def _gaussian_tau0_oracle(sigma, L):

@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+import lofo.harness
 from lofo.bounds import _empirical_spread, _piecewise_tau0, solve_tau0
 from lofo.concentration import WeightVector, q_exact, weighted_sum_dist
 from lofo.distributions import AnalyticDist, FiniteDist
 from lofo.exceptions import PreconditionError
+from lofo.lcd import lcd as lcd_search
 from lofo.harness import (
     calibrate_upper,
     check_lower_binomial,
@@ -130,6 +132,22 @@ def test_calibrate_crossover_perturbed_family():
     sup_pert = max(r["ratio"] for r in pert_rows)
     sup_plain = max(r["ratio"] for r in plain_rows)
     assert abs(sup_pert - sup_plain) <= 0.15 * sup_plain
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_calibrate_crossover_scans_each_weight_vector_once(perturbed, monkeypatch):
+    # The sparse family reuses one vector across every p: 3 vectors, 9 instances.
+    calls = []
+
+    def counted(weights, *args, **kwargs):
+        calls.append(weights.coords.tobytes())
+        return lcd_search(weights, *args, **kwargs)
+
+    fam = gen_sparse_family([4, 8, 16], n=32, p_list=[0.3, 0.4, 0.5], perturbed=perturbed)
+    rep = calibrate_upper("crossover", fam, L=2.0, n_eps=5)
+    monkeypatch.setattr(lofo.harness, "lcd_search", counted)
+    assert calibrate_upper("crossover", fam, L=2.0, n_eps=5) == rep
+    assert len(calls) == len(set(calls)) == 3
 
 
 def test_calibrate_classical_bounds():

@@ -115,3 +115,35 @@ def test_unknown_types_raise_type_error(bad):
         dumps_canonical(bad)
     with pytest.raises(TypeError):
         _oracle(bad)
+
+
+# Floats from a small pool, so most leaves repeat a value the per-call memo
+# already holds; 1.0 sits beside the int 1 and True, which compare equal to it.
+_pool = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 0.1, -0.1, 1.0, 1.0 / 3.0, 2.5e300])
+_pooled_scalars = st.one_of(
+    _pool, _pool, _pool.map(np.float64), st.sampled_from([0, 1, True, False, None, "x"]))
+_pooled_trees = st.recursive(
+    _pooled_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=6),
+        st.dictionaries(st.sampled_from(["a", "b", "eps", "q"]), children, max_size=4),
+    ),
+    max_leaves=60,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pooled_trees)
+def test_encoder_matches_oracle_on_repeated_floats(obj):
+    assert dumps_canonical(obj) == _oracle(obj)
+
+
+@pytest.mark.parametrize("nan", [float("nan"), np.float64("nan")])
+def test_nan_after_memoized_float_raises(nan):
+    obj = {"a": [0.5, 0.5, np.float64(0.5)], "b": [0.5, nan]}
+    with pytest.raises(ValueError):
+        dumps_canonical(obj)
+    # A NaN key may be looked up, but no NaN is ever stored in the memo.
+    with pytest.raises(ValueError):
+        dumps_canonical([nan, nan])
+    assert dumps_canonical([0.5, -0.0, 0.0]) == "[0.5,-0,0]"
