@@ -17,8 +17,8 @@ The crossover scale tau0 solves L^2 = 1/M(tau0); M is continuous and
 nonincreasing with limit P = P(X~ != 0) at 0, so a root exists exactly when
 L^2 > 1/P.  For finite laws M is piecewise A + B/tau^2 between consecutive
 distinct |atoms| and the root is closed-form on its piece; the Gaussian path
-bisects the closed-form M, and stable laws take the piecewise root of the
-empirical M of one seeded sample (common random numbers keep it monotone).
+bisects the closed-form M in units of sigma on a bracket from M's bounds, and
+stable laws take the piecewise root of the empirical M of one seeded sample.
 """
 
 from __future__ import annotations
@@ -150,8 +150,8 @@ class RootSolution(_Record):
 
     The Gaussian ``method`` reads "bisection_quadrature" although its M is
     closed-form: the label is part of the ``lofo tau0`` JSON and stored reports.
-    Its ``iterations`` count bracket halvings and doublings plus bisection
-    steps; the finite and stable roots are exact on their piece and report 0.
+    Its ``iterations`` count bisection steps only (50 to 56 for L >= 1.01);
+    the finite and stable roots are exact on their piece and report 0.
     """
 
     tau0: float
@@ -239,25 +239,12 @@ def _empirical_spread(g: Dist, n_samples: int, seed: int) -> tuple[np.ndarray, f
     return u, 1.0 / n_samples
 
 
-def _bisect_tau0(m_of, m_star: float) -> tuple[float, int]:
-    """Root of the nonincreasing m_of(tau) = m_star, and the step count.
-
-    Halve lo or double hi from 1 until [lo, hi] brackets the root, then
-    bisect until hi - lo <= 1e-15 * mid, the only stop: lo >= 2^-600 keeps
-    mid a normal float, so the halving width always gets there.
+def _bisect_tau0(m_of, m_star: float, lo: float, hi: float) -> tuple[float, int]:
+    """Root of the nonincreasing m_of = m_star in the bracket [lo, hi] (with
+    m_of(lo) >= m_star >= m_of(hi)), and the step count: bisects until
+    hi - lo <= 1e-15 * mid, the only stop, reached since lo is a normal float.
     """
-    lo = hi = 1.0
     it = 0
-    while m_of(lo) < m_star:
-        lo *= 0.5
-        it += 1
-        if it > 600:
-            raise NumericalError("bracket expansion failed toward 0")
-    while m_of(hi) > m_star:
-        hi *= 2.0
-        it += 1
-        if it > 1200:
-            raise NumericalError("bracket expansion failed toward infinity")
     while True:
         mid = 0.5 * (lo + hi)
         if hi - lo <= 1e-15 * mid:
@@ -285,6 +272,7 @@ def solve_tau0(
     overflows, since the target 1/L^2 would round to 0.  tol bounds the
     residual |M(tau0) - 1/L^2| accepted (default 1e-10 for finite laws, 1e-6
     for the analytic kinds); a larger or NaN residual raises NumericalError.
+    So does a Gaussian root below the smallest normal float.
     """
     if not 0 < L < math.inf:
         raise ValueError("L must be positive and finite")
@@ -309,11 +297,18 @@ def solve_tau0(
         u = g.atoms[pos]
         w = 2.0 * g.masses[pos]
         (tau0,) = _piecewise_tau0(u, w, [m_star])
-        residual = abs(m_functional(g, tau0) - m_star)
         method, iters = "piecewise_exact", 0
     elif g.kind == "gaussian":
-        tau0, iters = _bisect_tau0(lambda t: _m_gaussian(g.sigma, t), m_star)
-        residual = abs(_m_gaussian(g.sigma, tau0) - m_star)
+        # Bisect a = tau/sigma on m(a) = E min(Z^2/a^2, 1), Z ~ N(0, 1), in a bracket:
+        # m(a) <= E Z^2/a^2 = 1/a^2, so m(sqrt2 L) <= m_star/2 (m(L) may round above);
+        # m(a) >= P(|Z| >= a) >= 1 - a sqrt(2/pi), |Z| having density <= sqrt(2/pi);
+        # m(a) >= m(1) min(1, a^-2), m(1) = 0.51606 > 1/2: m((2 m_star)^-1/2) > m_star,
+        # and for m_star <= 1/2 that end is the larger.
+        lo = (1.0 - m_star) * math.sqrt(0.5 * math.pi) if m_star > 0.5 else (2.0 * m_star) ** -0.5
+        a0, iters = _bisect_tau0(lambda a: _m_gaussian(1.0, a), m_star, lo, math.sqrt(2.0) * L)
+        tau0 = g.sigma * a0
+        if tau0 < np.finfo(float).tiny:
+            raise NumericalError(f"crossover scale {g.sigma:g} * {a0:.6g} underflows")
         method = "bisection_quadrature"
     else:
         u, w = _empirical_spread(g, n_samples, seed)
@@ -326,6 +321,8 @@ def solve_tau0(
         terms *= w
         residual = abs(float(np.sum(terms)) - m_star)
         method, iters = "empirical_sample", 0
+    if method != "empirical_sample":  # the exact M of a finite or Gaussian law
+        residual = abs(m_functional(g, tau0) - m_star)
     if not residual <= tol:
         raise NumericalError(f"crossover residual {residual:g} above tolerance {tol:g}")
     eps0 = tau0 / dstar if dstar is not None else None
@@ -439,7 +436,7 @@ def smoothing_cf(a: WeightVector, z: float, gamma: float, t) -> float | np.ndarr
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     expo = np.sum(1.0 - np.cos(2.0 * z * np.outer(ts, a.coords)), axis=1)
     vals = np.exp(-0.5 * gamma * expo)
-    return float(vals[0]) if np.isscalar(t) else vals
+    return float(vals[0]) if np.ndim(t) == 0 else vals
 
 
 def check_smoothing_identities(

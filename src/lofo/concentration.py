@@ -539,8 +539,8 @@ def esseen_integral(
     |CF_{S_a}| one bisection level at a time, so weighted_cf runs once per
     level over all of that level's nodes.
     """
-    if not lam > 0:
-        raise ValueError("lambda must be positive")
+    if not 0 < lam < math.inf or 1.0 / lam == math.inf:
+        raise ValueError("lambda must be positive and finite, with a finite reciprocal")
     if not tol > 0:
         raise ValueError("tol must be positive")
     integrand = lambda t: np.abs(weighted_cf(dist, a, t))

@@ -234,10 +234,11 @@ def _first_crossing(
     """Leftmost t in [t_lo, t_hi] with dist(t a, Z^n) < thr(t), Lipschitz-certified.
 
     abs_a holds |a_k|, lip = ||a|| is the Lipschitz constant of the distance,
-    and thr must be nondecreasing.  Returns (frontier, witness, n_evals,
-    gaps): the certified frontier (no crossing in [t_lo, frontier] outside
-    the recorded gaps), the smallest witness found (None if there is none),
-    the number of t whose distance the search used, and the gaps.
+    and thr must be nondecreasing, with the ``array`` form that _threshold
+    attaches.  Returns (frontier, witness, n_evals, gaps): the certified
+    frontier (no crossing in [t_lo, frontier] outside the recorded gaps),
+    the smallest witness found (None if there is none), the number of t
+    whose distance the search used, and the gaps.
 
     The search is a depth-first walk, left half first.  Each stack entry
     carries (u, v, d(u), d(v), thr(v)), so every point is evaluated and
@@ -380,13 +381,12 @@ def _resolve(
 
     A level bisects all of its nodes with the walk's own 0.5*(x+y), takes
     their distances in one _dist_rows call and their thresholds in one
-    ``thr.array`` call (point by point from ``thr`` when it has no array
-    form), and runs the walk's cone expression on both children of every
-    node as arrays; the children that fail make the next level.  Each
-    threshold passes through _screen before its comparison, so every
-    decision is the one ``thr`` makes.  If every leaf certifies, the result
-    is the width of the rightmost leaf and the number of midpoints
-    evaluated.  Below a witness-free node at or left of the witness, the
+    ``thr.array`` call (every threshold has one, see _threshold), and runs
+    the walk's cone expression on both children of every node as arrays;
+    the children that fail make the next level.  Each threshold passes
+    through _screen before its comparison, so every decision is the one
+    ``thr`` makes.  If every leaf certifies, the result is the width of the
+    rightmost leaf and the number of midpoints evaluated.  Below a witness-free node at or left of the witness, the
     depth-first walk would visit exactly these points, make exactly these
     comparisons, move the frontier to v and end with that certified width.
     Thresholds never leave this function.
@@ -395,9 +395,6 @@ def _resolve(
     floor, or more than _RESOLVE_CAP nodes aborts: every distance computed
     goes to ``ahead`` for the walk, and the result is None.
     """
-    thr_array = getattr(thr, "array", None) or (
-        lambda ts: np.fromiter(map(thr, ts.tolist()), float, ts.size)
-    )
     U, V = np.array([u]), np.array([v])
     DU, DV, TV = np.array([du]), np.array([dv]), np.array([tv])
     levels = []
@@ -408,7 +405,7 @@ def _resolve(
             break
         DM = _dist_rows(M, abs_a, work)
         levels.append((M, DM))
-        TM = _screen(thr_array(M), DM, M, thr)
+        TM = _screen(thr.array(M), DM, M, thr)
         if (DM < TM).any():
             break
         # Left children first, then right ones: the rightmost node of a

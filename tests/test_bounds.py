@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import gammainc, gammaincc
 
+import lofo.bounds
 from lofo.bounds import (
     check_cf_exponential_bound,
     check_smoothing_gaussian_branch,
@@ -28,7 +29,7 @@ from lofo.bounds import (
     solve_tau0,
 )
 from lofo.concentration import WeightVector, q_exact
-from lofo.distributions import AnalyticDist, FiniteDist, m_functional, symmetrize
+from lofo.distributions import AnalyticDist, FiniteDist, _m_gaussian, m_functional, symmetrize
 from lofo.exceptions import NumericalError, PreconditionError
 from lofo.lcd import dist_to_lattice
 
@@ -448,6 +449,63 @@ def test_tau0_nan_residual_is_numerical_error():
     # tau0 ~ sigma L overflows; M(inf) is NaN and must not pass the tolerance.
     with pytest.raises(NumericalError, match="residual nan"):
         solve_tau0(AnalyticDist.gaussian(1e300), 1e10)
+
+
+@pytest.mark.parametrize("k", [-1000, -600, -100, 100, 600, 1000])
+def test_tau0_gaussian_scales_by_powers_of_two(k):
+    # The bisection runs in units of sigma, so a power-of-two sigma scales
+    # the unit root exactly.
+    c = 2.0**k
+    for L in (1.01, 3.0, 1e6):
+        base = solve_tau0(AnalyticDist.gaussian(1.0), L)
+        scaled = solve_tau0(AnalyticDist.gaussian(c), L)
+        assert scaled.tau0 == base.tau0 * c
+        assert (scaled.residual, scaled.iterations) == (base.residual, base.iterations)
+
+
+@pytest.mark.parametrize("sigma", [1e-300, 1e-200])
+@pytest.mark.parametrize("L", [1.01, 3.0, 1e100])
+def test_tau0_gaussian_tiny_sigma_matches_scaled_root(sigma, L):
+    root = solve_tau0(AnalyticDist.gaussian(sigma), L)
+    expected = sigma * _gaussian_tau0_oracle(1.0, L)
+    assert abs(root.tau0 - expected) <= 1e-13 * expected
+
+
+def test_tau0_gaussian_steps_are_bounded():
+    for sigma in (0.3, math.sqrt(2.0)):
+        for L in (1.01, 1.2, 2.0, 5.0, 100.0, 300.0, 1e3, 1e4, 1e6, 1e150):
+            assert solve_tau0(AnalyticDist.gaussian(sigma), L).iterations <= 64
+
+
+def test_tau0_gaussian_bracket_holds_in_float(monkeypatch):
+    # Dense in L - 1 from 1e-9 to 1e150, and in L where the float M(L)
+    # rounds to within an ulp of 1/L^2.
+    brackets = []
+    bisect = lofo.bounds._bisect_tau0
+
+    def spy(m_of, m_star, lo, hi):
+        brackets.append((m_star, lo, hi))
+        return bisect(m_of, m_star, lo, hi)
+
+    monkeypatch.setattr(lofo.bounds, "_bisect_tau0", spy)
+    Ls = np.concatenate((1.0 + np.geomspace(1e-9, 1e150, 2000), np.linspace(8.0, 9.0, 2000)))
+    for L in Ls.tolist():
+        solve_tau0(AnalyticDist.gaussian(1.0), L)
+    assert len(brackets) == Ls.size
+    for m_star, lo, hi in brackets:
+        assert _m_gaussian(1.0, lo) >= m_star >= _m_gaussian(1.0, hi)
+
+
+@pytest.mark.parametrize("L", [1.0 + 1e-9, 3.0])
+def test_tau0_gaussian_subnormal_root_is_numerical_error(L):
+    with pytest.raises(NumericalError, match="underflows"):
+        solve_tau0(AnalyticDist.gaussian(5e-324), L)
+
+
+def test_smoothing_cf_zero_dim_array_gives_the_float():
+    a = WeightVector([1.0, 0.5])
+    got = smoothing_cf(a, 1.0, 1.0, np.array(0.5))
+    assert type(got) is float and got == smoothing_cf(a, 1.0, 1.0, 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -307,12 +307,7 @@ def test_tangent_threshold_equals_frozen_scan(mode, depth, floor):
     minimum sqrt(1/5) at t = 4/5; on [3/2, 2] dist = sqrt(5/4) (2 - t)
     passes sqrt(1/5) at t = 8/5."""
     abs_a = np.array([1.0, 0.5])
-    level = math.sqrt(0.2) - depth
-
-    def thr(t: float) -> float:
-        return level
-
-    args = (abs_a, thr, math.sqrt(1.25), 0.5, 1.9, floor)
+    args = (abs_a, _level(math.sqrt(0.2) - depth), math.sqrt(1.25), 0.5, 1.9, floor)
     expected = _oracle_scan(*args)
     with pytest.MonkeyPatch.context() as mp:
         for name, value in MODES[mode].items():

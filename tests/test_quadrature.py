@@ -11,6 +11,7 @@ from scipy import integrate
 
 from lofo import FiniteDist, WeightVector, esseen_integral, symmetrize, weighted_cf
 from lofo.exceptions import QuadratureError
+from lofo import quadrature
 from lofo.quadrature import adaptive_simpson
 
 
@@ -124,3 +125,64 @@ def test_esseen_bit_identical_to_recursion(g, n, seed, lam):
     tol = 1e-8
     expected = lam * _oracle_simpson(f, 0.0, 1.0 / lam, tol=tol / lam)
     assert esseen_integral(g, a, lam, tol) == expected
+
+
+def _capped_oracle(f, a, b, tol, levels):
+    """The recursion of _oracle_simpson (min_depth 4, depth not reached) cut
+    after ``levels`` levels: a panel still open there counts at its Simpson
+    value."""
+
+    def recurse(a, fa, b, fb, m, fm, whole, tol, level):
+        if level == levels:
+            return whole
+        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
+        flm, frm = f(lm), f(rm)
+        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+        delta = left + right - whole
+        if (level >= 4 and abs(delta) <= 15.0 * tol) or lm <= a or rm <= m:
+            return left + right + delta / 15.0
+        return (recurse(a, fa, m, fm, lm, flm, left, 0.5 * tol, level + 1)
+                + recurse(m, fm, b, fb, rm, frm, right, 0.5 * tol, level + 1))
+
+    fa, fb, m = f(a), f(b), 0.5 * (a + b)
+    fm = f(m)
+    return recurse(a, fa, b, fb, m, fm, (b - a) / 6.0 * (fa + 4.0 * fm + fb), tol, 0)
+
+
+@pytest.mark.parametrize("cap", [1, 16, 100])
+def test_panel_bound_stops_before_a_wide_level(monkeypatch, cap):
+    rough = lambda x: np.sin(200.0 * x) ** 2
+    widths = []
+
+    def counted(x):
+        widths.append(x.size)
+        return rough(x)
+
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", cap)
+    with pytest.raises(QuadratureError) as exc:
+        adaptive_simpson(counted, 0.0, 7.0, tol=1e-13)
+    # One call for the ends and the midpoint, then one per level evaluated,
+    # each at two quarter points of at most cap panels.
+    assert exc.value.depth == len(widths) - 1 and max(widths[1:]) <= 2 * cap
+    expected = _capped_oracle(_one_node(rough), 0.0, 7.0, 1e-13, exc.value.depth)
+    assert exc.value.estimate == expected
+
+
+def test_esseen_panel_bound_scales_with_one_over_lambda(monkeypatch):
+    # The widest level holds 978 panels at lambda = 1e-2 and 9,812 at 1e-3:
+    # under a bound between them the first keeps its bits, the second stops.
+    g = symmetrize(FiniteDist([0.0, 1.0, 3.0], [0.2, 0.5, 0.3]))
+    a = WeightVector([1.0, 0.5])
+    fits = esseen_integral(g, a, 1e-2)
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 4096)
+    assert esseen_integral(g, a, 1e-2) == fits
+    with pytest.raises(QuadratureError):
+        esseen_integral(g, a, 1e-3)
+
+
+@pytest.mark.parametrize("lam", [math.inf, 1e-320])
+def test_esseen_rejects_lambda_without_finite_reciprocal(lam):
+    g = symmetrize(FiniteDist([0.0, 1.0, 3.0], [0.2, 0.5, 0.3]))
+    with pytest.raises(ValueError, match="lambda must be positive and finite"):
+        esseen_integral(g, WeightVector([1.0, 0.5]), lam)
