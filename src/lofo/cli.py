@@ -45,10 +45,11 @@ from .concentration import (
 from .distributions import AnalyticDist, FiniteDist, symmetrize
 from .exceptions import CapacityError, NumericalError, ParseError, PreconditionError
 from .harness import (
+    _BINOMIAL_LOWER,
+    _FAMILIES,
+    _RECIPES,
     calibrate_upper,
     check_lower_binomial,
-    gen_equal_weight_family,
-    gen_sparse_family,
     rows_to_csv,
     rows_to_long_csv,
 )
@@ -164,19 +165,20 @@ def cmd_bound(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    s_list = _csv_numbers(args.s_list, int)
-    p_list = _csv_numbers(args.p_list)
-    if args.bound == "binomial_lower":
-        rep = check_lower_binomial(s_list, p_list, n_eps=args.n_eps)
-        payload = {"kind": "binomial_lower", "seed": args.seed, **rep.to_json()}
+    if args.n_eps < 1:
+        raise PreconditionError(f"--n-eps must be at least 1; got {args.n_eps}")
+    lower = args.bound == _BINOMIAL_LOWER
+    generate, tailed = _FAMILIES[args.family]
+    if args.perturbed and (lower or not tailed):
+        which = f"--bound {args.bound}" if lower else f"--family {args.family}"
+        raise PreconditionError(f"--perturbed conflicts with {which}: no zero tail to perturb")
+    s_list, p_list = _csv_numbers(args.s_list, int), _csv_numbers(args.p_list)
+    if lower:
+        kind, rep = args.bound, check_lower_binomial(s_list, p_list, n_eps=args.n_eps)
     else:
-        if args.family == "sparse":
-            fam = gen_sparse_family(s_list, p_list=p_list, perturbed=args.perturbed)
-        else:
-            fam = gen_equal_weight_family(s_list, p_list=p_list)
-        rep = calibrate_upper(args.bound, fam, args.L, n_eps=args.n_eps)
-        payload = {"kind": "calibration", "seed": args.seed, **rep.to_json()}
-    _emit(payload, args.out)
+        fam = generate(s_list, p_list, args.perturbed)
+        kind, rep = "calibration", calibrate_upper(args.bound, fam, args.L, n_eps=args.n_eps)
+    _emit({"kind": kind, "seed": args.seed, **rep.to_json()}, args.out)
     return 0
 
 
@@ -243,9 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
     b.set_defaults(func=cmd_bound)
 
     v = sub.add_parser("verify", help="family calibration / lower-bound check")
-    v.add_argument("--family", choices=["sparse", "equal_weight"], default="sparse")
-    v.add_argument("--bound", required=True,
-                   choices=["crossover", "kolmogorov_rogozin", "esseen", "binomial_lower"])
+    v.add_argument("--family", choices=list(_FAMILIES), default=next(iter(_FAMILIES)))
+    v.add_argument("--bound", required=True, choices=[*_RECIPES, _BINOMIAL_LOWER],
+                   help=f"{_BINOMIAL_LOWER}: equal-weight vectors; no --family, --L, --perturbed")
     v.add_argument("--L", type=float, default=2.0)
     v.add_argument("--s-list", dest="s_list", default="4,8,16,32,64")
     v.add_argument("--p-list", dest="p_list", default="0.2,0.3,0.4,0.5")

@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .distributions import Dist, FiniteDist, _Record, weighted_cf
-from .exceptions import CapacityError
+from .exceptions import CapacityError, QuadratureError
 from .quadrature import adaptive_simpson
 
 DEFAULT_BUDGET = 2**22          # coalesced support-size budget for exact paths
@@ -537,11 +537,16 @@ def esseen_integral(
     Upper-bounds Q(F_a, lambda) up to an absolute constant; for symmetric
     laws with nonnegative CF it is two-sided.  The quadrature evaluates
     |CF_{S_a}| one bisection level at a time, so weighted_cf runs once per
-    level over all of that level's nodes.
+    level over all of that level's nodes.  A QuadratureError carries its
+    estimate and tolerance in the units of this value, lambda times the
+    integral.
     """
     if not 0 < lam < math.inf or 1.0 / lam == math.inf:
         raise ValueError("lambda must be positive and finite, with a finite reciprocal")
     if not tol > 0:
         raise ValueError("tol must be positive")
     integrand = lambda t: np.abs(weighted_cf(dist, a, t))
-    return lam * adaptive_simpson(integrand, 0.0, 1.0 / lam, tol=tol / lam)
+    try:
+        return lam * adaptive_simpson(integrand, 0.0, 1.0 / lam, tol=tol / lam)
+    except QuadratureError as exc:
+        raise QuadratureError(lam * exc.estimate, lam * exc.tol, exc.depth) from None

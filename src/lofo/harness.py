@@ -13,6 +13,10 @@ excluded instance is one whose solver or shape raises PreconditionError
 (the crossover recipe's ``solve_tau0`` when L^2 <= 1/P), and the family
 generators reject sizes below 1 and the Bernoulli law a p outside (0, 1).
 
+``verify`` reads its bounds from ``_RECIPES`` and its families from
+``_FAMILIES``: a new bound (with its constant in ``fixtures.RATIO_SUP``) or a
+new family is one table row.  The lower bound ``_BINOMIAL_LOWER`` is its own path.
+
 Reports are plain dataclasses with ``rows`` (one dict per evaluated
 instance/window pair) so they render to CSV directly.  A report's JSON
 object is its fields, by name: ``to_json`` reads them from the dataclass.
@@ -155,6 +159,15 @@ def gen_equal_weight_family(
     )
 
 
+# Family id -> (its generator from verify's s and p lists and --perturbed, and
+# whether its vectors have a zero tail to perturb); the first is the default.
+_FAMILIES = {
+    "sparse": (lambda s, p, pert: gen_sparse_family(s, p_list=p, perturbed=pert), True),
+    "equal_weight": (lambda s, p, pert: gen_equal_weight_family(s, p), False),
+}
+_BINOMIAL_LOWER = "binomial_lower"  # check_lower_binomial: equal-weight vectors, no L
+
+
 # ---------------------------------------------------------------------------
 # Upper-bound calibration
 # ---------------------------------------------------------------------------
@@ -177,9 +190,9 @@ class CalibrationReport(_Record):
 
 # A recipe returns None for an excluded instance, or from one shape call its
 # window grid, the shape value and branch at each window, and the columns
-# that every row of the instance shares.  The crossover recipe's dstars holds
-# D* by weight-vector bytes for one calibrate_upper call, since a sparse
-# family reuses one vector across every p.
+# that every row of the instance shares.  The crossover recipe's memo holds
+# D* by weight-vector bytes, since a sparse family reuses one vector across
+# every p.
 def _crossover_shapes(inst: Instance, L: float, n_eps: int, dstars: dict):
     g = symmetrize(inst.law)
     try:
@@ -196,27 +209,31 @@ def _crossover_shapes(inst: Instance, L: float, n_eps: int, dstars: dict):
     return eps_grid, shape.value, shape.params["branch"], shared
 
 
-def _classical_shapes(inst: Instance, n_eps: int, bound_id: str):
+def _classical_shapes(inst: Instance, n_eps: int, shape, degenerate: float, components):
     # i.i.d. summands Y_k = a_k X with windows lambda_k = a_k tau scaled to
     # lambda = ||a||_inf tau; Q and M of a scaled law are scale-covariant.
     # A tau whose component value (Q of f, or M of its symmetrization) is
     # degenerate (Q = 1, or M = 0: the shape diverges) is dropped.
-    a, f = inst.weights, inst.law
+    a = inst.weights
     nz = np.abs(a.coords[a.coords != 0.0])
     taus = np.geomspace(0.25, 4.0, n_eps)
-    if bound_id == "kolmogorov_rogozin":
-        shape, degenerate = shape_kolmogorov_rogozin, 1.0
-        comps = _window_sup(f.atoms, f.masses, taus)
-    else:
-        shape, degenerate = shape_esseen, 0.0
-        comps = m_functional(symmetrize(f), taus)
-    comps = np.array(comps)
+    comps = np.array(components(inst.law, taus))
     keep = comps != degenerate
     taus, comps = taus[keep], comps[keep]
     lams = a.norm_inf * taus
     # Contiguous rows: np.dot's summation order needs unit inner strides.
     values = shape(lams, nz * taus[:, None], np.repeat(comps[:, None], nz.size, axis=1))
     return lams, values, [""] * lams.size, {"precondition": "nondegenerate components"}
+
+
+# Upper-bound id -> recipe(inst, L, n_eps, memo), one memo per calibrate_upper call.
+_RECIPES = {
+    "crossover": _crossover_shapes,
+    "kolmogorov_rogozin": lambda inst, L, n_eps, memo: _classical_shapes(
+        inst, n_eps, shape_kolmogorov_rogozin, 1.0, lambda f, t: _window_sup(f.atoms, f.masses, t)),
+    "esseen": lambda inst, L, n_eps, memo: _classical_shapes(
+        inst, n_eps, shape_esseen, 0.0, lambda f, t: m_functional(symmetrize(f), t)),
+}
 
 
 def calibrate_upper(
@@ -237,16 +254,12 @@ def calibrate_upper(
     """
     if not 0 < L < math.inf:
         raise ValueError("L must be positive and finite")
-    if bound_id == "crossover":
-        dstars: dict = {}
-        recipe = lambda inst: _crossover_shapes(inst, L, n_eps, dstars)
-    elif bound_id in ("kolmogorov_rogozin", "esseen"):
-        recipe = lambda inst: _classical_shapes(inst, n_eps, bound_id)
-    else:
+    if bound_id not in _RECIPES:
         raise ValueError(f"no calibration recipe for bound id {bound_id!r}")
+    recipe, memo = _RECIPES[bound_id], {}
     rows, excluded = [], 0
     for inst in family.instances:
-        res = recipe(inst)
+        res = recipe(inst, L, n_eps, memo)
         if res is None:
             excluded += 1
             continue
@@ -259,20 +272,10 @@ def calibrate_upper(
     if not rows:
         raise PreconditionError("no instance satisfied the bound preconditions")
     ratios = [r["ratio"] for r in rows]
-    sup, inf = max(ratios), min(ratios)
-    fixture = fixtures.RATIO_SUP[bound_id]
-    passed = sup <= fixture
-    return CalibrationReport(
-        bound_id=bound_id,
-        family_id=family.id,
-        L=L,
-        rows=tuple(rows),
-        ratio_sup=sup,
-        ratio_inf=inf,
-        n_excluded=excluded,
-        fixture=fixture,
-        passed=passed,
-    )
+    sup, fixture = max(ratios), fixtures.RATIO_SUP[bound_id]
+    return CalibrationReport(bound_id=bound_id, family_id=family.id, L=L, rows=tuple(rows),
+                             ratio_sup=sup, ratio_inf=min(ratios), n_excluded=excluded,
+                             fixture=fixture, passed=sup <= fixture)
 
 
 def ratio_sup_by_s(report: CalibrationReport) -> dict[int, float]:
@@ -356,27 +359,12 @@ def check_lower_binomial(
                 chain_ok = False
         for eps, q_val in zip(eps_grid, q_rows):
             form = shape_bernoulli_min(float(eps), math.sqrt(s), p)
-            rows.append(
-                {
-                    "s": s,
-                    "p": p,
-                    "eps": float(eps),
-                    "q": q_val,
-                    "min_form": form,
-                    "ratio": q_val / form,
-                    "mass_two_sigma": mass2sd,
-                }
-            )
-    c_obs = min(r["ratio"] for r in rows)
-    passed = chebyshev_ok and chain_ok and c_obs >= fixtures.BINOMIAL_LOWER_C
-    return LowerBoundReport(
-        rows=tuple(rows),
-        c_low_observed=c_obs,
-        chebyshev_ok=chebyshev_ok,
-        chain_ok=chain_ok,
-        fixture=fixtures.BINOMIAL_LOWER_C,
-        passed=passed,
-    )
+            rows.append({"s": s, "p": p, "eps": float(eps), "q": q_val, "min_form": form,
+                         "ratio": q_val / form, "mass_two_sigma": mass2sd})
+    c_obs, fixture = min(r["ratio"] for r in rows), fixtures.BINOMIAL_LOWER_C
+    return LowerBoundReport(rows=tuple(rows), c_low_observed=c_obs, chebyshev_ok=chebyshev_ok,
+                            chain_ok=chain_ok, fixture=fixture,
+                            passed=chebyshev_ok and chain_ok and c_obs >= fixture)
 
 
 # ---------------------------------------------------------------------------

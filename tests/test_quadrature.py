@@ -181,6 +181,25 @@ def test_esseen_panel_bound_scales_with_one_over_lambda(monkeypatch):
         esseen_integral(g, a, 1e-3)
 
 
+def test_esseen_quadrature_error_is_in_esseen_units(monkeypatch):
+    # The quadrature runs over [0, 1/lambda]; its error's estimate and tolerance
+    # are rescaled by lambda to those of the Esseen value, and its depth kept.
+    g = symmetrize(FiniteDist([0.0, 1.0, 3.0], [0.2, 0.5, 0.3]))
+    a = WeightVector([1.0, 0.5])
+    lam = 1e-3
+    value = esseen_integral(g, a, lam)
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 1024)
+    with pytest.raises(QuadratureError) as inner:
+        adaptive_simpson(lambda t: np.abs(weighted_cf(g, a, t)), 0.0, 1.0 / lam, tol=1e-8 / lam)
+    with pytest.raises(QuadratureError) as exc:
+        esseen_integral(g, a, lam)
+    assert value / 2 <= exc.value.estimate <= 2 * value
+    assert exc.value.estimate == lam * inner.value.estimate
+    assert exc.value.tol == pytest.approx(1e-8, rel=1e-15)
+    assert exc.value.depth == inner.value.depth
+    assert f"achieved estimate {exc.value.estimate!r}" in str(exc.value)
+
+
 @pytest.mark.parametrize("lam", [math.inf, 1e-320])
 def test_esseen_rejects_lambda_without_finite_reciprocal(lam):
     g = symmetrize(FiniteDist([0.0, 1.0, 3.0], [0.2, 0.5, 0.3]))
