@@ -90,6 +90,12 @@ def _check_lists(s_list: Sequence[int], p_list: Sequence[float]) -> None:
         raise ValueError(f"every s in --s-list must be at least 1; got {min(s_list)}")
 
 
+def _check_n_eps(n_eps: int) -> None:
+    """The sweeps' grid size: an integer of at least 1, checked before any sweep."""
+    if not isinstance(n_eps, (int, np.integer)) or n_eps < 1:
+        raise ValueError(f"n_eps must be an integer of at least 1; got {n_eps!r}")
+
+
 def gen_sparse_family(
     s_list: Sequence[int],
     n: Optional[int] = None,
@@ -245,8 +251,9 @@ def calibrate_upper(
 ) -> CalibrationReport:
     """Ratio sweep Q/shape for one bound id over a family.
 
-    L must be positive and finite.  An instance whose solver or shape raises
-    PreconditionError is excluded and counted, never scored.  D* is
+    L must be positive and finite, and n_eps, the number of grid points per
+    instance, an integer of at least 1.  An instance whose solver or shape
+    raises PreconditionError is excluded and counted, never scored.  D* is
     certified to tol 1e-8.  PASS means ratio_sup <= fixture, the bound's
     frozen constant in ``fixtures.RATIO_SUP``.  An instance takes one shape
     call and one window sweep of its sum; D* is searched once per distinct
@@ -256,6 +263,7 @@ def calibrate_upper(
         raise ValueError("L must be positive and finite")
     if bound_id not in _RECIPES:
         raise ValueError(f"no calibration recipe for bound id {bound_id!r}")
+    _check_n_eps(n_eps)
     recipe, memo = _RECIPES[bound_id], {}
     rows, excluded = [], 0
     for inst in family.instances:
@@ -323,8 +331,10 @@ def check_lower_binomial(
       * Q(F_a, 0) >= (3/64) / sqrt(s p(1-p)) (lattice pitch s^(-1/2)).
 
     PASS also needs the observed constant to reach the frozen
-    ``fixtures.BINOMIAL_LOWER_C``.
+    ``fixtures.BINOMIAL_LOWER_C``.  n_eps, the number of grid points per
+    instance, must be an integer of at least 1.
     """
+    _check_n_eps(n_eps)
     rows = []
     chebyshev_ok = True
     chain_ok = True

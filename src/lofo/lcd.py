@@ -35,27 +35,38 @@ plus the distances an aborted resolve computed ahead of the walk, not one
 entry per evaluation: under 1 MB traced at 100,000 evaluations, where a set
 of the evaluated points took 8 MB.  A node that fails the cone and is 8 to
 4096 times as wide as the last certified node has its whole subtree
-resolved one bisection level at a time: the midpoints of a level take one
-batched distance call and one array threshold call (about 0.01 us per
-point, against 0.45 us for the scalar closure), and the cone test runs
-on arrays, screened so that every decision is the closure's; c_level, the
-few dozen numpy calls of a level, is about 50 us there.  If every leaf
-certifies, the subtree is committed at once; a level with a witness, a node
-at the width floor or more than 4096 nodes aborts the resolve, and the walk
-takes that subtree one node at a time (c_loop, a few float comparisons and
-one scalar threshold, plus one unbatched distance call where no resolve
-computed it).  On dense random vectors at n ~ 512 resolves cover about 95%
-of the points and abort once per scan, at the crossing.  The resolve visits
-the points the walk would visit and makes its comparisons, so it changes no
-output bit, the count of evaluations included.
+resolved one bisection level at a time.  A level of more than 8 nodes takes
+one batched distance call and one array threshold call for its midpoints
+(about 0.01 us per point, against 0.45 us for the scalar closure), and the
+cone test runs on arrays, screened so that every decision is the closure's;
+c_level, the few dozen numpy calls of such a level, is about 50 us.  A level
+of at most 8 nodes, the first four levels of nearly every resolve, runs on
+floats with the walk's own pieces instead: one scalar distance and one
+scalar threshold per node, about 3-5 us a node at n ~ 512, so c_level there
+is a few us per node and no fixed 50 us.  If every leaf certifies, the
+subtree is committed at once; a level with a witness, a node at the width
+floor or more than 4096 nodes aborts the resolve, and the walk takes that
+subtree one node at a time (c_loop, a few float comparisons and one scalar
+threshold, plus one unbatched distance call where no resolve computed it).
+On dense random vectors at n ~ 512 resolves cover about 95% of the points
+and abort once per scan, at the crossing.  The resolve visits the points
+the walk would visit and makes its comparisons, so it changes no output
+bit, the count of evaluations included.
 
 A batched distance call works in blocks of max(1, 2^15 // n) rows, inside
 one workspace of two such blocks that the scan allocates once: a block
 makes four passes over its k x n entries (product, rint, subtraction, row
-norms) and allocates nothing of that size.  Over the resolve levels of the
-ten perfbench lcd_scan vectors (n = 448..576) c_dist is about 0.9-1.3 us
-per point on a 2-vCPU x86 host; full blocks of 64 rows at n = 512 take
-about 0.8 us per point.
+norms) and allocates nothing of that size.  The product is a broadcast
+np.multiply under a ufunc buffer of 16 entries: at numpy's default buffer
+of 8192 entries numpy copies the broadcast operands through the buffer, many
+rows at a time, and the product takes 34-46 us of a 64 x 512 block, against
+8-12 us for each other pass; a buffer no longer than a row lets each row
+run as one plain inner loop, at 8-12 us a block.  Over the resolve levels
+of the ten perfbench lcd_scan vectors (n = 448..576) c_dist is about
+0.65-0.9 us per point on a 2-vCPU x86 host.  Rows shorter than about 100
+entries make the product cost more per entry (110 us for a 2048 x 16
+block, where an einsum outer product takes 27 us), but whole scans at n =
+16 and 64 run no slower for it: their levels are small.
 """
 
 from __future__ import annotations
@@ -79,6 +90,10 @@ _T_FINITE = 1e307
 # _BLOCK_ENTRIES // n) rows of n: a block's two k x n buffers stay in cache
 # (at n ~ 512, blocks of 256 rows or more cost 25-60% more per row).
 _BLOCK_ENTRIES = 2**15
+# The ufunc buffer, in entries, under which _dist_rows forms its products:
+# no longer than a row, so that numpy does not copy the broadcast operands
+# (see the module docstring).  numpy 1.x and 2.x accept only multiples of 16.
+_BUFSIZE = 16
 
 
 def _workspace(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -95,23 +110,30 @@ def _dist_rows(
     Per coordinate d_k = |t||a_k| - rint(|t||a_k|), the signed offset from
     the nearest integer (ties go to the even one; |d_k| is the same for
     either nearest integer).  ``work`` is a _workspace(n): each block of its
-    rows takes the products |t||a_k| from an outer-product einsum into the
-    first buffer, one rounded product per entry as in _dist_point, their
-    np.rint into the second, and the difference in place, so a block makes
-    four passes and allocates nothing of size k x n.  Row norms go through
-    matmul of 1 x n by n x 1, which sums in np.dot's order for every row (a
-    summing einsum does not), so each entry equals _dist_point bit for bit.
+    rows takes the products |t||a_k| from np.multiply of the column t by the
+    row |a| into the first buffer, one rounded product per entry as in
+    _dist_point, their np.rint into the second, and the difference in place,
+    so a block makes four passes and allocates nothing of size k x n.  Row
+    norms go through matmul of 1 x n by n x 1, which sums in np.dot's order
+    for every row (a summing einsum does not), so each entry equals
+    _dist_point bit for bit.  The blocks run under a ufunc buffer of
+    _BUFSIZE entries, and the caller's buffer size is restored on return,
+    also when a block raises: numpy 1.x's errstate does not restore it.
     """
     D_all, R_all = work
     rows = D_all.shape[0]
     out = np.empty(ts.size)
-    for s in range(0, ts.size, rows):
-        t = np.abs(ts[s:s + rows])
-        D, R = D_all[:t.size], R_all[:t.size]
-        np.einsum("i,j->ij", t, abs_a, out=D)
-        np.rint(D, out=R)
-        D -= R
-        out[s:s + rows] = np.sqrt(np.matmul(D[:, None, :], D[:, :, None])).ravel()
+    old = np.setbufsize(_BUFSIZE)
+    try:
+        for s in range(0, ts.size, rows):
+            t = np.abs(ts[s:s + rows])
+            D, R = D_all[:t.size], R_all[:t.size]
+            np.multiply(t[:, None], abs_a, out=D)
+            np.rint(D, out=R)
+            D -= R
+            out[s:s + rows] = np.sqrt(np.matmul(D[:, None, :], D[:, :, None])).ravel()
+    finally:
+        np.setbufsize(old)
     return out
 
 
@@ -217,10 +239,12 @@ def _threshold(variant: str, L: float, norm: float) -> Callable[[float], float]:
 # A node that fails the cone is resolved level by level (see _resolve) when
 # it is _RESOLVE_MIN to _RESOLVE_MAX times as wide as the last certified node:
 # its subtree then most likely certifies within a few levels.  A level of more
-# than _RESOLVE_CAP nodes ends the resolve.
+# than _RESOLVE_CAP nodes ends the resolve, and a level of at most
+# _SMALL_LEVEL nodes runs on floats, not arrays.
 _RESOLVE_MIN = 8.0
 _RESOLVE_MAX = 4096.0
 _RESOLVE_CAP = 4096
+_SMALL_LEVEL = 8
 
 
 def _first_crossing(
@@ -380,25 +404,51 @@ def _resolve(
     """Settle the subtree of [u, v], a node that fails the cone, a level at a time.
 
     A level bisects all of its nodes with the walk's own 0.5*(x+y), takes
-    their distances in one _dist_rows call and their thresholds in one
-    ``thr.array`` call (every threshold has one, see _threshold), and runs
-    the walk's cone expression on both children of every node as arrays;
-    the children that fail make the next level.  Each threshold passes
-    through _screen before its comparison, so every decision is the one
-    ``thr`` makes.  If every leaf certifies, the result is the width of the
-    rightmost leaf and the number of midpoints evaluated.  Below a witness-free node at or left of the witness, the
-    depth-first walk would visit exactly these points, make exactly these
-    comparisons, move the frontier to v and end with that certified width.
-    Thresholds never leave this function.
+    the distance and threshold of every midpoint, and runs the walk's cone
+    expression on both children of every node, left children first, then
+    right ones, so the rightmost node of a level stays last until it
+    certifies; the children that fail make the next level.  A level of at
+    most _SMALL_LEVEL nodes does this with the walk's own scalar pieces
+    (_dist_point, ``thr`` and the cone on floats): its few points cost less
+    than the numpy calls of an array level.  A larger level takes its
+    distances in one _dist_rows call, its thresholds in one ``thr.array``
+    call (every threshold has one, see _threshold) and its cone on arrays;
+    each of its thresholds passes through _screen before its comparison.
+    So every decision is the one ``thr`` makes.  If every leaf certifies,
+    the result is the width of the rightmost leaf and the number of
+    midpoints evaluated.  Below a witness-free node at or left of the
+    witness, the depth-first walk would visit exactly these points, make
+    exactly these comparisons, move the frontier to v and end with that
+    certified width.  Thresholds never leave this function.
 
     A level with a midpoint below its threshold (a witness), a node at the
     floor, or more than _RESOLVE_CAP nodes aborts: every distance computed
     goes to ``ahead`` for the walk, and the result is None.
     """
-    U, V = np.array([u]), np.array([v])
-    DU, DV, TV = np.array([du]), np.array([dv]), np.array([tv])
-    levels = []
     width = None
+    nodes = [(u, v, du, dv, tv)]
+    small: list[tuple[float, float]] = []  # (midpoint, distance) of the scalar levels
+    while len(nodes) <= min(_SMALL_LEVEL, _RESOLVE_CAP):
+        mids = [0.5 * (x + y) for x, y, *_ in nodes]
+        if any(y - x <= floor or not x < m < y for (x, y, *_), m in zip(nodes, mids)):
+            ahead.update(small)
+            return None
+        dms = [_dist_point(m, abs_a) for m in mids]
+        small += zip(mids, dms)
+        tms = [thr(m) for m in mids]
+        if any(d < t for d, t in zip(dms, tms)):
+            ahead.update(small)
+            return None
+        kids = [(x, m, dx, d, t) for (x, _, dx, _, _), m, d, t in zip(nodes, mids, dms, tms)]
+        kids += [(m, y, d, dy, ty) for (_, y, _, dy, ty), m, d in zip(nodes, mids, dms)]
+        ok = [0.5 * (dx + dy) - half_lip * (y - x) >= ty for x, y, dx, dy, ty in kids]
+        if width is None and ok[-1]:
+            width = kids[-1][1] - kids[-1][0]
+        nodes = [kid for kid, certified in zip(kids, ok) if not certified]
+        if not nodes:
+            return width, len(small)
+    U, V, DU, DV, TV = (np.array(c) for c in zip(*nodes))
+    levels = []
     while U.size <= _RESOLVE_CAP:
         M = 0.5 * (U + V)
         if ((V - U <= floor) | (M <= U) | (M >= V)).any():
@@ -408,8 +458,6 @@ def _resolve(
         TM = _screen(thr.array(M), DM, M, thr)
         if (DM < TM).any():
             break
-        # Left children first, then right ones: the rightmost node of a
-        # level stays last until it certifies.
         lo, hi = np.concatenate((U, M)), np.concatenate((M, V))
         dlo, dhi = np.concatenate((DU, DM)), np.concatenate((DM, DV))
         cone = 0.5 * (dlo + dhi) - half_lip * (hi - lo)
@@ -418,8 +466,9 @@ def _resolve(
         if width is None and not fail[-1]:
             width = float(hi[-1] - lo[-1])
         if not fail.any():
-            return width, sum(M.size for M, _ in levels)
+            return width, len(small) + sum(M.size for M, _ in levels)
         U, V, DU, DV, TV = lo[fail], hi[fail], dlo[fail], dhi[fail], thi[fail]
+    ahead.update(small)
     for M, DM in levels:
         ahead.update(zip(M.tolist(), DM.tolist()))
     return None

@@ -775,7 +775,7 @@ POINT_MASS = Instance(
     p_list=st.lists(st.one_of(st.sampled_from([0.1, 0.3, 0.5]), st.floats(0.02, 0.98)),
                     min_size=1, max_size=2),
     L=st.one_of(st.sampled_from([1.05, 2.0, 3.0]), st.floats(1.5, 12.0)),
-    n_eps=st.one_of(st.sampled_from([1, 2]), st.integers(0, 40)),
+    n_eps=st.one_of(st.sampled_from([1, 2]), st.integers(1, 40)),
     extra=st.integers(0, 3),
     point_mass=st.booleans(),
 )

@@ -369,6 +369,18 @@ _FAMILY = gen_sparse_family([4], p_list=[0.5])
      "L must be positive and finite"),
     (lambda: calibrate_upper("vershynin", _FAMILY, 2.0), ValueError,
      "no calibration recipe for bound id 'vershynin'"),
+    (lambda: calibrate_upper("crossover", _FAMILY, 2.0, n_eps=0), ValueError,
+     "n_eps must be an integer of at least 1; got 0"),
+    (lambda: calibrate_upper("esseen", _FAMILY, 2.0, n_eps=-3), ValueError,
+     "n_eps must be an integer of at least 1; got -3"),
+    (lambda: calibrate_upper("kolmogorov_rogozin", _FAMILY, 2.0, n_eps=1.5), ValueError,
+     "n_eps must be an integer of at least 1; got 1.5"),
+    (lambda: check_lower_binomial([4], [0.5], n_eps=0), ValueError,
+     "n_eps must be an integer of at least 1; got 0"),
+    (lambda: check_lower_binomial([4], [0.5], n_eps=-3), ValueError,
+     "n_eps must be an integer of at least 1; got -3"),
+    (lambda: check_lower_binomial([4], [0.5], n_eps=1.5), ValueError,
+     "n_eps must be an integer of at least 1; got 1.5"),
 ])
 def test_harness_input_checks(call, exc, message):
     with pytest.raises(exc) as info:

@@ -149,16 +149,18 @@ def test_dist_exact_near_two_to_the_52():
 
 @settings(max_examples=30, deadline=None)
 @given(
-    n=st.sampled_from([0, 1, 7, 512, 4097, 40_000]),
+    n=st.sampled_from([0, 1, 7, 16, 64, 96, 128, 448, 512, 4097, 40_000]),
     batch=st.sampled_from(["1", "rows - 1", "rows", "rows + 1", "3 rows + 5"]),
     seed=st.integers(0, 2**31),
 )
 @example(n=0, batch="3 rows + 5", seed=0)
 @example(n=40_000, batch="rows - 1", seed=0)
+@example(n=16, batch="3 rows + 5", seed=0)
+@example(n=448, batch="rows + 1", seed=0)
 def test_dist_array_form_equals_scalar_across_blocks(n, batch, seed):
     """Batches around the block's row count, one-row blocks (n = 4097 has 7
-    rows, n = 40,000 one), empty batches and an empty vector are bitwise the
-    scalar form."""
+    rows, n = 40,000 one), rows shorter and longer than the 16-entry ufunc
+    buffer, empty batches and an empty vector are bitwise the scalar form."""
     rows = max(1, LCD._BLOCK_ENTRIES // max(n, 1))
     k = {"1": 1, "rows - 1": rows - 1, "rows": rows, "rows + 1": rows + 1,
          "3 rows + 5": 3 * rows + 5}[batch]
@@ -767,6 +769,81 @@ def test_clearance_floor_probes_a_few_ulps_apart_count_once(monkeypatch):
     points = scalar + batched
     assert len(set(points)) == len(points)
     assert rep.n_evals == 65
+
+
+# ---------------------------------------------------------------------------
+# The ufunc buffer
+# ---------------------------------------------------------------------------
+
+
+def _buffer_calls(a):
+    """The public calls that reach _dist_rows, on the unit vector a."""
+    D = lcd(a, 2.0, "d_star", tol=1e-3).witness_t
+    return {
+        "lcd": lambda: lcd(a, 2.0, "d", tol=1e-3),
+        "verify_lattice_clearance": lambda: verify_lattice_clearance(a, 2.0, D, tol=1e-3),
+        "dist_to_lattice": lambda: dist_to_lattice(np.linspace(1.0, 50.0, 300), a),
+    }
+
+
+def _under_outer_buffer(calls, raises=()):
+    """Run each call with the caller's ufunc buffer at 4096 entries, not
+    numpy's default 8192, so that a reset to the default fails too; each
+    must leave it at 4096."""
+    old = np.setbufsize(4096)
+    try:
+        for name, call in calls.items():
+            if raises:
+                with pytest.raises(raises):
+                    call()
+            else:
+                call()
+            assert np.getbufsize() == 4096, name
+    finally:
+        np.setbufsize(old)
+
+
+def test_lcd_calls_restore_the_callers_ufunc_buffer(monkeypatch):
+    batched = []
+    rows = LCD._dist_rows
+
+    def recorded_rows(ts, abs_a, work):
+        batched.append(ts.size)
+        return rows(ts, abs_a, work)
+
+    calls = _buffer_calls(_gauss_unit(448, [0, 0]))
+    monkeypatch.setattr(LCD, "_dist_rows", recorded_rows)
+    _under_outer_buffer(calls)
+    assert len(batched) > 3
+
+
+class _Raised(Exception):
+    pass
+
+
+def test_raising_dist_rows_restores_the_callers_ufunc_buffer(monkeypatch):
+    """A row of |a| one entry short makes the first product of _dist_rows
+    raise inside the buffer it set."""
+    rows = LCD._dist_rows
+    calls = _buffer_calls(_gauss_unit(448, [0, 0]))
+    monkeypatch.setattr(LCD, "_dist_rows", lambda ts, abs_a, work: rows(ts, abs_a[:-1], work))
+    _under_outer_buffer(calls, raises=ValueError)
+
+
+def test_raising_dist_point_restores_the_callers_ufunc_buffer(monkeypatch):
+    """_dist_point raises on every 50th call, inside a scan."""
+    point, seen = LCD._dist_point, []
+
+    def failing_point(t, abs_a):
+        seen.append(t)
+        if len(seen) % 50 == 0:
+            raise _Raised
+        return point(t, abs_a)
+
+    calls = _buffer_calls(_gauss_unit(448, [0, 0]))
+    del calls["dist_to_lattice"]
+    monkeypatch.setattr(LCD, "_dist_point", failing_point)
+    _under_outer_buffer(calls, raises=_Raised)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """The level-resolving LCD scan against a frozen copy of the one-node-at-a-time
 scan with speculative blocks: equal ``lcd`` and ``verify_lattice_clearance``
 outputs, bit for bit, also with the resolver's constants forced so that every
-resolve aborts, the node cap is tiny, or every failing node is resolved."""
+resolve aborts, the node cap is tiny, every failing node is resolved, or every
+level runs on floats."""
 
 from __future__ import annotations
 
@@ -189,6 +190,11 @@ MODES = {
     # Every failing node is resolved once any node has certified.
     "everywhere": {"_RESOLVE_MIN": 0.0, "_RESOLVE_MAX": math.inf},
     "everywhere_tiny_cap": {"_RESOLVE_MIN": 0.0, "_RESOLVE_MAX": math.inf, "_RESOLVE_CAP": 2},
+    # The cap falls inside the levels that run on floats: a level of 6 to 8
+    # nodes aborts the resolve.
+    "small_level_cap": {"_RESOLVE_CAP": 5},
+    # Every level runs on floats, however many nodes it has.
+    "scalar_levels_only": {"_SMALL_LEVEL": 4096},
 }
 
 # Largest n per L that keeps a Gaussian scan within a few thousand points.
@@ -293,6 +299,37 @@ def test_long_scan_equals_frozen_scan_and_resolves(mode):
         assert outcomes.count(True) >= 5 and outcomes.count(False) >= 1
     if mode == "abort_all":
         assert outcomes and not any(outcomes)
+
+
+@pytest.mark.parametrize("variant", ["d_star", "d"])
+def test_levels_on_floats_resolve_as_levels_on_arrays(monkeypatch, variant):
+    """Every resolve of a long scan, run again from its own arguments, gives
+    the same certified width and count and leaves the same distances for the
+    walk, whether its levels run on floats, on arrays, or on floats up to
+    _SMALL_LEVEL nodes.  The scan's outputs cannot show this: the width only
+    steers where the next resolve starts."""
+    v = np.random.default_rng([0, 0]).normal(size=448)
+    a = WeightVector(v / np.linalg.norm(v))
+    calls = []
+    resolve = LCD._resolve
+
+    def recorded(*args):
+        calls.append(args[:-1])
+        return resolve(*args)
+
+    monkeypatch.setattr(LCD, "_resolve", recorded)
+    lcd(a, 2.0, variant, tol=1e-8)
+    runs = []
+    for small in (0, LCD._SMALL_LEVEL, LCD._RESOLVE_CAP):
+        monkeypatch.setattr(LCD, "_SMALL_LEVEL", small)
+        run = []
+        for args in calls:
+            ahead = {}
+            run.append((resolve(*args, ahead), ahead))
+        runs.append(run)
+    assert runs[0] == runs[1] == runs[2]
+    results = [result for result, _ in runs[0]]
+    assert results.count(None) >= 1 and len(results) - results.count(None) >= 5
 
 
 @pytest.mark.parametrize("mode", sorted(MODES))
