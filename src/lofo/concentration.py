@@ -377,17 +377,17 @@ def _shift_add(x: np.ndarray, y: np.ndarray, stride: int) -> np.ndarray:
 def _shift_add_into(buf: np.ndarray, size: int, y: np.ndarray, stride: int) -> int:
     """_shift_add(buf[:size], y, stride) written into buf; returns its size.
 
-    Entries of buf past size must be zero.  A two-point y = (y0, y1) with
-    both entries nonzero, against an x of more than two nonzeros at stride
-    > 1, is the case where _shift_add adds y0 * x and then y1 * x shifted by
-    stride into zeros; since 0 + y0 * x is y0 * x exactly, scaling x in
-    place and adding the shifted copy gives the same bits with one product
-    array instead of a zeroed array of the new span and two products.
-    Every other step goes through _shift_add.
+    Entries of buf past size must be zero.  For a two-point y = (y0, y1)
+    with both entries nonzero at stride > 1, entry k of _shift_add's result
+    adds at most two products, y0 * x[k] and y1 * x[k - stride], into 0.0 in
+    some order; since 0 + a + b is b + a exactly, scaling x in place and
+    adding the shifted y1 * x gives the same bits, whatever x is, with one
+    product array instead of a zeroed array of the new span and two
+    products.  Every other step goes through _shift_add.
     """
     x = buf[:size]
     end = size + stride * (y.size - 1)
-    if y.size == 2 and stride > 1 and y.all() and np.count_nonzero(x) > 2:
+    if y.size == 2 and stride > 1 and y.all():
         tmp = y[1] * x
         x *= y[0]
         buf[stride:end] += tmp
@@ -474,14 +474,13 @@ def sample_weighted_sum(
     index array.
     """
     total = np.zeros(n_samples)
+    weights = a.coords[a.coords != 0.0]
     if isinstance(dist, FiniteDist):
         atoms = dist.atoms
         cum = np.cumsum(dist.masses)
         cum[-1] = 1.0
         x = np.empty(n_samples)
-        for w in a.coords:
-            if w == 0.0:
-                continue
+        for w in weights:
             rng.random(out=x)
             idx = x >= cum[0] if atoms.size == 2 else np.searchsorted(cum, x, side="right")
             np.take(atoms, idx, out=x, mode="clip")  # every index is in range
@@ -489,9 +488,7 @@ def sample_weighted_sum(
             x *= w
             total += x
     else:
-        for w in a.coords:
-            if w == 0.0:
-                continue
+        for w in weights:
             total += w * dist.sample(n_samples, rng)
     return total
 

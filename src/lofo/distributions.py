@@ -73,8 +73,6 @@ def _coalesce(atoms: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.nda
     each member by its mass over the group's largest mass, so subnormal
     masses cannot move a merged atom outside its members' range.
     """
-    if atoms.size <= 1:
-        return atoms, masses
     starts = ~_same_atom(atoms[1:], atoms[:-1])
     if np.all(starts):
         return atoms, masses
@@ -496,7 +494,10 @@ def mixture_decompose(g: FiniteDist, r: float = _SQRT2) -> MixtureDecomposition:
     """Decompose a symmetric finite law into zero mass plus annulus masses.
 
     Annuli stop at the smallest nonzero |atom|; all deeper annuli are empty.
-    The returned certificate checks beta >= M(1)/r^2 (within 1e-12).
+    One list of edges r ** -j, j = 0, 1, ..., decides each atom's annulus
+    and is the list the reported annuli are read from, so every atom is
+    counted in the annulus whose reported (lo, hi] contains it.  The returned
+    certificate checks beta >= M(1)/r^2 (within 1e-12).
     """
     if not 1.0 < r <= _SQRT2:
         raise ValueError("annulus ratio r must lie in (1, sqrt(2)]")
@@ -512,28 +513,22 @@ def mixture_decompose(g: FiniteDist, r: float = _SQRT2) -> MixtureDecomposition:
         )
     u = abs_atoms[nonzero]
     w = g.masses[nonzero]
-    log_r = math.log(r)
-    idx = np.zeros(u.size, dtype=int)
-    inner = u <= 1.0
-    idx[inner] = np.floor(-np.log(u[inner]) / log_r).astype(int) + 1
-    # Boundary fixups: enforce r^-j < |x| <= r^-(j-1) under float log error.
-    for k in np.nonzero(inner)[0]:
-        j = idx[k]
-        while j > 1 and u[k] > r ** (-(j - 1)):
-            j -= 1
-        while u[k] <= r ** (-j):
-            j += 1
-        idx[k] = j
-    n_annuli = int(idx.max()) + 1
+    # Annulus j >= 1 is (edges[j], edges[j - 1]]; the list ends at the first
+    # edge below the smallest |atom|.  The index of |x| is the number of
+    # edges >= |x|.
+    u_min = float(u.min())
+    edges = [1.0]
+    while edges[-1] >= u_min:
+        edges.append(r ** -len(edges))
+    idx = np.searchsorted(-np.array(edges), -u, side="right")
+    n_annuli = len(edges)
     p = np.zeros(n_annuli)
     np.add.at(p, idx, w)
     j_arr = np.arange(n_annuli)
     beta_j = r ** (-2.0 * j_arr) * p
     beta = float(np.sum(beta_j))
     mu = beta_j / beta if beta > 0 else np.zeros_like(beta_j)
-    annuli = [(1.0, math.inf)] + [
-        (r ** (-j), r ** (-(j - 1))) for j in range(1, n_annuli)
-    ]
+    annuli = [(1.0, math.inf)] + list(zip(edges[1:], edges[:-1]))
     m1 = m_functional(g, 1.0)
     bound = m1 / (r * r)
     return MixtureDecomposition(

@@ -33,8 +33,8 @@ evaluated or thresholded twice.  The evaluation count is therefore a running
 integer, and the scan's memory is its stack (one entry per bisection level)
 plus the distances an aborted resolve computed ahead of the walk, not one
 entry per evaluation: under 1 MB traced at 100,000 evaluations, where a set
-of the evaluated points took 8 MB.  A node that fails the cone and is 8 to
-4096 times as wide as the last certified node has its whole subtree
+of the evaluated points took 8 MB.  A node that fails the cone and is at
+most 4096 times as wide as the last certified node has its whole subtree
 resolved one bisection level at a time.  A level of more than 8 nodes takes
 one batched distance call and one array threshold call for its midpoints
 (about 0.01 us per point, against 0.45 us for the scalar closure), and the
@@ -237,11 +237,10 @@ def _threshold(variant: str, L: float, norm: float) -> Callable[[float], float]:
 
 
 # A node that fails the cone is resolved level by level (see _resolve) when
-# it is _RESOLVE_MIN to _RESOLVE_MAX times as wide as the last certified node:
-# its subtree then most likely certifies within a few levels.  A level of more
+# it is at most _RESOLVE_MAX times as wide as the last certified node: its
+# subtree then most likely certifies within a few levels.  A level of more
 # than _RESOLVE_CAP nodes ends the resolve, and a level of at most
 # _SMALL_LEVEL nodes runs on floats, not arrays.
-_RESOLVE_MIN = 8.0
 _RESOLVE_MAX = 4096.0
 _RESOLVE_CAP = 4096
 _SMALL_LEVEL = 8
@@ -266,13 +265,18 @@ def _first_crossing(
 
     The search is a depth-first walk, left half first.  Each stack entry
     carries (u, v, d(u), d(v), thr(v)), so every point is evaluated and
-    thresholded once.  A node that fails the cone and is _RESOLVE_MIN to
-    _RESOLVE_MAX times as wide as the last certified node goes to _resolve, which settles its whole subtree in
-    batched levels when every leaf certifies.  When a resolve aborts, the
+    thresholded once.  A node that fails the cone and is at most
+    _RESOLVE_MAX times as wide as the last certified node goes to _resolve,
+    which settles its whole subtree in batched levels when every leaf
+    certifies.  The last certified width starts at 0, so no node resolves
+    before one has certified, the root included.  When a resolve aborts, the
     walk takes that subtree one node at a time, with the distances the
     resolve computed kept in ``ahead``, and starts no other resolve inside
     it: every node it pops until it leaves the subtree has v at or below the
-    subtree's right end ``scalar_to``.  Points the walk never reaches are
+    subtree's right end ``scalar_to``.  Every midpoint in ``ahead`` lies
+    strictly inside such a subtree, so a node that resolves, having v past
+    ``scalar_to``, never finds its midpoint there, and the walk looks it up
+    once, after the resolve test.  Points the walk never reaches are
     not counted, so the count, like every other output, is the same as with
     one evaluation per point.
 
@@ -294,7 +298,7 @@ def _first_crossing(
 
     frontier, witness, gaps = t_lo, math.inf, []
     n_evals = 2
-    certified_width = math.inf
+    certified_width = 0.0
     scalar_to = -math.inf
     half_lip = 0.5 * lip
     ahead: dict[float, float] = {}
@@ -337,12 +341,7 @@ def _first_crossing(
                 gaps.append((u, v))
                 frontier = v
             continue
-        dm = take(mid, None)
-        if (
-            dm is None
-            and scalar_to < v
-            and _RESOLVE_MIN * certified_width <= v - u <= _RESOLVE_MAX * certified_width
-        ):
+        if scalar_to < v and v - u <= _RESOLVE_MAX * certified_width:
             committed = _resolve(u, v, du, dv, tv, abs_a, work, thr, half_lip, floor, ahead)
             if committed is not None:
                 frontier = v
@@ -350,7 +349,7 @@ def _first_crossing(
                 n_evals += points
                 continue
             scalar_to = v
-            dm = take(mid, None)
+        dm = take(mid, None)
         if dm is None:
             dm = _dist_point(mid, abs_a)
         n_evals += 1

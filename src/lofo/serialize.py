@@ -104,7 +104,8 @@ def dumps_canonical(obj) -> str:
     One pass appends the pieces to a list that is joined once at the end.
     Formatting a float costs several times a dict lookup, so each distinct
     float is formatted once per call and looked up after that: the cost is
-    about c_float * (distinct floats) + c_node * (nodes).
+    about c_float * (distinct floats) + c_node * (nodes).  A dict key that is
+    not a str raises TypeError: JSON has no other object key.
     """
     out: list = []
     _encode(obj, out, {}, {})
@@ -134,12 +135,11 @@ def _encode(obj, out: list, keys: dict, floats: dict) -> None:
     elif t is dict:
         out.append("{")
         for k in sorted(obj):
-            if type(k) is str:
-                key = keys.get(k)
-                if key is None:
-                    key = keys[k] = encode_basestring(k) + ":"
-            else:
-                key = json.dumps(k, ensure_ascii=False) + ":"
+            key = keys.get(k)
+            if key is None:
+                if not isinstance(k, str):
+                    raise TypeError(f"JSON object keys must be str, not {type(k).__name__}")
+                key = keys[k] = encode_basestring(k) + ":"
             out.append(key)
             _encode(obj[k], out, keys, floats)
             out.append(",")

@@ -469,6 +469,7 @@ def test_tau0_gaussian_tiny_sigma_matches_scaled_root(sigma, L):
     root = solve_tau0(AnalyticDist.gaussian(sigma), L)
     expected = sigma * _gaussian_tau0_oracle(1.0, L)
     assert abs(root.tau0 - expected) <= 1e-13 * expected
+    assert root.iterations <= 64
 
 
 def test_tau0_gaussian_steps_are_bounded():

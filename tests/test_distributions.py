@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammainc, gammaincc
 
@@ -355,6 +355,121 @@ def test_mixture_invariants_random_r():
                 if a_lo < abs(atom) <= a_hi:
                     lo, hi = a_lo, a_hi
             assert lo is not None
+
+
+def _parent_mixture_decompose(g, r=math.sqrt(2.0)):
+    """mixture_decompose as it was before one list of edges decided the
+    annuli, kept verbatim: np.log indices, fixed up against numpy's power."""
+    if not 1.0 < r <= distributions._SQRT2:
+        raise ValueError("annulus ratio r must lie in (1, sqrt(2)]")
+    if not isinstance(g, FiniteDist) or not g.is_symmetric():
+        raise ValueError("mixture decomposition needs a symmetric finite law")
+    q = g.mass_at(0.0)
+    abs_atoms = np.abs(g.atoms)
+    nonzero = ~distributions._same_atom(abs_atoms, 0.0)
+    if not np.any(nonzero):
+        return distributions.MixtureDecomposition(
+            r=r, q=q, p=(), annuli=(), beta_j=(), beta=0.0, mu=(),
+            m1=0.0, beta_bound=0.0, certified=True,
+        )
+    u = abs_atoms[nonzero]
+    w = g.masses[nonzero]
+    log_r = math.log(r)
+    idx = np.zeros(u.size, dtype=int)
+    inner = u <= 1.0
+    idx[inner] = np.floor(-np.log(u[inner]) / log_r).astype(int) + 1
+    # Boundary fixups: enforce r^-j < |x| <= r^-(j-1) under float log error.
+    for k in np.nonzero(inner)[0]:
+        j = idx[k]
+        while j > 1 and u[k] > r ** (-(j - 1)):
+            j -= 1
+        while u[k] <= r ** (-j):
+            j += 1
+        idx[k] = j
+    n_annuli = int(idx.max()) + 1
+    p = np.zeros(n_annuli)
+    np.add.at(p, idx, w)
+    j_arr = np.arange(n_annuli)
+    beta_j = r ** (-2.0 * j_arr) * p
+    beta = float(np.sum(beta_j))
+    mu = beta_j / beta if beta > 0 else np.zeros_like(beta_j)
+    annuli = [(1.0, math.inf)] + [
+        (r ** (-j), r ** (-(j - 1))) for j in range(1, n_annuli)
+    ]
+    m1 = m_functional(g, 1.0)
+    bound = m1 / (r * r)
+    return distributions.MixtureDecomposition(
+        r=r,
+        q=q,
+        p=tuple(float(v) for v in p),
+        annuli=tuple(annuli),
+        beta_j=tuple(float(v) for v in beta_j),
+        beta=beta,
+        mu=tuple(float(v) for v in mu),
+        m1=m1,
+        beta_bound=bound,
+        certified=beta >= bound - 1e-12,
+    )
+
+
+# Atoms on an edge r ** -j, one ulp beside one, or anywhere in [1e-3, 4];
+# free atoms are drawn more often, so that many laws lie off the edges.
+_free_atoms = st.tuples(st.just("free"), st.floats(1e-3, 4.0))
+_edge_atoms = st.one_of(
+    st.tuples(st.just("edge"), st.integers(0, 40)),
+    st.tuples(st.sampled_from(["below", "above"]), st.integers(0, 40)),
+    _free_atoms,
+    _free_atoms,
+    _free_atoms,
+)
+
+
+def _symmetric_law(r, specs, weights, zero_mass):
+    """The symmetric law with mass w/2 at each of +-x, x from specs."""
+    xs = []
+    for kind, v in specs:
+        if kind == "free":
+            xs.append(v)
+        else:
+            x = r ** -v
+            xs.append(x if kind == "edge" else math.nextafter(x, 0.0 if kind == "below" else 2.0))
+    w = np.array(weights + [zero_mass])
+    w /= w.sum()
+    half = (w[:-1] / 2.0).tolist()
+    return FiniteDist([-x for x in xs] + xs + [0.0], half + half + [float(w[-1])])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    r=st.just(math.sqrt(2.0)) | st.floats(1.001, math.sqrt(2.0)),
+    specs=st.lists(_edge_atoms, min_size=1, max_size=6),
+    weights=st.lists(st.floats(0.05, 1.0), min_size=6, max_size=6),
+    zero_mass=st.sampled_from([0.0, 0.3]),
+)
+@example(r=math.sqrt(2.0), specs=[("edge", 7)], weights=[1.0] * 6, zero_mass=0.0)
+def test_mixture_counts_each_atom_in_its_reported_annulus(r, specs, weights, zero_mass):
+    g = _symmetric_law(r, specs, weights[: len(specs)], zero_mass)
+    mix = mixture_decompose(g, r=r)
+    nonzero = np.abs(g.atoms) > 1e-12
+    u, w = np.abs(g.atoms[nonzero]), g.masses[nonzero]
+    idx = [[j for j, (lo, hi) in enumerate(mix.annuli) if lo < x <= hi] for x in u.tolist()]
+    assert all(len(js) == 1 for js in idx)
+    p = np.zeros(len(mix.p))
+    np.add.at(p, [js[0] for js in idx], w)
+    assert mix.p == tuple(p.tolist())
+    assert max(js[0] for js in idx) == len(mix.p) - 1
+    edges = [r ** -j for j in range(len(mix.p) + 1)]
+    if all(abs(x - e) > 4 * math.ulp(x) for x in u.tolist() for e in edges):
+        assert mix == _parent_mixture_decompose(g, r=r)
+
+
+def test_mixture_atom_on_an_edge_sits_in_the_annulus_it_closes():
+    # The parent counted u = sqrt(2) ** -7 in annulus 7 = (u, 1/8], beta 1/128.
+    u = math.sqrt(2) ** -7
+    mix = mixture_decompose(FiniteDist([-u, u], [0.5, 0.5]))
+    assert mix.p[-1] == 1.0 and len(mix.p) == 9
+    assert mix.annuli[8] == (0.062499999999999965, 0.0883883476483184)
+    assert mix.beta == pytest.approx(0.00390625, rel=1e-14)
 
 
 def test_mixture_rejects_bad_r():

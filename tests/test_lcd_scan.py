@@ -2,7 +2,8 @@
 scan with speculative blocks: equal ``lcd`` and ``verify_lattice_clearance``
 outputs, bit for bit, also with the resolver's constants forced so that every
 resolve aborts, the node cap is tiny, every failing node is resolved, or every
-level runs on floats."""
+level runs on floats.  Every live scan also checks that no resolve receives its
+root node or a node whose midpoint the walk holds in ``ahead``."""
 
 from __future__ import annotations
 
@@ -188,8 +189,8 @@ MODES = {
     # Resolves abort after handing one or two levels to the walk.
     "tiny_cap": {"_RESOLVE_CAP": 2},
     # Every failing node is resolved once any node has certified.
-    "everywhere": {"_RESOLVE_MIN": 0.0, "_RESOLVE_MAX": math.inf},
-    "everywhere_tiny_cap": {"_RESOLVE_MIN": 0.0, "_RESOLVE_MAX": math.inf, "_RESOLVE_CAP": 2},
+    "everywhere": {"_RESOLVE_MAX": math.inf},
+    "everywhere_tiny_cap": {"_RESOLVE_MAX": math.inf, "_RESOLVE_CAP": 2},
     # The cap falls inside the levels that run on floats: a level of 6 to 8
     # nodes aborts the resolve.
     "small_level_cap": {"_RESOLVE_CAP": 5},
@@ -218,14 +219,35 @@ def _vector(kind: str, n: int, seed: int) -> WeightVector:
     return WeightVector(v / np.linalg.norm(v))
 
 
+def _live(mp, mode):
+    """Put the live scan in ``mode`` and check every resolve it starts: none
+    receives the root node of its scan, and none a node whose midpoint the
+    walk already holds in ``ahead``."""
+    for name, value in MODES[mode].items():
+        mp.setattr(LCD, name, value)
+    first_crossing, resolve = LCD._first_crossing, LCD._resolve
+    roots = []
+
+    def crossing(abs_a, thr, lip, t_lo, t_hi, floor):
+        roots.append((t_lo, t_hi))
+        return first_crossing(abs_a, thr, lip, t_lo, t_hi, floor)
+
+    def checked(u, v, *rest):
+        assert (u, v) != roots[-1], "a resolve received the root node"
+        assert 0.5 * (u + v) not in rest[-1], "a resolve's midpoint is in ahead"
+        return resolve(u, v, *rest)
+
+    mp.setattr(LCD, "_first_crossing", crossing)
+    mp.setattr(LCD, "_resolve", checked)
+
+
 def _both(call, mode):
     """call() under the frozen scan, then under the live one in ``mode``."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(LCD, "_first_crossing", _oracle_scan)
         expected = call()
     with pytest.MonkeyPatch.context() as mp:
-        for name, value in MODES[mode].items():
-            mp.setattr(LCD, name, value)
+        _live(mp, mode)
         got = call()
     return expected, got
 
@@ -347,8 +369,7 @@ def test_tangent_threshold_equals_frozen_scan(mode, depth, floor):
     args = (abs_a, _level(math.sqrt(0.2) - depth), math.sqrt(1.25), 0.5, 1.9, floor)
     expected = _oracle_scan(*args)
     with pytest.MonkeyPatch.context() as mp:
-        for name, value in MODES[mode].items():
-            mp.setattr(LCD, name, value)
+        _live(mp, mode)
         assert LCD._first_crossing(*args) == expected
 
 
@@ -431,8 +452,7 @@ def _tangent_scan(level, push, mode):
     args = (np.array([1.0, 0.5]), math.sqrt(1.25), 0.5, 1.9, 1e-6)
     expected = _oracle_scan(args[0], _level(level), *args[1:])
     with pytest.MonkeyPatch.context() as mp:
-        for name, value in MODES[mode].items():
-            mp.setattr(LCD, name, value)
+        _live(mp, mode)
         got = LCD._first_crossing(args[0], _pushed(_level(level), push), *args[1:])
     return expected, got
 

@@ -101,10 +101,21 @@ def test_non_finite_floats_raise_value_error(bad):
         dumps_canonical(bad)
 
 
-def test_non_str_keys_match_oracle():
-    # Not valid JSON, but encoded as before; 1 and True must not share a key.
-    obj = [{1: "a", 2: 0.5}, {True: "b"}, {2.5: None, -1.0: 1}, {None: []}]
-    assert dumps_canonical(obj) == _oracle(obj)
+@pytest.mark.parametrize("bad", [
+    {1: "a", 2: 0.5}, {True: "b"}, [{2.5: None, -1.0: 1}], {"a": {None: []}},
+])
+def test_non_str_keys_raise_type_error(bad):
+    # JSON object keys are strings; the old encoder wrote '{1:"a",2:0.5}'.
+    with pytest.raises(TypeError):
+        dumps_canonical(bad)
+
+
+def test_str_subclass_keys_encode_as_str():
+    class Key(str):
+        pass
+
+    obj = {Key("b"): 1, np.str_("a"): [{Key("a"): 0.5}]}
+    assert dumps_canonical(obj) == _oracle(obj) == '{"a":[{"a":0.5}],"b":1}'
 
 
 @pytest.mark.parametrize("bad", [
