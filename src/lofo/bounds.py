@@ -102,40 +102,56 @@ def shape_esseen(lam, lam_k, m_k):
     )
 
 
+def _quotient(shape: str, num: float, den: float) -> float:
+    """num / den for positive num and den; NumericalError naming the shape
+    when den underflowed to 0 or the quotient is not finite."""
+    if den == 0.0:
+        raise NumericalError(f"{shape} shape: its denominator underflows to 0")
+    value = num / den
+    if not value < math.inf:
+        raise NumericalError(f"{shape} shape: its value {num:g} / {den:g} overflows")
+    return value
+
+
 def shape_vershynin(L: float, D: float) -> float:
     """Baseline comparison shape L/D (constant set to 1)."""
-    if not (L > 0 and D > 0):
-        raise ValueError("L and D must be positive")
-    return L / D
+    if not (0 < L < math.inf and 0 < D < math.inf):
+        raise ValueError("L and D must be positive and finite")
+    return _quotient("vershynin", L, D)
+
+
+def _over_root_spread(shape: str, num: float, den: float, m_tau: float) -> float:
+    """num / (den sqrt(M(tau))), the body of the LCD-spread shapes."""
+    if not 0.0 < m_tau <= 1.0 + 1e-12:
+        raise PreconditionError("spread functional must lie in (0, 1]")
+    return _quotient(shape, num, den * math.sqrt(m_tau))
 
 
 def shape_lcd(D: float, norm_a: float, m_tau: float) -> float:
     """1 / (||a|| D sqrt(M(tau))): LCD-spread bound at window tau/D."""
-    if not (D > 0 and norm_a > 0):
-        raise ValueError("D and ||a|| must be positive")
-    if not 0.0 < m_tau <= 1.0 + 1e-12:
-        raise PreconditionError("spread functional must lie in (0, 1]")
-    return 1.0 / (norm_a * D * math.sqrt(m_tau))
+    if not (0 < D < math.inf and 0 < norm_a < math.inf):
+        raise ValueError("D and ||a|| must be positive and finite")
+    return _over_root_spread("lcd", 1.0, norm_a * D, m_tau)
 
 
 def shape_lcd_unit(D: float, m1: float) -> float:
     """Unit-norm LCD-spread bound 1 / (D sqrt(M(1)))."""
-    return shape_lcd(D, 1.0, m1)
+    if not 0 < D < math.inf:
+        raise ValueError("D and ||a|| must be positive and finite")
+    return _over_root_spread("lcd_unit", 1.0, D, m1)
 
 
 def shape_no_arithmetic(norm_inf: float, norm: float, m_tau: float) -> float:
     """||a||_inf / (||a|| sqrt(M(tau))): window ||a||_inf tau, no structure used."""
-    if not (norm_inf > 0 and norm > 0):
-        raise ValueError("norms must be positive")
-    if not 0.0 < m_tau <= 1.0 + 1e-12:
-        raise PreconditionError("spread functional must lie in (0, 1]")
-    return norm_inf / (norm * math.sqrt(m_tau))
+    if not (0 < norm_inf < math.inf and 0 < norm < math.inf):
+        raise ValueError("norms must be positive and finite")
+    return _over_root_spread("no_arithmetic", norm_inf, norm, m_tau)
 
 
 def shape_bernoulli_min(eps: float, dstar: float, p: float) -> float:
     """min{(eps + 1/D*) / sqrt(p(1-p)), 1}: two-regime Bernoulli envelope."""
-    if eps < 0 or not dstar > 0 or not 0 < p < 1:
-        raise ValueError("need eps >= 0, dstar > 0, p in (0, 1)")
+    if not (0 <= eps < math.inf and 0 < dstar < math.inf and 0 < p < 1):
+        raise ValueError("need eps >= 0, dstar > 0, p in (0, 1), all finite")
     return min((eps + 1.0 / dstar) / math.sqrt(p * (1.0 - p)), 1.0)
 
 
@@ -269,15 +285,18 @@ def solve_tau0(
 
     Requires a finite L with L^2 > 1/P, P = P(X~ != 0); otherwise no root
     exists and a PreconditionError is raised.  So does an L whose square
-    overflows, since the target 1/L^2 would round to 0.  tol bounds the
-    residual |M(tau0) - 1/L^2| accepted (default 1e-10 for finite laws, 1e-6
-    for the analytic kinds); a larger or NaN residual raises NumericalError.
+    overflows, since the target 1/L^2 would round to 0.  tol, which must be
+    positive, bounds the residual |M(tau0) - 1/L^2| accepted (default 1e-10
+    for finite laws, 1e-6 for the analytic kinds); a larger or NaN residual
+    raises NumericalError.
     So does a Gaussian root below the smallest normal float.
     """
     if not 0 < L < math.inf:
         raise ValueError("L must be positive and finite")
     if dstar is not None and not dstar > 0:
         raise ValueError("dstar must be positive")
+    if tol is not None and not tol > 0:
+        raise ValueError("tol must be positive")
     if L * L == math.inf:
         raise PreconditionError(
             f"L^2 overflows (L = {L:.6g}), so the target spread 1/L^2 rounds to 0"
@@ -353,24 +372,28 @@ def shape_crossover(
     eps_arr = np.asarray(eps, dtype=float)
     if eps_arr.ndim > 1:
         raise ValueError("eps must be a scalar or a 1-D grid")
-    if not np.all(eps_arr >= 0):
-        raise ValueError("eps must be nonnegative")
-    if not dstar > 0:
-        raise ValueError("dstar must be positive")
+    if not np.all((eps_arr >= 0) & (eps_arr < math.inf)):
+        raise ValueError("eps must be nonnegative and finite")
+    if not 0 < dstar < math.inf:
+        raise ValueError("dstar must be positive and finite")
+    if not 0 < L < math.inf:
+        raise ValueError("L must be positive and finite")
     if root is None:
         root = solve_tau0(g, L, n_samples=n_samples, seed=seed)
     eps0 = root.tau0 / dstar
+    if eps0 == math.inf:
+        raise NumericalError(f"crossover shape: eps0 = {root.tau0:g} / {dstar:g} overflows")
     eps_list = eps_arr.ravel().tolist()
     small = [e * dstar for e in eps_list if 0.0 < e <= eps0]
     m_vals = iter(m_functional(g, small, n_samples=n_samples, seed=seed))
     values, branches = [], []
     for e in eps_list:
         if e > eps0:
-            values.append(e * L / (eps0 * a.norm2 * dstar))
+            values.append(_quotient("crossover", e * L, eps0 * a.norm2 * dstar))
             branches.append("large_eps")
         else:  # M(0+) = P
             m_val = next(m_vals) if e > 0.0 else atom_survival(g)
-            values.append(1.0 / (a.norm2 * dstar * math.sqrt(m_val)))
+            values.append(_quotient("crossover", 1.0, a.norm2 * dstar * math.sqrt(m_val)))
             branches.append("small_eps" if e > 0.0 else "zero")
     if eps_arr.ndim == 0:
         eps_list, values, branches = eps_list[0], values[0], branches[0]

@@ -240,11 +240,12 @@ def weighted_sum_dist(
     Lattice path (f on a lattice, weights commensurate, dense index span
     K sum m |c| below ``budget``): each group of m equal weights is the
     m-fold power of f's integer pmf by binary powering, groups combine by
-    strided shift-add into one zeroed buffer, and positions are placed once
-    at the end as fsum(w m x0) + g h j: exact, with no coalescing.  When the
-    last group's stride is at least the accumulator's length its shifted
-    copies do not overlap, and its support is placed as an outer product,
-    without the dense index span.
+    strided shift-add into one zeroed buffer that takes every overlapping
+    step in place, and positions are placed once at the end as
+    fsum(w m x0) + g h j: exact, with no coalescing.  When the last group's
+    stride is at least the length of the accumulator before it, its shifted
+    copies do not overlap: the buffer stops before that group, whose support
+    is placed as an outer product, without the dense index span.
 
     Fallbacks: if f is on a lattice but the weights are incommensurate or
     the span is over budget, each group's law is the same lattice power with
@@ -289,9 +290,12 @@ def weighted_sum_dist(
             shift = 0
             order = np.argsort(np.abs(c), kind="stable")
             last = order[-1]
-            # One zeroed buffer holds the accumulator up to the last group,
-            # which _shift_add_support places.
-            acc = np.zeros(1 + span - span_f * int(counts[last]) * abs(int(c[last])))
+            # One zeroed buffer takes every step.  It stops at head, before
+            # the last group, when that group's shifted copies do not overlap:
+            # _shift_add_support then places it.
+            head = 1 + span - span_f * int(counts[last]) * abs(int(c[last]))
+            overlap = abs(int(c[last])) < head
+            acc = np.zeros(1 + span if overlap else head)
             acc[0] = 1.0
             size = 1
             for i in order:
@@ -300,9 +304,13 @@ def weighted_sum_dist(
                     p = p[::-1]
                     shift += int(c[i] * counts[i]) * span_f
                 stride = abs(int(c[i]))
-                if i != last:
+                if overlap or i != last:
                     size = _shift_add_into(acc, size, p, stride)
-            j, mass = _shift_add_support(acc[:size], p, stride)
+            if overlap:
+                j = np.flatnonzero(acc[:size])
+                mass = acc[j]
+            else:
+                j, mass = _shift_add_support(acc[:size], p, stride)
             base = math.fsum((values * counts * x0).tolist())
             return FiniteDist(base + (g * h) * (j + shift), mass)
 
@@ -354,60 +362,51 @@ def _lattice(x: np.ndarray, origin: float, limit: int):
     return None
 
 
-def _shift_add(x: np.ndarray, y: np.ndarray, stride: int) -> np.ndarray:
-    """pmf z of I + stride * J for independent I ~ x, J ~ y on 0, 1, 2, ...
-
-    At stride 1 this is np.convolve.  Otherwise the factor with fewer
-    nonzeros is added as one shifted, scaled copy of the other per nonzero,
-    so the Python-level loop is as short as it can be.
-    """
-    if stride == 1:
-        return np.convolve(x, y)
-    nx, ny = np.flatnonzero(x), np.flatnonzero(y)
-    z = np.zeros(x.size + stride * (y.size - 1))
-    if nx.size <= ny.size:
-        for i in nx:
-            z[i : i + stride * y.size : stride] += x[i] * y
-    else:
-        for j in ny:
-            z[stride * j : stride * j + x.size] += y[j] * x
-    return z
-
-
 def _shift_add_into(buf: np.ndarray, size: int, y: np.ndarray, stride: int) -> int:
-    """_shift_add(buf[:size], y, stride) written into buf; returns its size.
+    """pmf of I + stride * J for independent I ~ buf[:size], J ~ y on 0, 1, 2, ...
 
-    Entries of buf past size must be zero.  For a two-point y = (y0, y1)
-    with both entries nonzero at stride > 1, entry k of _shift_add's result
-    adds at most two products, y0 * x[k] and y1 * x[k - stride], into 0.0 in
-    some order; since 0 + a + b is b + a exactly, scaling x in place and
-    adding the shifted y1 * x gives the same bits, whatever x is, with one
+    The pmf is written into buf[:end], end = size + stride * (y.size - 1),
+    and end is returned; entries of buf past size must be zero.  At stride 1
+    this is np.convolve.  For a two-point y = (y0, y1) with both entries
+    nonzero at stride > 1, entry k adds at most two products, y0 * x[k] and
+    y1 * x[k - stride], into 0.0 in some order; since 0 + a + b is b + a
+    exactly, x is scaled in place and the shifted y1 * x added, with one
     product array instead of a zeroed array of the new span and two
-    products.  Every other step goes through _shift_add.
+    products.  Otherwise the factor with fewer nonzeros is added as one
+    shifted, scaled copy of the other per nonzero into a zeroed array, so
+    the Python-level loop is as short as it can be, and that array is copied
+    into buf.
     """
     x = buf[:size]
     end = size + stride * (y.size - 1)
-    if y.size == 2 and stride > 1 and y.all():
+    if stride == 1:
+        buf[:end] = np.convolve(x, y)
+    elif y.size == 2 and y.all():
         tmp = y[1] * x
         x *= y[0]
         buf[stride:end] += tmp
     else:
-        buf[:end] = _shift_add(x, y, stride)
+        nx, ny = np.flatnonzero(x), np.flatnonzero(y)
+        z = np.zeros(end)
+        if nx.size <= ny.size:
+            for i in nx:
+                z[i : i + stride * y.size : stride] += x[i] * y
+        else:
+            for j in ny:
+                z[stride * j : stride * j + size] += y[j] * x
+        buf[:end] = z
     return end
 
 
 def _shift_add_support(x: np.ndarray, y: np.ndarray, stride: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nonzero indices of _shift_add(x, y, stride), ascending, and their masses.
+    """Nonzero indices of the pmf of I + stride * J, ascending, and their masses.
 
-    When stride >= x.size the shifted copies of x do not overlap, so each
-    entry is 0.0 + x[i] * y[k], which is exactly y[k] * x[i]: the outer
-    product is placed at i + stride * k without building the dense span.
-    Products that underflow to 0 are dropped, as np.flatnonzero drops them.
+    I ~ x and J ~ y are independent on 0, 1, 2, ..., and stride >= x.size,
+    so the shifted copies of x do not overlap and each entry is
+    0.0 + x[i] * y[k], which is exactly y[k] * x[i]: the outer product is
+    placed at i + stride * k without building the dense span.  Products
+    that underflow to 0 are dropped, as np.flatnonzero drops them.
     """
-    if stride < x.size:
-        z = _shift_add(x, y, stride)
-        j = np.flatnonzero(z)
-        return j, z[j]
     nx, ny = np.flatnonzero(x), np.flatnonzero(y)
     j = np.add.outer(stride * ny, nx).ravel()
     mass = np.outer(y[ny], x[nx]).ravel()
@@ -434,11 +433,11 @@ def _power(p: np.ndarray, m: int) -> np.ndarray:
     out = None
     while True:
         if m & 1:
-            out = p if out is None else _shift_add(out, p, 1)
+            out = p if out is None else np.convolve(out, p)
         m >>= 1
         if not m:
             return out
-        p = _shift_add(p, p, 1)
+        p = np.convolve(p, p)
 
 
 def _convolve(

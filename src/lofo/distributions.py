@@ -80,14 +80,10 @@ def _coalesce(atoms: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.nda
     sizes = np.bincount(group)
     merged_mass = np.bincount(group, weights=masses)
     first_member = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    out_atoms = atoms[first_member]
-    multi = sizes > 1
-    if np.any(multi):
-        rel = masses / np.maximum.reduceat(masses, first_member)[group]
-        centroid = np.bincount(group, weights=rel * atoms) / np.bincount(group, weights=rel)
-        centroid = np.clip(centroid, atoms[first_member], atoms[first_member + sizes - 1])
-        out_atoms = np.where(multi, centroid, out_atoms)
-    return out_atoms, merged_mass
+    rel = masses / np.maximum.reduceat(masses, first_member)[group]
+    centroid = np.bincount(group, weights=rel * atoms) / np.bincount(group, weights=rel)
+    centroid = np.clip(centroid, atoms[first_member], atoms[first_member + sizes - 1])
+    return np.where(sizes > 1, centroid, atoms[first_member]), merged_mass
 
 
 class FiniteDist:

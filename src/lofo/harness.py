@@ -415,7 +415,7 @@ def study_tau0_scaling(
         )
     out = []
     for alpha in alpha_list:
-        u, w = _empirical_spread(AnalyticDist.stable(alpha, 2.0), n_samples, seed)
+        u, w = _empirical_spread(symmetrize(AnalyticDist.stable(alpha)), n_samples, seed)
         taus = _piecewise_tau0(u, w, [1.0 / (L * L) for L in L_grid])
         pts = [(float(L), tau) for L, tau in zip(L_grid, taus)]
         x, y = np.log(pts).T
@@ -443,7 +443,7 @@ def gaussian_spread_relation(
     The symmetrized law has scale sigma*sqrt(2); the ratio stays inside a
     fixed bracket for all tau, reflecting 1/sqrt(M) ~ 1 + tau/sigma.
     """
-    g = AnalyticDist.gaussian(sigma * math.sqrt(2.0))
+    g = symmetrize(AnalyticDist.gaussian(sigma))
     xs = [float(x) for x in tau_over_sigma_grid]
     return [
         {"tau_over_sigma": x, "m": m, "ratio": (1.0 / math.sqrt(m)) / (1.0 + x)}
@@ -464,7 +464,7 @@ def study_gaussian_window(
     """
     rows = []
     for sigma in sigma_list:
-        g = AnalyticDist.gaussian(sigma * math.sqrt(2.0))
+        g = symmetrize(AnalyticDist.gaussian(sigma))
         a = WeightVector([1.0])
         m_at_edge = m_functional(g, sigma * dstar)
         L = 1.05 / math.sqrt(m_at_edge)

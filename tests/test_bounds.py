@@ -575,6 +575,39 @@ def _crossover_at(eps, dstar):
     (lambda: _crossover_at(math.nan, 2.0), ValueError, "eps must be nonnegative"),
     (lambda: _crossover_at([0.1, -0.1], 2.0), ValueError, "eps must be nonnegative"),
     (lambda: _crossover_at([[0.1]], 2.0), ValueError, "eps must be a scalar or a 1-D grid"),
+    # Non-finite inputs are named; a value that overflows, or a denominator
+    # that underflows to 0, names the shape.  The lcd and no_arithmetic rows
+    # once raised ZeroDivisionError, the others returned inf or 0.
+    (lambda: shape_vershynin(math.inf, 1.0), ValueError, "L and D must be positive and finite"),
+    (lambda: shape_lcd(math.inf, 1.0, 0.5), ValueError, "D and ||a|| must be positive and finite"),
+    (lambda: shape_lcd_unit(math.inf, 0.5), ValueError, "D and ||a|| must be positive and finite"),
+    (lambda: shape_no_arithmetic(1.0, math.inf, 0.5), ValueError,
+     "norms must be positive and finite"),
+    (lambda: shape_bernoulli_min(math.nan, 2.0, 0.5), ValueError,
+     "need eps >= 0, dstar > 0, p in (0, 1), all finite"),
+    (lambda: shape_bernoulli_min(0.1, math.inf, 0.5), ValueError,
+     "need eps >= 0, dstar > 0, p in (0, 1), all finite"),
+    (lambda: _crossover_at(math.inf, 2.0), ValueError, "eps must be nonnegative and finite"),
+    (lambda: _crossover_at(0.1, math.inf), ValueError, "dstar must be positive and finite"),
+    (lambda: shape_crossover(WeightVector([1.0]), symmetrize(FiniteDist.bernoulli(0.5)),
+                             math.inf, 0.1, 2.0,
+                             root=solve_tau0(symmetrize(FiniteDist.bernoulli(0.5)), 2.0)),
+     ValueError, "L must be positive and finite"),
+    (lambda: shape_lcd(1e-320, 1e-10, 0.5), NumericalError,
+     "lcd shape: its denominator underflows to 0"),
+    (lambda: shape_no_arithmetic(1.0, 1e-320, 1e-10), NumericalError,
+     "no_arithmetic shape: its denominator underflows to 0"),
+    (lambda: shape_vershynin(1.0, 1e-320), NumericalError, "vershynin shape: its value"),
+    (lambda: shape_lcd_unit(1e-320, 0.5), NumericalError, "lcd_unit shape: its value"),
+    (lambda: _crossover_at(0.1, 1e-320), NumericalError, "crossover shape: eps0"),
+    (lambda: shape_crossover(WeightVector([1e-300]), symmetrize(FiniteDist.bernoulli(0.5)),
+                             2.0, 0.1, 1e-30), NumericalError,
+     "crossover shape: its denominator underflows to 0"),
+    (lambda: solve_tau0(symmetrize(FiniteDist([0.0, 1.0, 3.0], [0.2, 0.5, 0.3])), 3.0, -1.0),
+     ValueError, "tol must be positive"),
+    (lambda: solve_tau0(symmetrize(FiniteDist([0.0, 1.0, 3.0], [0.2, 0.5, 0.3])), 3.0, math.nan),
+     ValueError, "tol must be positive"),
+    (lambda: solve_tau0(AnalyticDist.gaussian(1.0), 3.0, 0.0), ValueError, "tol must be positive"),
     (lambda: smoothing_cf(WeightVector([1.0]), 1.0, 0.0, 0.5), ValueError,
      "gamma must be positive"),
     (lambda: solve_tau0(AnalyticDist.stable(1.0), 3.0, n_samples=0), ValueError,

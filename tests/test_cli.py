@@ -497,6 +497,45 @@ def test_cli_bound_classical_rejects_invalid_components(flags, message, capsys):
     _one_line_failure(capsys, f"precondition violated: {message}\n")
 
 
+@pytest.mark.parametrize("flags,code,message", [
+    (["--shape", "lcd", "--D", "1e-320", "--norm-a", "1e-10", "--m-tau", "0.5"], 2,
+     "operational failure: lcd shape: its denominator underflows to 0"),
+    (["--shape", "no_arithmetic", "--norm-inf", "1", "--norm-a", "1e-320", "--m-tau", "1e-10"], 2,
+     "operational failure: no_arithmetic shape: its denominator underflows to 0"),
+    (["--shape", "vershynin", "--L", "1", "--D", "1e-320"], 2,
+     "operational failure: vershynin shape: its value"),
+    (["--shape", "lcd_unit", "--D", "1e-320", "--m1", "0.5"], 2,
+     "operational failure: lcd_unit shape: its value"),
+    (["--shape", "vershynin", "--L", "inf", "--D", "1"], 1,
+     "precondition violated: L and D must be positive and finite\n"),
+    (["--shape", "bernoulli_min", "--eps", "nan", "--dstar", "2", "--p", "0.5"], 1,
+     "precondition violated: need eps >= 0, dstar > 0, p in (0, 1), all finite\n"),
+    (["--shape", "crossover", "--dist", "{law}", "--weights", "{weights}", "--L", "3",
+      "--eps", "0.1", "--dstar", "inf"], 1,
+     "precondition violated: dstar must be positive and finite\n"),
+])
+def test_cli_bound_scalar_shapes_fail_on_one_line(flags, code, message, bernoulli_file,
+                                                   unit_weight_file, capsys):
+    # The first two once printed a ZeroDivisionError traceback; the others
+    # exited 1 naming the JSON encoder instead of the input.
+    flags = [f.format(law=bernoulli_file, weights=unit_weight_file) for f in flags]
+    assert main(["bound", *flags]) == code
+    _one_line_failure(capsys, message)
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "0"])
+@pytest.mark.parametrize("law", [
+    {"type": "finite", "atoms": [0.0, 1.0, 3.0], "masses": [0.2, 0.5, 0.3]},
+    {"type": "gaussian", "sigma": 1.0},
+])
+def test_cli_tau0_rejects_nonpositive_tol(tol, law, tmp_path, capsys):
+    # These once solved, then exited 2 with the residual "above tolerance" tol.
+    dist = tmp_path / "d.json"
+    dist.write_text(json.dumps(law))
+    assert main(["tau0", "--dist", str(dist), "--L", "3", "--tol", tol]) == 1
+    _one_line_failure(capsys, "precondition violated: tol must be positive\n")
+
+
 def test_cli_exit_2_on_tau0_numerical_failure(bernoulli_file, capsys):
     # The exact root cannot meet a residual tolerance below double rounding.
     rc = main(["tau0", "--dist", bernoulli_file, "--L", "2", "--tol", "1e-30"])

@@ -505,6 +505,8 @@ def test_mixture_rejects_bad_r():
      "tau must be positive"),
     (lambda: m_functional(AnalyticDist.gaussian(1.0), math.nan), ValueError,
      "tau must be positive"),
+    (lambda: m_functional(AnalyticDist.gaussian(1.0), [[1.0, 2.0]]), ValueError,
+     "tau must be a scalar or a 1-D grid"),
     (lambda: m_functional(AnalyticDist.stable(1.0), 1.0, n_samples=0), ValueError,
      "n_samples must be at least 1"),
     (lambda: m_functional(AnalyticDist.stable(1.0), [1.0, 2.0], n_samples=-3), ValueError,
