@@ -58,15 +58,26 @@ class BoundShape(_Record):
 # ---------------------------------------------------------------------------
 
 
-def _classical_shape(lam, lam_k, c_k, name: str, degenerate: str):
+def _classical_shape(lam, lam_k, c_k, shape: str, name: str, degenerate: str):
     """lambda * (sum lambda_k^2 c_k)^(-1/2), the body of both classical shapes
-    (c_k = 1 - Q_k or M_k); ``name`` is the symbol of the component values and
-    ``degenerate`` what makes them all vanish, for the messages.
+    (c_k = 1 - Q_k or M_k); ``shape`` names the shape, ``name`` is the symbol
+    of the component values and ``degenerate`` what makes them all vanish,
+    for the messages.
 
     lambda is a scalar (gives a float) or a grid (gives a list); lambda_k and
     c_k have its shape plus a last axis of n.  Each sum is a stacked
     vector-vector np.matmul, in np.dot's order.  Needs lambda positive and
-    finite, lambda_k in (0, lambda] and c_k in [0, 1 + 1e-12]."""
+    finite, lambda_k in (0, lambda] and c_k in [0, 1 + 1e-12].
+
+    The shape has degree 0 in (lambda, lambda_k), so each row is evaluated
+    on lambda and lambda_k times 2^-e, e the binary exponent of the row's
+    largest lambda_k (which then lies in [1, 2)): the squares neither
+    overflow nor underflow however large or small the windows are.
+    Products, sums, square roots and quotients commute with a power-of-two
+    scaling away from subnormals, so the value keeps the bits of the
+    unscaled sums wherever those stayed normal.  A value that overflows, or
+    a denominator that underflows to 0, raises NumericalError naming the
+    shape."""
     lam = np.asarray(lam, dtype=float)
     lk = np.asarray(lam_k, dtype=float)
     if not np.all((lam > 0) & (lam < math.inf)):
@@ -74,21 +85,31 @@ def _classical_shape(lam, lam_k, c_k, name: str, degenerate: str):
     n = lk.shape[-1:]
     if n in ((), (0,)) or lk.shape != lam.shape + n or c_k.shape != lk.shape:
         raise ValueError(f"lambda_k and {name} must be nonempty and aligned")
-    if not np.all((lk > 0) & (lk <= lam[..., None] * (1 + 1e-12))):
+    with np.errstate(over="ignore"):  # lambda (1 + 1e-12) may round up to inf
+        top = lam[..., None] * (1 + 1e-12)
+    if not np.all((lk > 0) & (lk <= top) & (lk < math.inf)):
         raise ValueError("each lambda_k must lie in (0, lambda]")
     if not np.all((c_k >= 0) & (c_k <= 1 + 1e-12)):
         raise ValueError(f"each {name} must lie in [0, 1]")
-    denom = np.matmul((lk * lk)[..., None, :], c_k[..., :, None])[..., 0, 0]
-    if np.any(denom <= 0.0):
+    if not np.all(np.any(c_k > 0.0, axis=-1)):
         raise PreconditionError(f"{degenerate}: the shape diverges")
-    return (lam / np.sqrt(denom)).tolist()
+    exp = np.frexp(lk.max(axis=-1))[1] - 1
+    lk = np.ldexp(lk, -exp[..., None])
+    denom = np.matmul((lk * lk)[..., None, :], c_k[..., :, None])[..., 0, 0]
+    if np.any(denom == 0.0):
+        raise NumericalError(f"{shape} shape: its denominator underflows to 0")
+    with np.errstate(over="ignore"):
+        value = np.ldexp(lam, -exp) / np.sqrt(denom)
+    if not np.all(value < math.inf):
+        raise NumericalError(f"{shape} shape: its value overflows")
+    return value.tolist()
 
 
 def shape_kolmogorov_rogozin(lam, lam_k, q_k):
     """lambda * (sum lambda_k^2 (1 - Q_k))^(-1/2) for independent summands;
     lambda may be a grid of windows (see ``_classical_shape``)."""
     return _classical_shape(
-        lam, lam_k, 1.0 - np.asarray(q_k, dtype=float), "Q_k",
+        lam, lam_k, 1.0 - np.asarray(q_k, dtype=float), "kolmogorov_rogozin", "Q_k",
         "all component concentrations equal 1",
     )
 
@@ -97,7 +118,7 @@ def shape_esseen(lam, lam_k, m_k):
     """lambda * (sum lambda_k^2 M_k(lambda_k))^(-1/2); refines Kolmogorov-Rogozin;
     lambda may be a grid of windows (see ``_classical_shape``)."""
     return _classical_shape(
-        lam, lam_k, np.asarray(m_k, dtype=float), "M_k",
+        lam, lam_k, np.asarray(m_k, dtype=float), "esseen", "M_k",
         "all spread functionals vanish",
     )
 

@@ -48,10 +48,9 @@ from .harness import (
     _BINOMIAL_LOWER,
     _FAMILIES,
     _RECIPES,
+    _render_csvs,
     calibrate_upper,
     check_lower_binomial,
-    rows_to_csv,
-    rows_to_long_csv,
 )
 from .lcd import lcd as lcd_search
 from .serialize import dumps_canonical, load_dist, load_weights, write_canonical
@@ -183,6 +182,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_report(args) -> int:
+    """Render a report's rows to the wide CSV and, given ``--out-long``, the long one.
+
+    Both files come from one render, so a column the two share, as
+    ``instance``, ``eps``, ``q``, ``shape`` and ``ratio``, is formatted once.
+    """
     with open(args.infile, encoding="utf-8") as fh:
         payload = json.load(fh)
     rows = payload.get("rows", []) if isinstance(payload, dict) else None
@@ -190,9 +194,7 @@ def cmd_report(args) -> int:
         raise ParseError("report JSON must be an object whose rows are objects")
     if not rows:
         raise PreconditionError("report contains no rows")
-    rows_to_csv(rows, args.out_csv)
-    if args.out_long:
-        rows_to_long_csv(rows, args.out_long)
+    _render_csvs(rows, args.out_csv, args.out_long or None)
     return 0
 
 

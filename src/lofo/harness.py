@@ -24,9 +24,9 @@ object is its fields, by name: ``to_json`` reads them from the dataclass.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -526,57 +526,133 @@ def rows_to_csv(rows: Sequence[dict], path: str) -> None:
 
     The bytes are those of ``csv.DictWriter`` with its defaults: a key
     missing from a row writes "", and a key outside the header raises
-    ValueError naming it, after the rows before it are written.
+    ValueError naming it, after the rows before it are written.  Cells are
+    formatted a column at a time (see ``_render_csvs``).
+    """
+    _render_csvs(rows, path, None)
+
+
+def rows_to_long_csv(rows: Sequence[dict], path: str) -> None:
+    """Plot-ready long format: (instance, eps, Q, shape, ratio).
+
+    The shape cell falls back to ``min_form``, and a missing cell is "".
+    """
+    _render_csvs(rows, None, path)
+
+
+def _render_csvs(rows: Sequence[dict], wide_path: Optional[str],
+                 long_path: Optional[str]) -> None:
+    """Write the wide CSV of ``rows`` to ``wide_path`` and the long one to ``long_path``.
+
+    Either path may be None.  Each column is gathered and formatted once,
+    and the long file takes the wide file's texts of the columns they
+    share.  When rows hold exactly the first row's keys, the columns are a
+    transpose; otherwise each cell is ``row.get(key, "")``.  A wide file
+    that meets a key outside its header writes the rows before it, then
+    raises ValueError before the long file is written.
     """
     rows = list(rows)
     if not rows:
         raise ValueError("no rows to render")
-    header = list(rows[0].keys())
-    _write_csv(path, header, _dict_cells(rows, header))
+    header = list(rows[0])
+    first = rows[0].keys()
+    uniform = all(row.keys() == first for row in rows)
+    columns = dict(zip(header, _transpose(rows, header))) if uniform else None
+    error = None
+    if wide_path is not None and not uniform:
+        for i, row in enumerate(rows):
+            wrong_fields = row.keys() - header
+            if wrong_fields:
+                error = ValueError("dict contains fields not in fieldnames: "
+                                   + ", ".join([repr(x) for x in wrong_fields]))
+                rows = rows[:i]
+                break
+    texts: dict = {}
+
+    def column(key):
+        if key not in texts:
+            if uniform:
+                values = columns[key] if key in columns else [""] * len(rows)
+            else:
+                values = [row.get(key, "") for row in rows]
+            texts[key] = _column_texts(values)
+        return texts[key]
+
+    if wide_path is not None:
+        _write_columns(wide_path, header, [column(key) for key in header], len(rows))
+        if error is not None:
+            raise error
+    if long_path is not None:
+        if uniform:
+            shape = column("shape" if "shape" in first else "min_form")
+        else:
+            shape = _column_texts([row.get("shape", row.get("min_form", "")) for row in rows])
+        _write_columns(long_path, ["instance", "eps", "q", "shape", "ratio"],
+                       [column("instance"), column("eps"), column("q"), shape,
+                        column("ratio")], len(rows))
 
 
-def rows_to_long_csv(rows: Sequence[dict], path: str) -> None:
-    """Plot-ready long format: (instance, eps, Q, shape, ratio)."""
-    cells = [
-        (r.get("instance", ""), r.get("eps", ""), r.get("q", ""),
-         r.get("shape", r.get("min_form", "")), r.get("ratio", ""))
-        for r in rows
-    ]
-    if not cells:
-        raise ValueError("no rows to render")
-    _write_csv(path, ["instance", "eps", "q", "shape", "ratio"], cells)
+def _transpose(rows: list, header: list) -> list:
+    """The columns of rows that hold exactly the header's keys."""
+    if len(header) > 1:
+        return list(zip(*map(itemgetter(*header), rows)))
+    return [list(map(itemgetter(*header), rows))] if header else []
 
 
-def _dict_cells(rows: list, header: list):
-    """DictWriter's cells of each row, made as the writer asks for them."""
-    for row in rows:
-        wrong_fields = row.keys() - header
-        if wrong_fields:
-            raise ValueError("dict contains fields not in fieldnames: "
-                             + ", ".join([repr(x) for x in wrong_fields]))
-        yield [row.get(key, "") for key in header]
+def _column_texts(values: Sequence) -> Sequence[str]:
+    """csv's text of each cell of one column, quoted where csv quotes it."""
+    kinds = set(map(type, values))
+    if kinds <= {float, int}:
+        return _number_texts(values, len(kinds) == 1)
+    texts = values if kinds == {str} else list(map(_cell_text, values))
+    quoted = {text: _quoted(text) for text in set(texts)}
+    return list(map(quoted.__getitem__, texts))
 
 
-def _write_csv(path: str, header: list, rows) -> None:
-    """Write the header and the rows of cells, each distinct float's repr made once.
+def _number_texts(values: Sequence, single: bool) -> list:
+    """The text of each int or exact float, made once per distinct number.
 
-    csv writes a float as its repr, so a cell whose type is exactly float
-    is handed over as its memoized repr, which holds no delimiter, quote or
-    newline and is written unquoted as before.  Every other cell, numpy
-    scalars, None and bools included, goes to csv unchanged.
+    No such text needs quoting.  A column of ints and floats keys its memo
+    by (number, type), since 0 == 0.0 but they print "0" and "0.0".  A
+    column of one type holding a zero formats every cell, since -0.0 == 0.0
+    too; so does a mixed column holding a float zero.
     """
-    reprs: dict = {}
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(
-            [(reprs.get(v) or _float_repr(v, reprs)) if type(v) is float else v for v in cells]
-            for cells in rows
-        )
+    keys = values if single else list(zip(values, map(type, values)))
+    distinct = set(keys)
+    if (0 if single else (0.0, float)) in distinct:
+        return list(map(str, values))
+    memo = {key: str(key if single else key[0]) for key in distinct}
+    return list(map(memo.__getitem__, keys))
 
 
-def _float_repr(x: float, reprs: dict) -> str:
-    text = repr(x)
-    if x:  # 0.0 and -0.0 compare equal but print differently
-        reprs[x] = text
+def _cell_text(value) -> str:
+    """csv's text of one cell: a str as itself, None as "", anything else by str.
+
+    str of an exact float is its repr; a float subclass (np.float64) is
+    written by its own str, as csv does.
+    """
+    if isinstance(value, str):
+        return value
+    return "" if value is None else str(value)
+
+
+def _quoted(text: str) -> str:
+    """csv's QUOTE_MINIMAL: a text holding , " CR or LF is quoted, each " doubled."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
     return text
+
+
+def _write_columns(path: str, header: list, columns: list, n_rows: int) -> None:
+    """Write the header and the rows of column texts in one write, as csv would.
+
+    Lines end in CRLF.  A line whose one field is empty is written as "",
+    as csv does so that the line is not blank.
+    """
+    lines = [",".join([_quoted(_cell_text(key)) for key in header])]
+    lines += map(",".join, zip(*columns)) if columns else [""] * n_rows
+    if len(columns) == 1:
+        lines = [line or '""' for line in lines]
+    lines.append("")
+    with open(path, "w", newline="") as fh:
+        fh.write("\r\n".join(lines))

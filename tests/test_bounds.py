@@ -68,6 +68,26 @@ def test_esseen_shape_reductions():
     assert shape_esseen(1.0, [1.0], [1.0]) == pytest.approx(1.0)
 
 
+@settings(max_examples=200, deadline=None)
+@given(lam=st.floats(1.0, 4.0),
+       ratios=st.lists(st.floats(2.0**-20, 1.0), min_size=1, max_size=8),
+       comps=st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8),
+       k=st.integers(-1000, 1000))
+def test_classical_shapes_are_scale_free_bit_for_bit(lam, ratios, comps, k):
+    # Degree 0 in (lambda, lambda_k): scaling both by 2^k keeps every bit,
+    # and unit-scale windows keep the bits of the unscaled formula.
+    lam_k = lam * np.array(ratios)
+    c = np.array(comps[: lam_k.size])
+    c[0] = max(c[0], 0.01)
+    for shape, comp, c_k in ((shape_esseen, c, c),
+                             (shape_kolmogorov_rogozin, 1.0 - c, 1.0 - (1.0 - c))):
+        value = shape(lam, lam_k, comp)
+        assert value == lam / math.sqrt(np.dot(lam_k * lam_k, c_k))
+        assert shape(math.ldexp(lam, k), np.ldexp(lam_k, k), comp) == value
+        grid = shape([lam, math.ldexp(lam, k)], [lam_k, np.ldexp(lam_k, k)], [comp, comp])
+        assert grid == [value, value]
+
+
 def test_esseen_vs_kr_dominance_chain():
     # Provable pointwise: Q(G, tau) <= Q(F, tau) (symmetrization spreads) and
     # M(tau) >= 1 - Q(G, 2 tau) (the survival mass beyond tau sits outside a
@@ -603,6 +623,19 @@ def _crossover_at(eps, dstar):
     (lambda: shape_crossover(WeightVector([1e-300]), symmetrize(FiniteDist.bernoulli(0.5)),
                              2.0, 0.1, 1e-30), NumericalError,
      "crossover shape: its denominator underflows to 0"),
+    # The classical shapes: a window ratio whose value overflows once warned
+    # and returned inf, an underflowed sum was blamed on the components, and
+    # an infinite lambda_k passed where lambda (1 + 1e-12) rounds to inf.
+    (lambda: shape_esseen(1e300, [1e-157], [0.5]), NumericalError,
+     "esseen shape: its value overflows"),
+    (lambda: shape_kolmogorov_rogozin(1e300, [1e-157], [0.5]), NumericalError,
+     "kolmogorov_rogozin shape: its value overflows"),
+    (lambda: shape_esseen([1.0, 1e300], [[1.0], [1e-157]], [[0.5], [0.5]]), NumericalError,
+     "esseen shape: its value overflows"),
+    (lambda: shape_esseen(1.0, [1.0, 1e-300], [0.0, 5e-300]), NumericalError,
+     "esseen shape: its denominator underflows to 0"),
+    (lambda: shape_esseen(1.7976931348623157e308, [math.inf], [0.5]), ValueError,
+     "each lambda_k must lie in (0, lambda]"),
     (lambda: solve_tau0(symmetrize(FiniteDist([0.0, 1.0, 3.0], [0.2, 0.5, 0.3])), 3.0, -1.0),
      ValueError, "tol must be positive"),
     (lambda: solve_tau0(symmetrize(FiniteDist([0.0, 1.0, 3.0], [0.2, 0.5, 0.3])), 3.0, math.nan),

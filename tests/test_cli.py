@@ -513,6 +513,14 @@ def test_cli_bound_classical_rejects_invalid_components(flags, message, capsys):
     (["--shape", "crossover", "--dist", "{law}", "--weights", "{weights}", "--L", "3",
       "--eps", "0.1", "--dstar", "inf"], 1,
      "precondition violated: dstar must be positive and finite\n"),
+    # The classical shapes: the first two once warned of an overflow and
+    # exited 1 naming the JSON encoder, the third blamed M_k for vanishing.
+    (["--shape", "esseen", "--lambda", "1e300", "--lambda-k", "1e-157", "--m-k", "0.5"], 2,
+     "operational failure: esseen shape: its value overflows\n"),
+    (["--shape", "kolmogorov_rogozin", "--lambda", "1e300", "--lambda-k", "1e-157",
+      "--q-k", "0.5"], 2, "operational failure: kolmogorov_rogozin shape: its value overflows\n"),
+    (["--shape", "esseen", "--lambda", "1", "--lambda-k", "1,1e-300", "--m-k", "0,5e-300"], 2,
+     "operational failure: esseen shape: its denominator underflows to 0\n"),
 ])
 def test_cli_bound_scalar_shapes_fail_on_one_line(flags, code, message, bernoulli_file,
                                                    unit_weight_file, capsys):
@@ -521,6 +529,15 @@ def test_cli_bound_scalar_shapes_fail_on_one_line(flags, code, message, bernoull
     flags = [f.format(law=bernoulli_file, weights=unit_weight_file) for f in flags]
     assert main(["bound", *flags]) == code
     _one_line_failure(capsys, message)
+
+
+@pytest.mark.parametrize("shape,component", [("esseen", "--m-k"), ("kolmogorov_rogozin", "--q-k")])
+def test_cli_bound_classical_tiny_windows(shape, component, capsys):
+    # lambda_k^2 underflowed to 0 here, and esseen exited 1 with "all spread
+    # functionals vanish"; the shape has degree 0, so it is that of unit windows.
+    assert main(["bound", "--shape", shape, "--lambda", "1e-200", "--lambda-k", "1e-200",
+                 component, "0.5"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == 2.0**0.5
 
 
 @pytest.mark.parametrize("tol", ["-1", "nan", "0"])

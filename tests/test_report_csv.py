@@ -60,6 +60,21 @@ _cells = st.one_of(
     st.integers(-3, 3), _strings, st.lists(_floats | st.integers(0, 2), max_size=3))
 _keys = st.sampled_from(["instance", "eps", "q", "shape", "min_form", "ratio", "s", "x,y"])
 _rows = st.lists(st.dictionaries(_keys, _cells, max_size=7), max_size=6)
+# Rows that all hold one drawn key list, as every report's rows do: the
+# renderer's transposed path.  The key order of each row is drawn too.
+_shared_rows = st.lists(_keys, unique=True, max_size=7).flatmap(
+    lambda keys: st.lists(
+        st.permutations(keys).flatmap(
+            lambda order: st.fixed_dictionaries({k: _cells for k in order})),
+        min_size=1, max_size=8))
+
+
+def _assert_renderers_match_oracle(d, rows):
+    for render, oracle in ((rows_to_csv, _oracle_rows_to_csv),
+                           (rows_to_long_csv, _oracle_rows_to_long_csv)):
+        got = _outcome(render, rows, d / f"{render.__name__}.csv")
+        want = _outcome(oracle, rows, d / f"oracle_{render.__name__}.csv")
+        assert got == want
 
 
 @settings(max_examples=300, deadline=None)
@@ -67,12 +82,50 @@ _rows = st.lists(st.dictionaries(_keys, _cells, max_size=7), max_size=6)
 def test_csv_renderers_match_dictwriter_oracle(tmp_path_factory, rows):
     # Later rows may miss header keys or carry keys outside it (ValueError
     # after the rows before it are written); an empty list has no header.
-    d = tmp_path_factory.mktemp("csv")
-    for render, oracle in ((rows_to_csv, _oracle_rows_to_csv),
-                           (rows_to_long_csv, _oracle_rows_to_long_csv)):
-        got = _outcome(render, rows, d / f"{render.__name__}.csv")
-        want = _outcome(oracle, rows, d / f"oracle_{render.__name__}.csv")
-        assert got == want
+    _assert_renderers_match_oracle(tmp_path_factory.mktemp("csv"), rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_shared_rows)
+def test_csv_renderers_match_oracle_on_shared_keys(tmp_path_factory, rows):
+    _assert_renderers_match_oracle(tmp_path_factory.mktemp("csv"), rows)
+
+
+class _Tagged(float):
+    """A float subclass that prints apart from its value, as csv writes it."""
+
+    def __str__(self):
+        return "tagged"
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("rows", [
+    [{"a": 0.0}, {"a": -0.0}, {"a": 0.5}, {"a": -0.0}],
+    [{"eps": 0}, {"eps": 0.0}, {"eps": -0.0}, {"eps": 1}, {"eps": 1.0}, {"eps": 0.5}],
+    [{"q": 0, "ratio": 1.0}, {"q": 0.0, "ratio": 1}, {"q": 0.25, "ratio": 1.0}],
+    [{"ratio": _NAN}, {"ratio": _INF}, {"ratio": -_INF}, {"ratio": float("nan")}],
+    [{"s": True}, {"s": 1}, {"s": False}, {"s": 0}, {"s": 1.0}],
+    [{"shape": np.float64(0.1)}, {"shape": 0.1}, {"shape": np.float64(-0.0)}],
+    [{"shape": 0.5}, {"shape": _Tagged(0.5)}, {"shape": 0.5}],
+    [{"instance": [0.1, 1]}, {"instance": []}, {"instance": [0.1, 1]}],
+    [{"instance": "a,b"}, {"instance": 'say "hi"'}, {"instance": "cr\r"},
+     {"instance": "two\nlines"}, {"instance": "plain"}, {"instance": "a,b"}],
+    [{"x,y": 1, 'q"': 2, "ratio": 0.5}],
+    [{"a": ""}, {"a": None}, {"a": "x"}, {"a": ""}],
+    [{"": ""}, {"": 1}],
+    [{"min_form": 0, "eps": 0.5}, {"min_form": 0.25, "eps": 0}],
+    [{}, {}],
+    [{}],
+    [{}, {"a": 1}],
+    [{"a": 1, "b": 0.5}, {"b": -0.0, "a": 2}, {"a": 3}, {"a": 4, "c": 0.0}, {"a": 5}],
+], ids=["signed_zeros", "int_float_zeros", "int_beside_float", "nonfinite", "bools",
+        "np_float64", "float_subclass", "lists", "quoted_strings", "header_quoting",
+        "one_key_empty", "empty_key", "min_form", "first_row_empty", "one_empty_row",
+        "empty_header_extra_key", "extra_key_after_missing"])
+def test_csv_renderers_match_oracle_on_edge_cells(rows, tmp_path):
+    _assert_renderers_match_oracle(tmp_path, rows)
 
 
 def test_csv_extra_keys_raise_dictwriter_error(tmp_path):
@@ -106,3 +159,24 @@ def test_cli_report_writes_oracle_bytes(argv, tmp_path):
     _oracle_rows_to_long_csv(rows, str(tmp_path / "oracle_long.csv"))
     assert wide.read_bytes() == (tmp_path / "oracle_wide.csv").read_bytes()
     assert long.read_bytes() == (tmp_path / "oracle_long.csv").read_bytes()
+
+
+@pytest.mark.parametrize("out_long", [True, False])
+def test_cli_report_matches_separate_renders(out_long, tmp_path):
+    # cmd_report renders both files at once; the bytes are those of the two
+    # public renderers called apart.
+    rows = [{"instance": "x,1", "eps": 0, "q": 0.5, "min_form": 1, "ratio": 0.5},
+            {"instance": "x,1", "eps": 0.25, "q": 0, "min_form": 0.75, "ratio": 1.5},
+            {"instance": "y", "eps": 0.5, "q": 0.125, "min_form": 0.5, "ratio": 0.25}]
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"rows": rows}), encoding="utf-8")
+    wide, long = tmp_path / "wide.csv", tmp_path / "long.csv"
+    argv = ["report", "--in", str(report), "--out-csv", str(wide)]
+    assert main(argv + (["--out-long", str(long)] if out_long else [])) == 0
+    loaded = json.loads(report.read_text(encoding="utf-8"))["rows"]
+    rows_to_csv(loaded, str(tmp_path / "apart.csv"))
+    rows_to_long_csv(loaded, str(tmp_path / "apart_long.csv"))
+    assert wide.read_bytes() == (tmp_path / "apart.csv").read_bytes()
+    assert long.exists() == out_long
+    if out_long:
+        assert long.read_bytes() == (tmp_path / "apart_long.csv").read_bytes()

@@ -1,7 +1,7 @@
 """Byte identity of the acceptance-grid reports.
 
 The five ``lofo verify`` reports of the acceptance grid, and the wide and long
-``lofo report`` CSVs of the first four, are pinned by sha256.  Each report's
+``lofo report`` CSVs of each, are pinned by sha256.  Each report's
 headline float (``ratio_sup``, or ``c_low_observed`` for the lower bound) is
 pinned at repr precision and its row count exactly, so a mismatch names the
 number that moved before the digest does.
@@ -28,7 +28,7 @@ GRID = ["--s-list", "4,8,16,32,64,128,256",
         "--n-eps", "40"]
 
 # name -> (verify argv, headline field, headline, rows, sha256 of the report JSON,
-#          sha256 of the wide and long CSVs or None where no report is rendered)
+#          sha256 of the wide and long CSVs)
 REPORTS = {
     "crossover": (
         ["--family", "sparse", "--bound", "crossover", "--L", "2"],
@@ -62,7 +62,8 @@ REPORTS = {
         ["--family", "sparse", "--bound", "crossover", "--perturbed", "--L", "2"],
         "ratio_sup", 1.018747476353277, 1920,
         "3c8b9bd02afbbec7f2dc93715216b45eeb1bf335e6cd1faea3480bd19e876a33",
-        None,
+        ("d57c15352a1670598fe1f3d4f9b5d7f7584ea0430d9d60dfd5dd2b7d003323c6",
+         "959b867e1e8bc50c8b9ca0f2f96bc1d1b9cdbfff1406136a137bc7d90e9c753d"),
     ),
 }
 
@@ -76,13 +77,12 @@ def written(tmp_path_factory):
     """Every report and CSV, written once for the module: name -> its paths."""
     d = tmp_path_factory.mktemp("reports")
     paths = {}
-    for name, (argv, *_, csv_digests) in REPORTS.items():
+    for name, (argv, *_) in REPORTS.items():
         out = d / f"{name}.json"
         assert main(["verify", *argv, *GRID, "--out", str(out)]) == 0, name
         wide, long = d / f"{name}.csv", d / f"{name}_long.csv"
-        if csv_digests is not None:
-            assert main(["report", "--in", str(out), "--out-csv", str(wide),
-                         "--out-long", str(long)]) == 0, name
+        assert main(["report", "--in", str(out), "--out-csv", str(wide),
+                     "--out-long", str(long)]) == 0, name
         paths[name] = (out, wide, long)
     return paths
 
@@ -95,5 +95,4 @@ def test_report_bytes_are_pinned(written, name):
     assert repr(report[field]) == repr(headline)
     assert len(report["rows"]) == n_rows
     assert _sha256(out) == digest
-    if csv_digests is not None:
-        assert (_sha256(wide), _sha256(long)) == csv_digests
+    assert (_sha256(wide), _sha256(long)) == csv_digests
