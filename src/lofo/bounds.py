@@ -71,13 +71,15 @@ def _classical_shape(lam, lam_k, c_k, shape: str, name: str, degenerate: str):
 
     The shape has degree 0 in (lambda, lambda_k), so each row is evaluated
     on lambda and lambda_k times 2^-e, e the binary exponent of the row's
-    largest lambda_k (which then lies in [1, 2)): the squares neither
-    overflow nor underflow however large or small the windows are.
-    Products, sums, square roots and quotients commute with a power-of-two
-    scaling away from subnormals, so the value keeps the bits of the
-    unscaled sums wherever those stayed normal.  A value that overflows, or
-    a denominator that underflows to 0, raises NumericalError naming the
-    shape."""
+    largest lambda_k whose c_k is positive (which then lies in [1, 2)); a
+    lambda_k whose c_k is 0 adds nothing and is zeroed first, so it cannot
+    set the scale.  The largest term is then at least its c_k, so the
+    denominator never underflows to 0 however large or small the windows
+    are.  Products, sums, square roots and quotients commute with a
+    power-of-two scaling away from subnormals, so the value has the bits of
+    the unscaled formula wherever every square, product and partial sum,
+    scaled and unscaled, is normal or 0.  A value that overflows raises
+    NumericalError naming the shape."""
     lam = np.asarray(lam, dtype=float)
     lk = np.asarray(lam_k, dtype=float)
     if not np.all((lam > 0) & (lam < math.inf)):
@@ -93,11 +95,10 @@ def _classical_shape(lam, lam_k, c_k, shape: str, name: str, degenerate: str):
         raise ValueError(f"each {name} must lie in [0, 1]")
     if not np.all(np.any(c_k > 0.0, axis=-1)):
         raise PreconditionError(f"{degenerate}: the shape diverges")
+    lk = np.where(c_k > 0.0, lk, 0.0)
     exp = np.frexp(lk.max(axis=-1))[1] - 1
     lk = np.ldexp(lk, -exp[..., None])
     denom = np.matmul((lk * lk)[..., None, :], c_k[..., :, None])[..., 0, 0]
-    if np.any(denom == 0.0):
-        raise NumericalError(f"{shape} shape: its denominator underflows to 0")
     with np.errstate(over="ignore"):
         value = np.ldexp(lam, -exp) / np.sqrt(denom)
     if not np.all(value < math.inf):

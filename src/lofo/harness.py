@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -544,38 +544,31 @@ def _render_csvs(rows: Sequence[dict], wide_path: Optional[str],
                  long_path: Optional[str]) -> None:
     """Write the wide CSV of ``rows`` to ``wide_path`` and the long one to ``long_path``.
 
-    Either path may be None.  Each column is gathered and formatted once,
-    and the long file takes the wide file's texts of the columns they
-    share.  When rows hold exactly the first row's keys, the columns are a
-    transpose; otherwise each cell is ``row.get(key, "")``.  A wide file
-    that meets a key outside its header writes the rows before it, then
-    raises ValueError before the long file is written.
+    Either path may be None.  Each column is gathered by one C-level
+    ``dict.get`` map and formatted once, and the long file takes the wide
+    file's texts: its shape cell is the text of a row's ``shape``, else of
+    its ``min_form``.  A wide file that meets a key outside its header
+    writes the rows before it, then raises ValueError before the long file
+    is written.
     """
     rows = list(rows)
     if not rows:
         raise ValueError("no rows to render")
     header = list(rows[0])
     first = rows[0].keys()
-    uniform = all(row.keys() == first for row in rows)
-    columns = dict(zip(header, _transpose(rows, header))) if uniform else None
     error = None
-    if wide_path is not None and not uniform:
+    if wide_path is not None:
         for i, row in enumerate(rows):
-            wrong_fields = row.keys() - header
-            if wrong_fields:
+            if not row.keys() <= first:
                 error = ValueError("dict contains fields not in fieldnames: "
-                                   + ", ".join([repr(x) for x in wrong_fields]))
+                                   + ", ".join([repr(x) for x in row.keys() - header]))
                 rows = rows[:i]
                 break
     texts: dict = {}
 
     def column(key):
         if key not in texts:
-            if uniform:
-                values = columns[key] if key in columns else [""] * len(rows)
-            else:
-                values = [row.get(key, "") for row in rows]
-            texts[key] = _column_texts(values)
+            texts[key] = _column_texts(list(map(dict.get, rows, repeat(key), repeat(""))))
         return texts[key]
 
     if wide_path is not None:
@@ -583,20 +576,12 @@ def _render_csvs(rows: Sequence[dict], wide_path: Optional[str],
         if error is not None:
             raise error
     if long_path is not None:
-        if uniform:
-            shape = column("shape" if "shape" in first else "min_form")
-        else:
-            shape = _column_texts([row.get("shape", row.get("min_form", "")) for row in rows])
+        has_shape = map(dict.__contains__, rows, repeat("shape"))
+        shape = [text if has else fallback for has, text, fallback
+                 in zip(has_shape, column("shape"), column("min_form"))]
         _write_columns(long_path, ["instance", "eps", "q", "shape", "ratio"],
                        [column("instance"), column("eps"), column("q"), shape,
                         column("ratio")], len(rows))
-
-
-def _transpose(rows: list, header: list) -> list:
-    """The columns of rows that hold exactly the header's keys."""
-    if len(header) > 1:
-        return list(zip(*map(itemgetter(*header), rows)))
-    return [list(map(itemgetter(*header), rows))] if header else []
 
 
 def _column_texts(values: Sequence) -> Sequence[str]:

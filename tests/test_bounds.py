@@ -68,24 +68,49 @@ def test_esseen_shape_reductions():
     assert shape_esseen(1.0, [1.0], [1.0]) == pytest.approx(1.0)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(lam=st.floats(1.0, 4.0),
-       ratios=st.lists(st.floats(2.0**-20, 1.0), min_size=1, max_size=8),
-       comps=st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8),
+       top=st.tuples(st.floats(0.5, 1.0), st.integers(0, 900)),
+       ratios=st.lists(st.floats(2.0**-10, 1.0), min_size=8, max_size=8),
+       comps=st.lists(st.one_of(st.just(0.0), st.floats(2.0**-40, 1.0)), min_size=1,
+                      max_size=8).filter(any),
        k=st.integers(-1000, 1000))
-def test_classical_shapes_are_scale_free_bit_for_bit(lam, ratios, comps, k):
-    # Degree 0 in (lambda, lambda_k): scaling both by 2^k keeps every bit,
-    # and unit-scale windows keep the bits of the unscaled formula.
-    lam_k = lam * np.array(ratios)
-    c = np.array(comps[: lam_k.size])
-    c[0] = max(c[0], 0.01)
+def test_classical_shapes_are_scale_free_bit_for_bit(lam, top, ratios, comps, k):
+    # Degree 0 in (lambda, lambda_k): scaling both by 2^k keeps every bit
+    # while the scaled windows stay normal, and a window whose component is
+    # 0 changes no bit wherever it lies in (0, lambda].  The counted windows
+    # lie within 2^-10 of lam 2^-t, t up to 900; zero-weight ones are drawn
+    # anywhere in [2^-10 lam, lam], often far above every counted window.
+    c = np.array(comps)
+    lam_k = np.where(c > 0.0, math.ldexp(lam * top[0], -top[1]), lam) * np.array(ratios[: c.size])
     for shape, comp, c_k in ((shape_esseen, c, c),
                              (shape_kolmogorov_rogozin, 1.0 - c, 1.0 - (1.0 - c))):
         value = shape(lam, lam_k, comp)
-        assert value == lam / math.sqrt(np.dot(lam_k * lam_k, c_k))
-        assert shape(math.ldexp(lam, k), np.ldexp(lam_k, k), comp) == value
-        grid = shape([lam, math.ldexp(lam, k)], [lam_k, np.ldexp(lam_k, k)], [comp, comp])
-        assert grid == [value, value]
+        if np.all(lam_k[c_k > 0.0] >= 2.0**-200):  # every unscaled square is normal
+            assert value == lam / math.sqrt(np.dot(lam_k * lam_k, c_k))
+        assert shape(lam, np.where(c_k > 0.0, lam_k, lam), comp) == value
+        if np.all(np.ldexp(lam_k, k) >= 2.0**-1022):
+            assert shape(math.ldexp(lam, k), np.ldexp(lam_k, k), comp) == value
+            grid = shape([lam, math.ldexp(lam, k)], [lam_k, np.ldexp(lam_k, k)], [comp, comp])
+            assert grid == [value, value]
+
+
+@pytest.mark.parametrize("value,expected", [
+    # A zero-weight window once set the scale, so the counted window's
+    # square underflowed and the call raised NumericalError.
+    (lambda: shape_esseen(2.0**300, [2.0**300, 2.0**-300], [0.0, 1.0]), 2.0**600),
+    (lambda: shape_kolmogorov_rogozin(2.0**300, [2.0**300, 2.0**-300], [1.0, 0.0]), 2.0**600),
+    (lambda: shape_esseen([1.0, 2.0**300], [[1.0, 1.0], [2.0**300, 2.0**-300]],
+                          [[0.0, 1.0], [0.0, 1.0]]), [1.0, 2.0**600]),
+    (lambda: shape_esseen(1.7976931348623157e308, [1.7976931348623157e308, 1.0], [0.0, 1.0]),
+     1.7976931348623157e308),
+    # Only the smallest component is counted, as a subnormal M_k.
+    (lambda: shape_esseen(1.0, [1.0], [2.0**-1074]), 2.0**537),
+    (lambda: shape_esseen(1e-200, [1e-200], [0.5]), 2.0**0.5),
+], ids=["esseen_zero_weight", "kr_zero_weight", "grid_zero_weight", "max_float_zero_weight",
+        "subnormal_m_k", "tiny_windows"])
+def test_classical_shapes_at_extreme_scales(value, expected):
+    assert value() == expected
 
 
 def test_esseen_vs_kr_dominance_chain():
@@ -624,8 +649,9 @@ def _crossover_at(eps, dstar):
                              2.0, 0.1, 1e-30), NumericalError,
      "crossover shape: its denominator underflows to 0"),
     # The classical shapes: a window ratio whose value overflows once warned
-    # and returned inf, an underflowed sum was blamed on the components, and
-    # an infinite lambda_k passed where lambda (1 + 1e-12) rounds to inf.
+    # and returned inf (the fourth once blamed its underflowed sum on the
+    # components), and an infinite lambda_k passed where lambda (1 + 1e-12)
+    # rounds to inf.
     (lambda: shape_esseen(1e300, [1e-157], [0.5]), NumericalError,
      "esseen shape: its value overflows"),
     (lambda: shape_kolmogorov_rogozin(1e300, [1e-157], [0.5]), NumericalError,
@@ -633,7 +659,7 @@ def _crossover_at(eps, dstar):
     (lambda: shape_esseen([1.0, 1e300], [[1.0], [1e-157]], [[0.5], [0.5]]), NumericalError,
      "esseen shape: its value overflows"),
     (lambda: shape_esseen(1.0, [1.0, 1e-300], [0.0, 5e-300]), NumericalError,
-     "esseen shape: its denominator underflows to 0"),
+     "esseen shape: its value overflows"),
     (lambda: shape_esseen(1.7976931348623157e308, [math.inf], [0.5]), ValueError,
      "each lambda_k must lie in (0, lambda]"),
     (lambda: solve_tau0(symmetrize(FiniteDist([0.0, 1.0, 3.0], [0.2, 0.5, 0.3])), 3.0, -1.0),

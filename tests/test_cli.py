@@ -513,14 +513,14 @@ def test_cli_bound_classical_rejects_invalid_components(flags, message, capsys):
     (["--shape", "crossover", "--dist", "{law}", "--weights", "{weights}", "--L", "3",
       "--eps", "0.1", "--dstar", "inf"], 1,
      "precondition violated: dstar must be positive and finite\n"),
-    # The classical shapes: the first two once warned of an overflow and
-    # exited 1 naming the JSON encoder, the third blamed M_k for vanishing.
+    # The classical shapes: each value overflows.  The first two once warned
+    # and exited 1 naming the JSON encoder, the third blamed M_k for vanishing.
     (["--shape", "esseen", "--lambda", "1e300", "--lambda-k", "1e-157", "--m-k", "0.5"], 2,
      "operational failure: esseen shape: its value overflows\n"),
     (["--shape", "kolmogorov_rogozin", "--lambda", "1e300", "--lambda-k", "1e-157",
       "--q-k", "0.5"], 2, "operational failure: kolmogorov_rogozin shape: its value overflows\n"),
     (["--shape", "esseen", "--lambda", "1", "--lambda-k", "1,1e-300", "--m-k", "0,5e-300"], 2,
-     "operational failure: esseen shape: its denominator underflows to 0\n"),
+     "operational failure: esseen shape: its value overflows\n"),
 ])
 def test_cli_bound_scalar_shapes_fail_on_one_line(flags, code, message, bernoulli_file,
                                                    unit_weight_file, capsys):
@@ -531,13 +531,22 @@ def test_cli_bound_scalar_shapes_fail_on_one_line(flags, code, message, bernoull
     _one_line_failure(capsys, message)
 
 
-@pytest.mark.parametrize("shape,component", [("esseen", "--m-k"), ("kolmogorov_rogozin", "--q-k")])
-def test_cli_bound_classical_tiny_windows(shape, component, capsys):
+@pytest.mark.parametrize("flags,value", [
     # lambda_k^2 underflowed to 0 here, and esseen exited 1 with "all spread
     # functionals vanish"; the shape has degree 0, so it is that of unit windows.
-    assert main(["bound", "--shape", shape, "--lambda", "1e-200", "--lambda-k", "1e-200",
-                 component, "0.5"]) == 0
-    assert json.loads(capsys.readouterr().out)["value"] == 2.0**0.5
+    (["esseen", "--lambda", "1e-200", "--lambda-k", "1e-200", "--m-k", "0.5"], 2.0**0.5),
+    (["kolmogorov_rogozin", "--lambda", "1e-200", "--lambda-k", "1e-200", "--q-k", "0.5"],
+     2.0**0.5),
+    # A zero-weight window of 2^300 once set the scale, the counted window's
+    # square underflowed, and the command exited 2.
+    (["esseen", "--lambda", repr(2.0**300), "--lambda-k", f"{2.0**300!r},{2.0**-300!r}",
+      "--m-k", "0,1"], 2.0**600),
+    (["kolmogorov_rogozin", "--lambda", repr(2.0**300), "--lambda-k",
+      f"{2.0**300!r},{2.0**-300!r}", "--q-k", "1,0"], 2.0**600),
+], ids=["esseen_tiny", "kr_tiny", "esseen_zero_weight", "kr_zero_weight"])
+def test_cli_bound_classical_extreme_windows(flags, value, capsys):
+    assert main(["bound", "--shape", *flags]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == value
 
 
 @pytest.mark.parametrize("tol", ["-1", "nan", "0"])

@@ -60,8 +60,8 @@ _cells = st.one_of(
     st.integers(-3, 3), _strings, st.lists(_floats | st.integers(0, 2), max_size=3))
 _keys = st.sampled_from(["instance", "eps", "q", "shape", "min_form", "ratio", "s", "x,y"])
 _rows = st.lists(st.dictionaries(_keys, _cells, max_size=7), max_size=6)
-# Rows that all hold one drawn key list, as every report's rows do: the
-# renderer's transposed path.  The key order of each row is drawn too.
+# Rows that all hold one drawn key list, as every report's rows do.  The
+# key order of each row is drawn too.
 _shared_rows = st.lists(_keys, unique=True, max_size=7).flatmap(
     lambda keys: st.lists(
         st.permutations(keys).flatmap(
