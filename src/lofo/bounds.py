@@ -35,6 +35,7 @@ from .distributions import (
     FiniteDist,
     _Record,
     _m_gaussian,
+    _seeded_draws,
     atom_survival,
     cf_eval,
     m_functional,
@@ -266,7 +267,7 @@ def _empirical_spread(g: Dist, n_samples: int, seed: int) -> tuple[np.ndarray, f
     zeros (and before any NaN, which sorts last), so the sample is the only
     length-n array held.
     """
-    draws = g.sample(n_samples, np.random.default_rng(seed))
+    draws = _seeded_draws(g, n_samples, seed)
     np.abs(draws, out=draws)
     draws.sort()
     lo = np.searchsorted(draws, 0.0, side="right")

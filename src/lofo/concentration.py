@@ -532,8 +532,9 @@ def esseen_integral(
 
     Upper-bounds Q(F_a, lambda) up to an absolute constant; for symmetric
     laws with nonnegative CF it is two-sided.  The quadrature evaluates
-    |CF_{S_a}| one bisection level at a time, so weighted_cf runs once per
-    level over all of that level's nodes.  A QuadratureError carries its
+    |CF_{S_a}| one bisection level at a time, so weighted_cf runs once over
+    the 33 nodes of the 4 forced levels and then once per level over all of
+    that level's nodes.  A QuadratureError carries its
     estimate and tolerance in the units of this value, lambda times the
     integral.
     """

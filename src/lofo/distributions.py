@@ -202,8 +202,7 @@ class AnalyticDist:
         return np.exp(-self.scale * np.abs(t) ** self.alpha) + 0.0j
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        if n < 1:
-            raise ValueError(f"n_samples must be at least 1, got {n}")
+        _check_sample_size(n)
         if self.kind == "gaussian":
             return rng.normal(0.0, self.sigma, n)
         return sample_symmetric_stable(self.alpha, self.scale, n, rng)
@@ -222,6 +221,22 @@ def sample_symmetric_stable(
 ) -> np.ndarray:
     """Draw n variates with CF exp(-scale * |t|^alpha) (Chambers-Mallows-Stuck).
 
+    The draws of _stable_draws.  alpha = 1 does not use the n exponentials
+    but still draws them, in blocks of _EXP_SKIP_BLOCK, so that the
+    generator ends where the other exponents leave it: a weighted sum of
+    several stable variates draws them one after another from one generator.
+    """
+    z = _stable_draws(alpha, scale, n, rng)
+    if alpha == 1.0:
+        for lo in range(0, n, _EXP_SKIP_BLOCK):
+            rng.exponential(1.0, min(_EXP_SKIP_BLOCK, n - lo))
+    return z
+
+
+def _stable_draws(alpha: float, scale: float, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n variates with CF exp(-scale * |t|^alpha), with no exponential drawn
+    at alpha = 1: for a generator that nothing draws from afterwards.
+
     With U uniform on (-pi/2, pi/2) and W standard exponential,
     Z = sin(alpha U) / cos(U)^(1/alpha) * (cos((1 - alpha) U) / W)^((1 - alpha)/alpha),
     or tan(U) at alpha = 1, and the draw is scale^(1/alpha) Z.  The n
@@ -229,18 +244,12 @@ def sample_symmetric_stable(
     generator's stream is the same as drawing both up front; the formula is
     evaluated in place in that operation order, and W is drawn into U's
     buffer once U is spent, so at most three length-n arrays are live.
-    alpha = 1 does not use W but still draws it, in blocks of
-    _EXP_SKIP_BLOCK, so that the generator ends where the other exponents
-    leave it: a weighted sum of several stable variates draws them one after
-    another from one generator.
     """
     u = rng.random(n)
     u -= 0.5
     u *= math.pi
     if alpha == 1.0:
         z = np.tan(u, out=u)
-        for lo in range(0, n, _EXP_SKIP_BLOCK):
-            rng.exponential(1.0, min(_EXP_SKIP_BLOCK, n - lo))
     else:
         z = np.multiply(u, alpha)
         np.sin(z, out=z)
@@ -255,6 +264,22 @@ def sample_symmetric_stable(
         z *= c
     z *= scale ** (1.0 / alpha)
     return z
+
+
+def _seeded_draws(g: Dist, n: int, seed: int) -> np.ndarray:
+    """n draws of g from a generator of its own, seeded with seed and then
+    dropped.  A stable law takes _stable_draws: nothing draws after it, so
+    the exponentials that keep sample_symmetric_stable's stream are waste."""
+    rng = np.random.default_rng(seed)
+    if isinstance(g, AnalyticDist) and g.kind == "stable":
+        _check_sample_size(n)
+        return _stable_draws(g.alpha, g.scale, n, rng)
+    return g.sample(n, rng)
+
+
+def _check_sample_size(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n}")
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +445,7 @@ def _m_stable(g: AnalyticDist, taus: list, n_samples: int, seed: int) -> list[fl
     square past the float range clips to 1."""
     if not taus:
         return []
-    draws = g.sample(n_samples, np.random.default_rng(seed))
+    draws = _seeded_draws(g, n_samples, seed)
     buf = draws if len(taus) == 1 else np.empty_like(draws)
     out = []
     with np.errstate(over="ignore"):

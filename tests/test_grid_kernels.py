@@ -869,15 +869,15 @@ def test_m_functional_grid_matches_scalar_calls_stable(alpha, n_samples, seed, t
 
 
 def _count_samples(monkeypatch):
-    """Record the n of every AnalyticDist.sample call from here on."""
+    """Record the n of every stable sample drawn from here on."""
     calls = []
-    sample = AnalyticDist.sample
+    draws = distributions._stable_draws
 
-    def counted(self, n, rng):
+    def counted(alpha, scale, n, rng):
         calls.append(n)
-        return sample(self, n, rng)
+        return draws(alpha, scale, n, rng)
 
-    monkeypatch.setattr(AnalyticDist, "sample", counted)
+    monkeypatch.setattr(distributions, "_stable_draws", counted)
     return calls
 
 

@@ -2,6 +2,8 @@
 the earlier depth-first recursion."""
 
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from lofo import FiniteDist, WeightVector, esseen_integral, symmetrize, weighted_cf
+from lofo import AnalyticDist, FiniteDist, WeightVector, esseen_integral, symmetrize, weighted_cf
 from lofo.exceptions import QuadratureError
 from lofo import quadrature
 from lofo.quadrature import adaptive_simpson
@@ -49,6 +51,64 @@ def _oracle_recurse(f, a, fa, b, fb, m, fm, whole, tol, depth, force):
     return lv + rv, lok and rok
 
 
+def _level_oracle(f, a, b, tol=1e-8, max_depth=40, max_panels=quadrature._MAX_PANELS):
+    """The level-synchronous adaptive_simpson with one integrand call per
+    forced level, kept verbatim but for its panel bound, passed in."""
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    if a == b:
+        return 0.0
+    m = 0.5 * (a + b)
+    fa, fb, fm = f(np.array([a, b, m], dtype=float))
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    # Rows: ends and midpoint, their values, Simpson estimate; one column
+    # per panel still open at the current level.
+    panels = np.array([[a], [m], [b], [fa], [fm], [fb], [whole]], dtype=float)
+    level_tol, depth, force = tol, max_depth, 4
+    levels = []  # per level: (panel values, split mask)
+    ok, below = True, None
+    while panels.shape[1]:
+        if panels.shape[1] > max_panels:
+            # Too wide to evaluate: the open panels keep their Simpson values.
+            ok, below, max_depth = False, panels[6], len(levels)
+            break
+        pa, pm, pb, pfa, pfm, pfb, pwhole = panels
+        lm = 0.5 * (pa + pm)
+        rm = 0.5 * (pm + pb)
+        fq = f(np.concatenate((lm, rm)))
+        flm, frm = fq[: lm.size], fq[lm.size:]
+        left = (pm - pa) / 6.0 * (pfa + 4.0 * flm + pfm)
+        right = (pb - pm) / 6.0 * (pfm + 4.0 * frm + pfb)
+        delta = left + right - pwhole
+        # Standard Richardson acceptance test for Simpson halving.
+        passed = np.abs(delta) <= 15.0 * level_tol
+        accepted = passed & (force <= 0)
+        split = ~(accepted | (depth <= 0) | (lm <= pa) | (rm <= pm))
+        ok = ok and bool(np.all(passed | split))
+        levels.append((left + right + delta / 15.0, split))
+        # Children of each split panel, left then right, as the recursion visits them.
+        kids = np.stack(
+            (
+                (pa, lm, pm, pfa, flm, pfm, left),
+                (pm, rm, pb, pfm, frm, pfb, right),
+            ),
+            axis=-1,
+        )
+        panels = kids[:, split].reshape(7, -1)
+        level_tol = 0.5 * level_tol
+        depth -= 1
+        force -= 1
+    # Post-order sum: a split panel's value is its left child's plus its right's.
+    for values, split in reversed(levels):
+        if below is not None:
+            values[split] = below[0::2] + below[1::2]
+        below = values
+    value = float(below[0])
+    if not ok:
+        raise QuadratureError(value, tol, max_depth)
+    return value
+
+
 @pytest.mark.parametrize(
     "f,a,b",
     [
@@ -75,6 +135,30 @@ def test_degenerate_and_validation():
     assert adaptive_simpson(np.sin, 2.0, 2.0) == 0.0
     with pytest.raises(ValueError):
         adaptive_simpson(np.sin, 0.0, 1.0, tol=0.0)
+
+
+@pytest.mark.parametrize(
+    "a,b,max_depth",
+    [
+        (1.0, 0.0, 40),
+        (0.0, 1.0, -1),
+        (-1e308, 1e308, 40),
+        (0.0, math.inf, 40),
+        (-math.inf, 0.0, 40),
+        (math.inf, math.inf, 40),
+        (math.nan, 1.0, 40),
+        (0.0, math.nan, 40),
+    ],
+)
+def test_rejects_bad_interval_or_depth(a, b, max_depth):
+    # Refused before any call and without a numpy warning: a reversed interval
+    # used to run 40 levels, and max_depth -1 to report "within depth -1".
+    calls = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="need finite a <= b|max_depth must be at least 0"):
+            adaptive_simpson(lambda x: calls.append(x) or np.cos(x), a, b, max_depth=max_depth)
+    assert calls == []
 
 
 def test_depth_exhaustion_carries_estimate():
@@ -127,6 +211,96 @@ def test_esseen_bit_identical_to_recursion(g, n, seed, lam):
     assert esseen_integral(g, a, lam, tol) == expected
 
 
+@st.composite
+def _intervals(draw):
+    """[a, b] of up to 60 units, or of 1 to 40 ulps anywhere in [-1e3, 1e3]."""
+    if draw(st.booleans()):
+        a = draw(st.floats(-20.0, 20.0))
+        return a, a + draw(st.floats(0.0, 60.0))
+    a = b = draw(st.floats(-1e3, 1e3))
+    for _ in range(draw(st.integers(1, 40))):
+        b = math.nextafter(b, math.inf)
+    return a, b
+
+
+@st.composite
+def _integrands(draw):
+    """sin(200x)^2, or |CF| of a symmetrized law under 1 to 8 random weights."""
+    if draw(st.booleans()):
+        return lambda x: np.sin(200.0 * x) ** 2
+    g = draw(_symmetrized_laws())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = WeightVector(rng.uniform(-1.0, 1.0, draw(st.integers(1, 8))))
+    return lambda t: np.abs(weighted_cf(g, a, t))
+
+
+def _traced(quad, f, a, b, **kw):
+    """quad's value or error, bit for bit, and the sorted bits of every node
+    it passed to f."""
+    nodes = []
+
+    def seen(x):
+        nodes.extend(np.asarray(x, dtype=float).tolist())
+        return f(x)
+
+    try:
+        out = ("value", quad(seen, a, b, **kw).hex())
+    except QuadratureError as exc:
+        out = ("error", exc.estimate.hex(), exc.tol.hex(), exc.depth)
+    return out, sorted(map(float.hex, nodes))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    f=_integrands(),
+    ab=_intervals(),
+    tol=st.sampled_from([1e-13, 1e-8, 1e-3, 9 * 5e-324]),
+    max_depth=st.integers(0, 6) | st.just(40),
+    cap=st.integers(1, 64),
+)
+def test_forced_levels_in_one_call_match_level_loop(f, ab, tol, max_depth, cap):
+    # The 33-node first call against one call per forced level: the same value
+    # or error and the same nodes, whether the grid applies (max_depth >= 4,
+    # cap >= 16, no collapsed midpoint) or the loop starts from the root.
+    a, b = ab
+    kw = dict(tol=tol, max_depth=max_depth)
+    with mock.patch.object(quadrature, "_MAX_PANELS", cap):
+        got = _traced(adaptive_simpson, f, a, b, **kw)
+    assert got == _traced(_level_oracle, f, a, b, max_panels=cap, **kw)
+
+
+@pytest.mark.parametrize("step", [0.1, 0.3, 0.77])
+def test_subnormal_tolerance_halves_four_times(step):
+    # At tol = 9 * 2^-1074 four halvings give level 4 a tolerance of 0, and
+    # tol / 16 one of 2^-1074: on this step of 22 * 2^-1074 they differ.
+    f = lambda x: np.where(x > step, 22 * 5e-324, 0.0)
+    tol = 9 * 5e-324
+    assert _traced(adaptive_simpson, f, 0.0, 1.0, tol=tol) == _traced(_level_oracle, f, 0.0, 1.0, tol=tol)
+
+
+_laws = st.one_of(
+    _symmetrized_laws(),
+    st.builds(FiniteDist.bernoulli, st.floats(0.05, 0.95)),
+    st.builds(AnalyticDist.gaussian, st.floats(0.1, 10.0)),
+    st.builds(AnalyticDist.stable, st.floats(0.1, 2.0), st.floats(0.1, 10.0)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    g=_laws,
+    n=st.sampled_from([1, 8, 32]),
+    seed=st.integers(0, 2**32 - 1),
+    ts=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=40),
+)
+def test_weighted_cf_entries_match_scalar_calls(g, n, seed, ts):
+    # The quadrature's premise: each node's |CF| has the bits of its own call,
+    # whatever other nodes share the batch.
+    a = WeightVector(np.random.default_rng(seed).uniform(-1.0, 1.0, n))
+    batch = weighted_cf(g, a, np.array(ts))
+    assert [repr(complex(v)) for v in batch] == [repr(weighted_cf(g, a, t)) for t in ts]
+
+
 def _capped_oracle(f, a, b, tol, levels):
     """The recursion of _oracle_simpson (min_depth 4, depth not reached) cut
     after ``levels`` levels: a panel still open there counts at its Simpson
@@ -162,9 +336,13 @@ def test_panel_bound_stops_before_a_wide_level(monkeypatch, cap):
     monkeypatch.setattr(quadrature, "_MAX_PANELS", cap)
     with pytest.raises(QuadratureError) as exc:
         adaptive_simpson(counted, 0.0, 7.0, tol=1e-13)
-    # One call for the ends and the midpoint, then one per level evaluated,
-    # each at two quarter points of at most cap panels.
-    assert exc.value.depth == len(widths) - 1 and max(widths[1:]) <= 2 * cap
+    # From cap 16 on, a first call of 33 nodes evaluates the ends, the midpoint
+    # and the 4 forced levels; below it, a first call of 3 nodes evaluates the
+    # ends and the midpoint.  Then one call per level evaluated, each at two
+    # quarter points of at most cap panels.
+    first, forced = (33, 4) if cap >= 16 else (3, 0)
+    assert widths[0] == first and exc.value.depth == forced + len(widths) - 1
+    assert max(widths[1:]) <= 2 * cap
     expected = _capped_oracle(_one_node(rough), 0.0, 7.0, 1e-13, exc.value.depth)
     assert exc.value.estimate == expected
 

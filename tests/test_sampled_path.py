@@ -190,6 +190,25 @@ def test_stable_sampler_exponential_blocks_keep_stream(alpha, n, monkeypatch):
     )
 
 
+def _uniforms_then_exponentials(alpha, scale, n, rng):
+    """The generator use of the CMS draw with nothing else: n uniforms, then
+    n exponentials unless alpha = 1."""
+    rng.random(n)
+    if alpha != 1.0:
+        rng.exponential(1.0, n)
+    return np.empty(0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha=alphas, scale=scales, n=st.integers(0, 3000), seed=seeds)
+def test_private_stable_draws_skip_no_exponentials(alpha, scale, n, seed):
+    # The public sampler's bits; the generator ends after the uniforms at
+    # alpha = 1, and after the exponentials elsewhere.
+    out, state = _outcome(distributions._stable_draws, alpha, scale, n, seed)
+    assert out == _outcome(sample_symmetric_stable, alpha, scale, n, seed)[0]
+    assert state == _outcome(_uniforms_then_exponentials, alpha, scale, n, seed)[1]
+
+
 class _StubLaw:
     """A law whose draws hold zeros of both signs, NaN and infinities."""
 
