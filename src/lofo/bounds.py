@@ -31,6 +31,7 @@ import numpy as np
 
 from .concentration import WeightVector
 from .distributions import (
+    _STREAM_BLOCK,
     Dist,
     FiniteDist,
     _Record,
@@ -201,17 +202,32 @@ class RootSolution(_Record):
 
 
 def _piecewise_tau0(u: np.ndarray, w, m_stars) -> list[float]:
-    """Roots of sum_i w_i min(u_i^2/tau^2, 1) = m_star on sorted positive u,
-    one per target in the 1-D sequence m_stars, in order.
+    """Roots of sum_i w_i min(u_i^2/tau^2, 1) = m_star on sorted positive u
+    with positive weights, one per target in the 1-D sequence m_stars, in
+    order.
 
     w is an array aligned with u, or a scalar for equal weights (the
     empirical path), which is never expanded to a length-n array.  Between
     consecutive support points M(tau) = A/tau^2 + B with A the within-radius
     second moment and B the outside mass, so the root is exact on its piece.
-    The prefix sums and the knot values are built once for all targets
-    (O(len(u))), each in its own buffer, so four length-n arrays are live at
-    most: u, the prefix sums, the suffix sums and the negated knots.  Each
-    target then costs one binary search and a short walk over the pieces.
+    Each target takes one search over the knots m_i = A_i/u_i^2 + B_i and a
+    short walk over the pieces from there.
+
+    Nothing of length n is built: u is taken in blocks of _STREAM_BLOCK
+    entries, and a block's prefix sums A, suffix sums B and knots are
+    rebuilt in three block buffers whenever they are read.  A reverse pass
+    records B at each block's last entry; a forward pass records A before
+    each block's first entry, builds the blocks in turn, and searches each
+    target in the first block whose last knot reaches it.  A block's A
+    starts from carry + x_0 and its B, summed from the top down, from the
+    recorded B; np.cumsum is a sequential accumulate, so every A and B has
+    the bits of one whole-array cumsum (the top block's 0 + w_{n-1} is
+    w_{n-1} for a positive weight).  The walks then rebuild only the blocks
+    they read.  The block search returns what np.searchsorted over all n
+    knots returns whenever the knots are nonincreasing, as they are in
+    exact arithmetic: m_{i+1} = A_i/u_{i+1}^2 + B_i <= m_i.  One length-n
+    array is read, u, and 3 * _STREAM_BLOCK + 2 n / _STREAM_BLOCK floats
+    are written.
 
     The sums are taken on u times 2^-e, e the binary exponent of max(u)
     (at most 1023), so the squares neither overflow nor underflow however
@@ -222,34 +238,73 @@ def _piecewise_tau0(u: np.ndarray, w, m_stars) -> list[float]:
     n = u.size
     exp = min(math.frexp(u[-1])[1], 1023)  # 2^exp stays a finite float
     back = 2.0**exp
-    neg_knot = np.ldexp(u, -exp)  # scaled u, until it holds the knots
-    a_prefix = np.multiply(w, neg_knot)
-    a_prefix *= neg_knot
-    np.cumsum(a_prefix, out=a_prefix)
-    # b_suffix[i] = sum_{j > i} w_j: one cumsum of w[n-1], ..., w[1] written
-    # into the reversed view; the sums must run from the top.
-    b_suffix = np.empty(n)
-    b_suffix[-1] = 0.0
-    tail = np.broadcast_to(w, (n - 1,)) if np.ndim(w) == 0 else w[:0:-1]
-    np.cumsum(tail, out=b_suffix[::-1][1:])
-    # knot_m = a_prefix/u^2 + b_suffix is nonincreasing; negate it for the search.
-    np.multiply(neg_knot, neg_knot, out=neg_knot)
-    np.divide(a_prefix, neg_knot, out=neg_knot)
-    neg_knot += b_suffix
-    np.negative(neg_knot, out=neg_knot)
+    size = min(_STREAM_BLOCK, n)
+    n_blocks = -(-n // size)
+    equal = np.ndim(w) == 0
+    knot_buf, a_buf, b_buf = np.empty(size), np.empty(size), np.empty(size)
+
+    def suffix(j, last):
+        # B_i = sum_{k > i} w_k on block j, summed from the top down from
+        # B at the block's last entry.
+        lo, hi = j * size, min(j * size + size, n)
+        b = b_buf[: hi - lo]
+        b[:-1] = w if equal else w[lo + 1 : hi]
+        b[-1] = last
+        np.cumsum(b[::-1], out=b[::-1])
+        return b
+
+    def prefix(j, carry):
+        # s = u 2^-exp (in the knot buffer) and A_i = sum_{k <= i} w_k s_k^2
+        # on block j, after carry.
+        lo, hi = j * size, min(j * size + size, n)
+        s = np.ldexp(u[lo:hi], -exp, out=knot_buf[: hi - lo])
+        a = np.multiply(w if equal else w[lo:hi], s, out=a_buf[: hi - lo])
+        a *= s
+        if lo:
+            a[0] = carry + a[0]
+        np.cumsum(a, out=a)
+        return s, a
+
+    b_last = np.empty(n_blocks)
+    last = 0.0
+    for j in range(n_blocks - 1, -1, -1):
+        b_last[j] = last
+        last = suffix(j, last)[0] + (w if equal else w[j * size])
+    a_carry = np.empty(n_blocks)
+    carry = 0.0
+    # Find the piece [u_k, u_{k+1}) containing each root: k is the first
+    # index whose knot is at most m_star, n when none is.
     m_stars = np.asarray(m_stars, dtype=float)
-    # Find the piece [u_k, u_{k+1}) containing each root.
-    starts = np.searchsorted(neg_knot, -m_stars, side="left")
+    neg_targets = -m_stars
+    starts = np.full(m_stars.size, n)
+    pending = np.arange(m_stars.size)
+    for j in range(n_blocks):
+        a_carry[j] = carry
+        knot, a = prefix(j, carry)
+        np.multiply(knot, knot, out=knot)
+        np.divide(a, knot, out=knot)
+        knot += suffix(j, b_last[j])
+        np.negative(knot, out=knot)
+        at = np.searchsorted(knot, neg_targets[pending], side="left")
+        placed = at < a.size
+        starts[pending[placed]] = j * size + at[placed]
+        pending = pending[~placed]
+        carry = a[-1]
     roots = []
+    built = -1
     for m_star, k in zip(m_stars, starts):
         if k == 0:
             raise PreconditionError("target spread above M at the smallest support point")
         idx = int(k) - 1
-        while idx < u.size:
-            a_i, b_i = a_prefix[idx], b_suffix[idx]
+        while idx < n:
+            j = idx // size
+            if j != built:
+                a, b = prefix(j, a_carry[j])[1], suffix(j, b_last[j])
+                built = j
+            a_i, b_i = a[idx - j * size], b[idx - j * size]
             if m_star > b_i:
                 tau = math.sqrt(a_i / (m_star - b_i)) * back
-                hi = u[idx + 1] if idx + 1 < u.size else math.inf
+                hi = u[idx + 1] if idx + 1 < n else math.inf
                 if u[idx] <= tau * (1 + 1e-12) and tau <= hi * (1 + 1e-12):
                     roots.append(tau)
                     break
@@ -265,7 +320,9 @@ def _empirical_spread(g: Dist, n_samples: int, seed: int) -> tuple[np.ndarray, f
 
     The draws are made absolute and sorted in place; u is the view past the
     zeros (and before any NaN, which sorts last), so the sample is the only
-    length-n array held.
+    length-n array held.  _piecewise_tau0 streams it in blocks, and
+    solve_tau0 forms its residual terms over it once the root is known, so
+    the empirical tau0 holds this one array plus O(_STREAM_BLOCK) scratch.
     """
     draws = _seeded_draws(g, n_samples, seed)
     np.abs(draws, out=draws)
@@ -355,9 +412,9 @@ def solve_tau0(
     else:
         u, w = _empirical_spread(g, n_samples, seed)
         (tau0,) = _piecewise_tau0(u, w, [m_star])
-        # w * min((u/tau0)^2, 1) in one buffer; np.sum's pairwise order
-        # needs exactly these elementwise values.
-        terms = np.divide(u, tau0)
+        # w * min((u/tau0)^2, 1) over u's own buffer, dead from here; np.sum's
+        # pairwise order needs exactly these elementwise values.
+        terms = np.divide(u, tau0, out=u)
         np.square(terms, out=terms)
         np.minimum(terms, 1.0, out=terms)
         terms *= w

@@ -20,6 +20,7 @@ With a fixed seed the emitted JSON is byte-identical across runs
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -269,9 +270,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser(families: tuple, recipes: tuple) -> argparse.ArgumentParser:
+    """The parser of ``main``, built once per process and again only when
+    the keys of the verify tables it offers as choices change.  Parsing
+    leaves a parser unchanged, and the subcommands look up their helpers
+    when they run."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser(tuple(_FAMILIES), tuple(_RECIPES)).parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, json.JSONDecodeError) as exc:

@@ -470,7 +470,8 @@ def sample_weighted_sum(
     the binary search selects at a fraction of its cost on unsorted keys.
     The uniforms and the chosen atoms share one reused buffer, so a finite
     law holds three length-n arrays: the running sum, that buffer and one
-    index array.
+    index array.  An analytic law's draws are scaled in place (w x equals
+    x w bit for bit), so it holds two: the running sum and one sample.
     """
     total = np.zeros(n_samples)
     weights = a.coords[a.coords != 0.0]
@@ -488,7 +489,10 @@ def sample_weighted_sum(
             total += x
     else:
         for w in weights:
-            total += w * dist.sample(n_samples, rng)
+            x = dist.sample(n_samples, rng)
+            x *= w
+            total += x
+            del x  # the next sample is drawn without this one alive
     return total
 
 

@@ -34,7 +34,7 @@ ATOM_REL_TOL = 1e-9
 ATOM_ABS_TOL = 1e-12
 MASS_TOL = 1e-12
 _CF_CHUNK_ENTRIES = 2**22     # cap on one weighted_cf block (64 MiB of complex128)
-_EXP_SKIP_BLOCK = 2**14       # exponentials skipped per block by the alpha = 1 sampler
+_STREAM_BLOCK = 2**14         # entries per block of the stable sampler and the tau0 solver
 _M_CHUNK_ENTRIES = 2**18      # cap on one finite-law M ratio block (2 MiB of float64)
 
 _SQRT2 = math.sqrt(2.0)
@@ -221,15 +221,16 @@ def sample_symmetric_stable(
 ) -> np.ndarray:
     """Draw n variates with CF exp(-scale * |t|^alpha) (Chambers-Mallows-Stuck).
 
-    The draws of _stable_draws.  alpha = 1 does not use the n exponentials
-    but still draws them, in blocks of _EXP_SKIP_BLOCK, so that the
-    generator ends where the other exponents leave it: a weighted sum of
-    several stable variates draws them one after another from one generator.
+    The draws of _stable_draws, so one length-n array plus O(_STREAM_BLOCK)
+    scratch.  alpha = 1 does not use the n exponentials but still draws
+    them, in blocks of _STREAM_BLOCK, so that the generator ends where the
+    other exponents leave it: a weighted sum of several stable variates
+    draws them one after another from one generator.
     """
     z = _stable_draws(alpha, scale, n, rng)
     if alpha == 1.0:
-        for lo in range(0, n, _EXP_SKIP_BLOCK):
-            rng.exponential(1.0, min(_EXP_SKIP_BLOCK, n - lo))
+        for lo in range(0, n, _STREAM_BLOCK):
+            rng.exponential(1.0, min(_STREAM_BLOCK, n - lo))
     return z
 
 
@@ -240,30 +241,43 @@ def _stable_draws(alpha: float, scale: float, n: int, rng: np.random.Generator) 
     With U uniform on (-pi/2, pi/2) and W standard exponential,
     Z = sin(alpha U) / cos(U)^(1/alpha) * (cos((1 - alpha) U) / W)^((1 - alpha)/alpha),
     or tan(U) at alpha = 1, and the draw is scale^(1/alpha) Z.  The n
-    uniforms are drawn first and the n exponentials right after them, so the
-    generator's stream is the same as drawing both up front; the formula is
-    evaluated in place in that operation order, and W is drawn into U's
-    buffer once U is spent, so at most three length-n arrays are live.
+    uniforms are drawn into the returned buffer first.  alpha = 1 then takes
+    tan in place.  Other exponents evaluate Z one block of _STREAM_BLOCK
+    entries at a time, in this operation order, in two block scratch
+    buffers: each block's exponentials are drawn over its spent uniforms
+    just before it uses them, and its Z is written back over them.  The
+    blocks are taken in order, so the generator sees all n uniforms and then
+    all n exponentials, the stream of drawing both up front; the formula is
+    elementwise, so every draw has the bits of a whole-array evaluation.
+    One length-n array is live, plus 2 * _STREAM_BLOCK floats of scratch.
     """
     u = rng.random(n)
-    u -= 0.5
-    u *= math.pi
     if alpha == 1.0:
-        z = np.tan(u, out=u)
+        u -= 0.5
+        u *= math.pi
+        np.tan(u, out=u)
     else:
-        z = np.multiply(u, alpha)
-        np.sin(z, out=z)
-        c = np.cos(u)
-        c **= 1.0 / alpha
-        z /= c
-        np.multiply(u, 1.0 - alpha, out=c)
-        np.cos(c, out=c)
-        w = rng.standard_exponential(out=u)  # the variates of rng.exponential(1.0, n)
-        c /= w
-        c **= (1.0 - alpha) / alpha
-        z *= c
-    z *= scale ** (1.0 / alpha)
-    return z
+        size = max(1, min(_STREAM_BLOCK, n))
+        z_buf, c_buf = np.empty(size), np.empty(size)
+        for lo in range(0, n, size):
+            ub = u[lo : lo + size]
+            z, c = z_buf[: ub.size], c_buf[: ub.size]
+            ub -= 0.5
+            ub *= math.pi
+            np.multiply(ub, alpha, out=z)
+            np.sin(z, out=z)
+            np.cos(ub, out=c)
+            c **= 1.0 / alpha
+            z /= c
+            np.multiply(ub, 1.0 - alpha, out=c)
+            np.cos(c, out=c)
+            w = rng.standard_exponential(out=ub)  # as rng.exponential(1.0, ub.size)
+            c /= w
+            c **= (1.0 - alpha) / alpha
+            np.multiply(z, c, out=ub)
+    # After every draw: scale ** (1/alpha) may raise OverflowError.
+    u *= scale ** (1.0 / alpha)
+    return u
 
 
 def _seeded_draws(g: Dist, n: int, seed: int) -> np.ndarray:
@@ -446,6 +460,9 @@ def _m_stable(g: AnalyticDist, taus: list, n_samples: int, seed: int) -> list[fl
     if not taus:
         return []
     draws = _seeded_draws(g, n_samples, seed)
+    # A grid needs the draws intact for every tau, so its ratios take one
+    # length-n scratch array: np.mean sums pairwise over the whole array, an
+    # order that blocks of it would not keep.
     buf = draws if len(taus) == 1 else np.empty_like(draws)
     out = []
     with np.errstate(over="ignore"):

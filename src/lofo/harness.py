@@ -403,8 +403,8 @@ def study_tau0_scaling(
     The symmetrized law of a stable variate with CF exp(-|t|^alpha) is stable
     with doubled scale; tau0(L) grows like L^(2/alpha).  One seeded sample per
     alpha backs the empirical spread functional at every L (common random
-    numbers keep tau0 monotone in L); its prefix sums are built once and
-    solve all L together.  A fit whose 2-sigma slope half-width
+    numbers keep tau0 monotone in L); one streamed pass over its knots
+    places all L together.  A fit whose 2-sigma slope half-width
     exceeds 0.5 is flagged inconclusive.  The fit and its error bar need at
     least three L values, not all equal; fewer raise ValueError.
     """
@@ -413,10 +413,12 @@ def study_tau0_scaling(
         raise ValueError(
             f"the slope fit needs at least 3 L values, not all equal; got {n_L}"
         )
+    targets = [1.0 / (L * L) for L in L_grid]
     out = []
     for alpha in alpha_list:
-        u, w = _empirical_spread(symmetrize(AnalyticDist.stable(alpha)), n_samples, seed)
-        taus = _piecewise_tau0(u, w, [1.0 / (L * L) for L in L_grid])
+        # No name keeps the sample, so it is freed before the next alpha's is drawn.
+        g = symmetrize(AnalyticDist.stable(alpha))
+        taus = _piecewise_tau0(*_empirical_spread(g, n_samples, seed), targets)
         pts = [(float(L), tau) for L, tau in zip(L_grid, taus)]
         x, y = np.log(pts).T
         coeffs, cov = np.polyfit(x, y, 1, cov=True)

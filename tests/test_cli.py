@@ -193,6 +193,29 @@ def test_cli_tau0(bernoulli_file, unit_weight_file, tmp_path):
     assert payload["method"] == "piecewise_exact"
 
 
+def test_cli_parser_built_once_per_process(bernoulli_file, unit_weight_file, tmp_path,
+                                           monkeypatch, capsys):
+    # main reuses one parser across calls, a usage error included; each
+    # build_parser call still returns a parser of its own.
+    assert main(["tau0", "--dist", bernoulli_file, "--L", "2"]) == 0
+
+    def no_build():
+        raise AssertionError("main built a second parser")
+
+    monkeypatch.setattr(lofo.cli, "build_parser", no_build)
+    with pytest.raises(SystemExit) as exc:
+        main(["tau0", "--dist", bernoulli_file])
+    assert exc.value.code == 2
+    stable = tmp_path / "stable.json"
+    stable.write_text(json.dumps({"type": "stable", "alpha": 1.5, "scale": 1.0}))
+    assert main(["q", "--dist", str(stable), "--weights", unit_weight_file, "--lambda", "0.5",
+                 "--method", "monte-carlo", "--samples", "20000"]) == 0
+    assert main(["tau0", "--dist", bernoulli_file, "--L", "2"]) == 0
+    monkeypatch.undo()
+    assert lofo.cli.build_parser() is not lofo.cli.build_parser()
+    capsys.readouterr()
+
+
 def test_cli_bound_shapes(tmp_path):
     out = tmp_path / "b.json"
     rc = main(["bound", "--shape", "lcd_unit", "--D", "10", "--m1", "0.5",

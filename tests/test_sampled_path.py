@@ -1,6 +1,7 @@
 """The sampled path (stable sampler, empirical tau0, Monte Carlo draws) against
-frozen copies of the earlier code that built one array per step, and a
-traced-memory guard on its live length-n arrays."""
+frozen copies of the earlier code that built one array per step, also with
+the stream block shrunk to a few entries, and a traced-memory guard on its
+live length-n arrays."""
 
 import math
 import tracemalloc
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lofo import AnalyticDist, FiniteDist, WeightVector, m_functional, q_monte_carlo, solve_tau0
-from lofo import distributions
+from lofo import bounds, distributions
 from lofo.bounds import _empirical_spread, _piecewise_tau0
 from lofo.concentration import MC_MIN_SAMPLES, sample_weighted_sum
 from lofo.distributions import sample_symmetric_stable
@@ -160,6 +161,27 @@ def finite_laws(draw, min_atoms=2, max_atoms=7):
     return FiniteDist([a / 4.0 for a in atoms], masses / masses.sum())
 
 
+STREAM_BLOCKS = [1, 2, 3, 7]
+
+
+def _with_block(block, fn):
+    """fn() with the stream block of the sampler and the tau0 solver set to
+    block entries."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(distributions, "_STREAM_BLOCK", block)
+        mp.setattr(bounds, "_STREAM_BLOCK", block)
+        return fn()
+
+
+@st.composite
+def block_lengths(draw):
+    """A block size and a length one short of, at, one past or several times it."""
+    block = draw(st.sampled_from(STREAM_BLOCKS + [distributions._STREAM_BLOCK]))
+    edges = [block - 1, block, block + 1, 3 * block + 2]
+    n = draw(st.one_of(st.sampled_from(edges), st.integers(0, min(12 * block + 5, 3000))))
+    return block, n
+
+
 weight_vectors = st.lists(
     st.one_of(st.just(0.0), st.floats(-3.0, 3.0, allow_subnormal=False)), min_size=1, max_size=6
 ).filter(lambda ws: any(w != 0.0 for w in ws)).map(WeightVector)
@@ -184,7 +206,7 @@ def test_stable_sampler_bit_identical(alpha, scale, n, seed):
 def test_stable_sampler_exponential_blocks_keep_stream(alpha, n, monkeypatch):
     # alpha = 1 skips its exponentials in blocks; a block size that does not
     # divide n still leaves the generator where one full draw does.
-    monkeypatch.setattr(distributions, "_EXP_SKIP_BLOCK", 3)
+    monkeypatch.setattr(distributions, "_STREAM_BLOCK", 3)
     assert _outcome(sample_symmetric_stable, alpha, 2.0, n, 11) == _outcome(
         _oracle_stable, alpha, 2.0, n, 11
     )
@@ -199,14 +221,49 @@ def _uniforms_then_exponentials(alpha, scale, n, rng):
     return np.empty(0)
 
 
-@settings(max_examples=60, deadline=None)
-@given(alpha=alphas, scale=scales, n=st.integers(0, 3000), seed=seeds)
-def test_private_stable_draws_skip_no_exponentials(alpha, scale, n, seed):
+@settings(max_examples=120, deadline=None)
+@given(alpha=alphas, scale=scales, bn=block_lengths(), seed=seeds)
+def test_private_stable_draws_skip_no_exponentials(alpha, scale, bn, seed):
     # The public sampler's bits; the generator ends after the uniforms at
-    # alpha = 1, and after the exponentials elsewhere.
-    out, state = _outcome(distributions._stable_draws, alpha, scale, n, seed)
+    # alpha = 1, and after the exponentials elsewhere, whatever the block.
+    block, n = bn
+    out, state = _with_block(
+        block, lambda: _outcome(distributions._stable_draws, alpha, scale, n, seed))
     assert out == _outcome(sample_symmetric_stable, alpha, scale, n, seed)[0]
     assert state == _outcome(_uniforms_then_exponentials, alpha, scale, n, seed)[1]
+
+
+@pytest.mark.parametrize("block", STREAM_BLOCKS)
+@pytest.mark.parametrize("offset", [-1, 0, 1, "several"])
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+def test_streamed_stable_draws_at_block_edges(block, offset, alpha):
+    n = 5 * block + 2 if offset == "several" else block + offset
+    assert _with_block(block, lambda: _outcome(sample_symmetric_stable, alpha, 1.5, n, 4)) == (
+        _outcome(_oracle_stable, alpha, 1.5, n, 4)
+    )
+
+
+@pytest.mark.parametrize("block", STREAM_BLOCKS)
+@pytest.mark.parametrize("offset", [-1, 0, 1, "several"])
+def test_streamed_solve_tau0_at_block_edges(block, offset):
+    # Root and residual of the empirical solver against the frozen path.
+    n = 40 * block + 3 if offset == "several" else max(block + offset, 1)
+    g = AnalyticDist.stable(1.5, 2.0)
+    targets = [0.5, 0.1, 1.0 / n, 1e-9]
+    u, w = _oracle_empirical_spread(g, n, 8)
+    assert _with_block(block, lambda: _value_or_error(
+        lambda: _piecewise_tau0(u, w[0], targets))) == _value_or_error(
+        lambda: _oracle_piecewise_tau0(u, w, targets))
+
+    def live():
+        root = solve_tau0(g, 1.5, tol=1.0, n_samples=n, seed=8)
+        return root.tau0, root.residual
+
+    def frozen():
+        (tau0,) = _oracle_piecewise_tau0(u, w, [1.0 / 2.25])
+        return tau0, abs(float(np.sum(w * np.minimum((u / tau0) ** 2, 1.0))) - 1.0 / 2.25)
+
+    assert _with_block(block, lambda: _value_or_error(live)) == _value_or_error(frozen)
 
 
 class _StubLaw:
@@ -253,39 +310,43 @@ def test_empirical_spread_without_nonzero_draws():
         _empirical_spread(Zeros(), 10, 0)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(
     law=st.builds(AnalyticDist.stable, moderate_alphas, scales),
-    n=st.integers(1, 4000),
+    bn=block_lengths(),
     seed=seeds,
     Ls=st.lists(st.floats(1.0, 1e3, exclude_min=True), min_size=1, max_size=8),
 )
-def test_piecewise_tau0_equal_weights_bit_identical(law, n, seed, Ls):
+def test_piecewise_tau0_equal_weights_bit_identical(law, bn, seed, Ls):
     # Scalar w (the live empirical path) and the frozen array w give the
-    # frozen roots, and so does array w in the live solver.
+    # frozen roots, and so does array w in the live solver, whatever the
+    # block size.
+    block, n = bn
     with np.errstate(all="ignore"):
-        u, w = _empirical_spread(law, n, seed)
+        u, w = _empirical_spread(law, max(n, 1), seed)
     w_full = np.full(u.size, w)
     targets = [1.0 / (L * L) for L in Ls]
     expected = _value_or_error(lambda: _oracle_piecewise_tau0(u, w_full, targets))
-    assert _value_or_error(lambda: _piecewise_tau0(u, w, targets)) == expected
-    assert _value_or_error(lambda: _piecewise_tau0(u, w_full, targets)) == expected
+    for weights in (w, w_full):
+        assert _with_block(block, lambda: _value_or_error(
+            lambda: _piecewise_tau0(u, weights, targets))) == expected
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(
+    block=st.sampled_from(STREAM_BLOCKS + [distributions._STREAM_BLOCK]),
     u=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=60, unique=True).map(sorted),
     data=st.data(),
 )
-def test_piecewise_tau0_array_weights_bit_identical(u, data):
-    # The finite-law path: one weight per support point.
+def test_piecewise_tau0_array_weights_bit_identical(block, u, data):
+    # The finite-law path: one weight per support point, whatever the block.
     u = np.array(u)
     w = np.array(data.draw(st.lists(st.floats(1e-6, 1.0), min_size=u.size, max_size=u.size)))
     w /= 2.0 * w.sum()
     targets = data.draw(st.lists(st.floats(1e-9, 0.6), min_size=1, max_size=5))
-    assert _value_or_error(lambda: _piecewise_tau0(u, w, targets)) == _value_or_error(
-        lambda: _oracle_piecewise_tau0(u, w, targets)
-    )
+    assert _with_block(block, lambda: _value_or_error(
+        lambda: _piecewise_tau0(u, w, targets))) == _value_or_error(
+        lambda: _oracle_piecewise_tau0(u, w, targets))
 
 
 def _oracle_empirical_root(g, L, n_samples, seed):
@@ -378,19 +439,25 @@ def _traced_peak_arrays(fn):
 
 
 @pytest.mark.parametrize("case,budget", [
-    ("solve_tau0", 4.5),
-    ("study_tau0_scaling", 4.5),
+    ("solve_tau0", 1.5),
+    ("study_tau0_scaling", 1.5),
+    ("stable_draws", 1.5),
     ("m_functional", 1.5),
     ("m_functional_grid", 2.5),
 ])
 def test_sampled_path_traced_peak(case, budget):
-    # u, the prefix sums, the suffix sums and the knots for tau0; the draws
-    # alone for the stable M at one tau (alpha = 1 skips its exponentials in
-    # blocks), and the draws plus one scratch buffer for a tau grid.
+    # The draws alone, plus block scratch, for tau0 (the sample is sorted in
+    # place, the solver streams it in blocks and the residual reuses it),
+    # for the CMS draws and for the stable M at one tau (alpha = 1 skips its
+    # exponentials in blocks); the draws plus one scratch buffer for a tau
+    # grid.  The scaling study frees each exponent's sample before the next.
     g = AnalyticDist.stable(1.0, 2.0)
     calls = {
         "solve_tau0": lambda: solve_tau0(g, 3.0, n_samples=N_TRACED),
-        "study_tau0_scaling": lambda: study_tau0_scaling([0.5], [3, 10, 30], n_samples=N_TRACED),
+        "study_tau0_scaling": lambda: study_tau0_scaling(
+            [0.5, 1.5], [3, 10, 30], n_samples=N_TRACED),
+        "stable_draws": lambda: distributions._stable_draws(
+            0.5, 2.0, N_TRACED, np.random.default_rng(0)),
         "m_functional": lambda: m_functional(g, 1.0, n_samples=N_TRACED),
         "m_functional_grid": lambda: m_functional(g, [0.5, 1.0, 2.0], n_samples=N_TRACED),
     }
@@ -406,6 +473,17 @@ def test_q_monte_carlo_traced_peak():
         lambda: q_monte_carlo(FiniteDist.bernoulli(0.3), a, 0.5, n_samples=N_TRACED)
     )
     assert peak <= 3.5
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.5])
+def test_q_monte_carlo_stable_traced_peak(alpha):
+    # The running sum and one sample scaled in place, plus the sampler's
+    # block scratch; each sample is freed before the next is drawn.
+    a = WeightVector(np.linspace(0.5, 1.5, 8))
+    peak = _traced_peak_arrays(
+        lambda: q_monte_carlo(AnalyticDist.stable(alpha), a, 0.5, n_samples=N_TRACED)
+    )
+    assert peak <= 2.5
 
 
 # ---------------------------------------------------------------------------
