@@ -33,7 +33,7 @@ import numpy as np
 ATOM_REL_TOL = 1e-9
 ATOM_ABS_TOL = 1e-12
 MASS_TOL = 1e-12
-_CF_CHUNK_ENTRIES = 2**22     # cap on one weighted_cf block (64 MiB of complex128)
+_CF_CHUNK_ENTRIES = 2**22     # cap on one weighted_cf block (32 MiB of float64; two if not mirrored)
 _STREAM_BLOCK = 2**14         # entries per block of the stable sampler and the tau0 solver
 _M_CHUNK_ENTRIES = 2**18      # cap on one finite-law M ratio block (2 MiB of float64)
 
@@ -94,7 +94,7 @@ class FiniteDist:
     The arrays are frozen; instances are immutable and shareable.
     """
 
-    __slots__ = ("atoms", "masses")
+    __slots__ = ("atoms", "masses", "_fold")
 
     def __init__(self, atoms: Sequence[float], masses: Sequence[float]):
         a = np.asarray(atoms, dtype=float).ravel()
@@ -120,6 +120,7 @@ class FiniteDist:
         p.flags.writeable = False
         self.atoms = a
         self.masses = p
+        self._fold = None  # filled by _cf_fold on the first CF evaluation
 
     # -- constructors -------------------------------------------------------
 
@@ -198,8 +199,8 @@ class AnalyticDist:
     def cf(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         if self.kind == "gaussian":
-            return np.exp(-0.5 * (self.sigma * t) ** 2) + 0.0j
-        return np.exp(-self.scale * np.abs(t) ** self.alpha) + 0.0j
+            return np.exp(-0.5 * (self.sigma * t) ** 2)
+        return np.exp(-self.scale * np.abs(t) ** self.alpha)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         _check_sample_size(n)
@@ -338,18 +339,74 @@ def symmetrize(dist: Dist) -> Dist:
 # ---------------------------------------------------------------------------
 
 
+def _cf_fold(f: FiniteDist) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Atoms y, even masses m and odd masses o with
+    CF_f(t) = sum_j m_j cos(t y_j) + i sum_j o_j sin(t y_j), built once per law.
+
+    A law whose atoms and masses are bitwise mirrored about 0 (every
+    symmetrized law) folds onto its nonnegative half: each positive atom
+    carries twice its mass, the zero atom its own, and o is empty because
+    the sine terms cancel in pairs.  Any other law keeps its atoms, with
+    m = o = its masses.  The law's arrays are read-only, so the fold is
+    cached on it.
+    """
+    fold = f._fold
+    if fold is None:
+        x, p = f.atoms, f.masses
+        if np.array_equal(x, -x[::-1]) and np.array_equal(p, p[::-1]):
+            half = x.size // 2
+            m = 2.0 * p[half:]
+            if x.size % 2:
+                m[0] = p[half]
+            fold = (x[half:], m, p[:0])
+        else:
+            fold = (x, p, p)
+        f._fold = fold
+    return fold
+
+
 def _finite_cf(f: FiniteDist, t: np.ndarray) -> np.ndarray:
-    """Exact CF sum_j p_j exp(i t x_j) at every entry of t (any shape)."""
-    return np.exp(1j * np.multiply.outer(t, f.atoms)) @ f.masses
+    """Exact CF of f at every entry of t (any shape), over f's fold.
+
+    The even sum, and the odd sum when the fold has odd masses, are each one
+    np.add.reduce along the atom axis, whose order depends only on the
+    number of atoms: every entry has the bits of its own call.  float64 for
+    a mirrored law, complex128 otherwise.
+    """
+    y, m, o = _cf_fold(f)
+    ty = np.multiply.outer(t, y)
+    if o.size:
+        odd = np.sin(ty)
+        odd *= o
+    np.cos(ty, out=ty)
+    ty *= m
+    even = np.add.reduce(ty, axis=-1)
+    if not o.size:
+        return even
+    vals = np.empty(even.shape, dtype=complex)
+    vals.real, vals.imag = even, np.add.reduce(odd, axis=-1)
+    return vals
+
+
+def _cf_nodes(t) -> np.ndarray:
+    """t as a float array of at least one dimension; ValueError unless finite."""
+    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    if not np.isfinite(t_arr).all():
+        raise ValueError("t must be finite")
+    return t_arr
 
 
 def cf_eval(dist: Dist, t) -> complex | np.ndarray:
     """Characteristic function E exp(itX); vectorized over t.
 
-    Exact finite sum for FiniteDist, closed form for the analytic kinds.
-    Raises if a value has modulus above 1 + 1e-12.
+    Exact finite sum for FiniteDist (see _finite_cf), closed form for the
+    analytic kinds.  An array t gives float64 values where the CF is real
+    (a mirrored finite law, a Gaussian or a stable law) and complex128
+    otherwise; a scalar t gives a complex.  Raises ValueError, before any
+    evaluation, if some t is not finite, and if a value has modulus above
+    1 + 1e-12.
     """
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    t_arr = _cf_nodes(t)
     if isinstance(dist, FiniteDist):
         vals = _finite_cf(dist, t_arr)
     else:
@@ -363,25 +420,25 @@ def weighted_cf(dist: Dist, coords, t) -> complex | np.ndarray:
     """CF of sum_k a_k X_k for i.i.d. X_k ~ dist: prod_k CF(a_k t).
 
     ``coords`` may be a weight vector object (anything with .coords) or a
-    plain sequence.  Vectorized over t (flattened).  The t values are taken
-    in chunks so that the (t, coords, atoms) complex block stays within
-    _CF_CHUNK_ENTRIES entries; a single t whose block alone is larger is
-    still evaluated whole.  Each t is reduced on its own, so chunking does
-    not change a bit.
+    plain sequence.  Vectorized over t (flattened): float64 values where
+    the law's CF is real (a mirrored finite law, a Gaussian or a stable
+    law), complex128 otherwise; a scalar t gives a complex.  Raises
+    ValueError, before any evaluation, if some t is not finite.  The t
+    values are taken in chunks so that the (t, coords, folded atoms) block
+    stays within _CF_CHUNK_ENTRIES entries; a single t whose block alone is
+    larger is still evaluated whole.  Each t is reduced on its own, so
+    chunking does not change a bit.
     """
     a = np.asarray(getattr(coords, "coords", coords), dtype=float).ravel()
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float)).ravel()
+    t_arr = _cf_nodes(t).ravel()
     finite = isinstance(dist, FiniteDist)
-    per_t = a.size * (dist.n_atoms if finite else 1)
+    per_t = a.size * (_cf_fold(dist)[0].size if finite else 1)
     rows = max(1, _CF_CHUNK_ENTRIES // max(per_t, 1))
     chunks = []
     for lo in range(0, max(t_arr.size, 1), rows):  # an empty t still makes one chunk
         # (rows, n_coords) grid of scaled arguments; product over coordinates.
-        args = np.outer(t_arr[lo : lo + rows], a)
-        if finite:
-            flat = _finite_cf(dist, args)
-        else:
-            flat = dist.cf(args.ravel()).reshape(args.shape)
+        args = t_arr[lo : lo + rows, None] * a
+        flat = _finite_cf(dist, args) if finite else dist.cf(args)
         chunks.append(np.prod(flat, axis=-1))
     vals = np.concatenate(chunks)
     return complex(vals[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else vals

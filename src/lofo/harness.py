@@ -406,13 +406,17 @@ def study_tau0_scaling(
     numbers keep tau0 monotone in L); one streamed pass over its knots
     places all L together.  A fit whose 2-sigma slope half-width
     exceeds 0.5 is flagged inconclusive.  The fit and its error bar need at
-    least three L values, not all equal; fewer raise ValueError.
+    least three L values, not all equal; fewer raise ValueError, as does an
+    L that is not positive and finite, before any sample is drawn.
     """
     n_L = len(L_grid)
     if n_L < 3 or len({float(L) for L in L_grid}) < 2:
         raise ValueError(
             f"the slope fit needs at least 3 L values, not all equal; got {n_L}"
         )
+    for L in L_grid:
+        if not 0 < L < math.inf:
+            raise ValueError(f"L must be positive and finite, got {float(L)!r}")
     targets = [1.0 / (L * L) for L in L_grid]
     out = []
     for alpha in alpha_list:

@@ -274,14 +274,22 @@ def test_weighted_cf_product_structure():
     assert abs(weighted_cf(FiniteDist.bernoulli(0.5), w, math.pi * math.sqrt(2))) < 1e-12
 
 
-@pytest.mark.parametrize("dist", [random_finite(np.random.default_rng(3)),
-                                  AnalyticDist.stable(1.3, 0.7)])
+@pytest.mark.parametrize("dist", [
+    random_finite(np.random.default_rng(3)),
+    random_finite(np.random.default_rng(3), n_atoms=12),
+    symmetrize(random_finite(np.random.default_rng(3), n_atoms=6)),
+    FiniteDist.uniform_on([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]),
+    AnalyticDist.stable(1.3, 0.7),
+    AnalyticDist.gaussian(0.8),
+])
 def test_weighted_cf_chunks_keep_bits(dist, monkeypatch):
-    # Three t values per chunk; n_t straddles the chunk boundaries.
+    # Three t values per chunk; n_t straddles the chunk boundaries.  A block
+    # has one entry per coordinate and folded atom.
     a = np.random.default_rng(4).uniform(-1.0, 1.0, 6)
     ts = np.linspace(0.0, 9.0, 10)
     unchunked = {k: weighted_cf(dist, a, ts[:k]) for k in range(11)}
-    per_t = a.size * (dist.n_atoms if isinstance(dist, FiniteDist) else 1)
+    finite = isinstance(dist, FiniteDist)
+    per_t = a.size * (distributions._cf_fold(dist)[0].size if finite else 1)
     monkeypatch.setattr(distributions, "_CF_CHUNK_ENTRIES", 3 * per_t + 1)
     for k, expected in unchunked.items():
         got = weighted_cf(dist, a, ts[:k])
@@ -519,6 +527,18 @@ def test_mixture_rejects_bad_r():
      "mixture decomposition needs a symmetric finite law"),
     (lambda: mixture_decompose(symmetrize(FiniteDist.bernoulli(0.3)), r=1.5), ValueError,
      "annulus ratio r must lie in (1, sqrt(2)]"),
+    (lambda: cf_eval(FiniteDist.bernoulli(0.3), math.inf), ValueError, "t must be finite"),
+    (lambda: cf_eval(symmetrize(FiniteDist.bernoulli(0.3)), -math.inf), ValueError,
+     "t must be finite"),
+    (lambda: cf_eval(FiniteDist.bernoulli(0.3), math.nan), ValueError, "t must be finite"),
+    (lambda: cf_eval(AnalyticDist.gaussian(1.0), [0.0, math.nan]), ValueError,
+     "t must be finite"),
+    (lambda: weighted_cf(FiniteDist.bernoulli(0.3), [1.0, 0.5], math.inf), ValueError,
+     "t must be finite"),
+    (lambda: weighted_cf(symmetrize(FiniteDist.bernoulli(0.3)), [1.0], [1.0, math.nan]),
+     ValueError, "t must be finite"),
+    (lambda: weighted_cf(AnalyticDist.stable(1.5), [1.0], -math.inf), ValueError,
+     "t must be finite"),
 ])
 def test_distributions_input_checks(call, exc, message):
     with pytest.raises(exc) as info:

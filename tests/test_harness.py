@@ -386,3 +386,14 @@ def test_harness_input_checks(call, exc, message):
     with pytest.raises(exc) as info:
         call()
     assert type(info.value) is exc and str(info.value).startswith(message)
+
+
+@pytest.mark.parametrize("bad", [0.0, -2.0, math.inf, math.nan])
+def test_study_tau0_scaling_checks_L_before_sampling(bad, monkeypatch, capfd):
+    # A bad L used to reach LAPACK (stderr noise, then LinAlgError) or the
+    # root bracket; it is refused before any exponent's sample is drawn.
+    monkeypatch.setattr(lofo.harness, "_empirical_spread", lambda *args: pytest.fail("sampled"))
+    with pytest.raises(ValueError) as info:
+        study_tau0_scaling([1.0, 0.5], [3.0, 10.0, bad])
+    assert str(info.value) == f"L must be positive and finite, got {bad!r}"
+    assert capfd.readouterr().err == ""

@@ -278,8 +278,28 @@ def test_subnormal_tolerance_halves_four_times(step):
     assert _traced(adaptive_simpson, f, 0.0, 1.0, tol=tol) == _traced(_level_oracle, f, 0.0, 1.0, tol=tol)
 
 
+@st.composite
+def _mirrored_laws(draw):
+    """Laws mirrored bitwise about 0 with no zero atom: up to 12 folded atoms."""
+    ticks = sorted(draw(st.sets(st.integers(1, 3000), min_size=1, max_size=12)))
+    half = np.array(ticks) / 1000.0
+    w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=half.size, max_size=half.size)))
+    return FiniteDist(np.concatenate((-half[::-1], half)), np.concatenate((w[::-1], w)) / (2.0 * w.sum()))
+
+
+@st.composite
+def _skewed_laws(draw):
+    """Laws that are not mirrored, of 9 to 20 atoms: the odd sum runs too."""
+    k = draw(st.integers(9, 20))
+    atoms = np.sort(draw(st.lists(st.floats(0.0, 3.0), min_size=k, max_size=k, unique=True)))
+    masses = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k)))
+    return FiniteDist(atoms, masses / masses.sum())
+
+
 _laws = st.one_of(
     _symmetrized_laws(),
+    _mirrored_laws(),
+    _skewed_laws(),
     st.builds(FiniteDist.bernoulli, st.floats(0.05, 0.95)),
     st.builds(AnalyticDist.gaussian, st.floats(0.1, 10.0)),
     st.builds(AnalyticDist.stable, st.floats(0.1, 2.0), st.floats(0.1, 10.0)),
@@ -295,7 +315,9 @@ _laws = st.one_of(
 )
 def test_weighted_cf_entries_match_scalar_calls(g, n, seed, ts):
     # The quadrature's premise: each node's |CF| has the bits of its own call,
-    # whatever other nodes share the batch.
+    # whatever other nodes share the batch.  The laws cover both of the
+    # finite kernel's sums, atom counts on either side of np.add.reduce's
+    # 8-term unrolled block, and the analytic kinds.
     a = WeightVector(np.random.default_rng(seed).uniform(-1.0, 1.0, n))
     batch = weighted_cf(g, a, np.array(ts))
     assert [repr(complex(v)) for v in batch] == [repr(weighted_cf(g, a, t)) for t in ts]
