@@ -15,10 +15,10 @@ constants lives in the harness.  Implemented shapes:
 
 The crossover scale tau0 solves L^2 = 1/M(tau0); M is continuous and
 nonincreasing with limit P = P(X~ != 0) at 0, so a root exists exactly when
-L^2 > 1/P.  For finite laws M is piecewise A + B/tau^2 between consecutive
-distinct |atoms| and the root is closed-form on its piece; the Gaussian path
-bisects the closed-form M in units of sigma on a bracket from M's bounds, and
-stable laws take the piecewise root of the empirical M of one seeded sample.
+L^2 > 1/P.  solve_tau0 checks L, the target and the residual; the law's kind
+solves, next to M in ``distributions``: a finite law's M is piecewise
+A + B/tau^2 between distinct |atoms|, closed-form on its piece, the Gaussian
+bisects its closed-form M, and a stable law solves the M of one sample.
 """
 
 from __future__ import annotations
@@ -31,12 +31,9 @@ import numpy as np
 
 from .concentration import WeightVector
 from .distributions import (
-    _STREAM_BLOCK,
     Dist,
     FiniteDist,
     _Record,
-    _m_gaussian,
-    _seeded_draws,
     atom_survival,
     cf_eval,
     m_functional,
@@ -188,10 +185,10 @@ def shape_bernoulli_min(eps: float, dstar: float, p: float) -> float:
 class RootSolution(_Record):
     """Solution of M(tau0) = 1/L^2 (and eps0 = tau0/D* when D* is supplied).
 
-    The Gaussian ``method`` reads "bisection_quadrature" although its M is
-    closed-form: the label is part of the ``lofo tau0`` JSON and stored reports.
-    Its ``iterations`` count bisection steps only (50 to 56 for L >= 1.01);
-    the finite and stable roots are exact on their piece and report 0.
+    ``method`` is the kind's label: the Gaussian's reads "bisection_quadrature"
+    although its M is closed-form, as the ``lofo tau0`` JSON and stored
+    reports have it.  ``iterations`` counts bisection steps (50 to 56 for
+    L >= 1.01); the finite and stable roots are exact on their piece: 0.
     """
 
     tau0: float
@@ -201,175 +198,18 @@ class RootSolution(_Record):
     eps0: Optional[float] = None
 
 
-def _piecewise_tau0(u: np.ndarray, w, m_stars) -> list[float]:
-    """Roots of sum_i w_i min(u_i^2/tau^2, 1) = m_star on sorted positive u
-    with positive weights, one per target in the 1-D sequence m_stars, in
-    order.
-
-    w is an array aligned with u, or a scalar for equal weights (the
-    empirical path), which is never expanded to a length-n array.  Between
-    consecutive support points M(tau) = A/tau^2 + B with A the within-radius
-    second moment and B the outside mass, so the root is exact on its piece.
-    Each target takes one search over the knots m_i = A_i/u_i^2 + B_i and a
-    short walk over the pieces from there.
-
-    Nothing of length n is built: u is taken in blocks of _STREAM_BLOCK
-    entries, and a block's prefix sums A, suffix sums B and knots are
-    rebuilt in three block buffers whenever they are read.  A reverse pass
-    records B at each block's last entry; a forward pass records A before
-    each block's first entry, builds the blocks in turn, and searches each
-    target in the first block whose last knot reaches it.  A block's A
-    starts from carry + x_0 and its B, summed from the top down, from the
-    recorded B; np.cumsum is a sequential accumulate, so every A and B has
-    the bits of one whole-array cumsum (the top block's 0 + w_{n-1} is
-    w_{n-1} for a positive weight).  The walks then rebuild only the blocks
-    they read.  The block search returns what np.searchsorted over all n
-    knots returns whenever the knots are nonincreasing, as they are in
-    exact arithmetic: m_{i+1} = A_i/u_{i+1}^2 + B_i <= m_i.  One length-n
-    array is read, u, and 3 * _STREAM_BLOCK + 2 n / _STREAM_BLOCK floats
-    are written.
-
-    The sums are taken on u times 2^-e, e the binary exponent of max(u)
-    (at most 1023), so the squares neither overflow nor underflow however
-    large or small u is.  Products, sums, quotients and square roots commute
-    with a power-of-two scaling away from subnormals, so a root scaled back
-    by 2^e has the bits of the unscaled sums wherever those stayed normal.
-    """
-    n = u.size
-    exp = min(math.frexp(u[-1])[1], 1023)  # 2^exp stays a finite float
-    back = 2.0**exp
-    size = min(_STREAM_BLOCK, n)
-    n_blocks = -(-n // size)
-    equal = np.ndim(w) == 0
-    knot_buf, a_buf, b_buf = np.empty(size), np.empty(size), np.empty(size)
-
-    def suffix(j, last):
-        # B_i = sum_{k > i} w_k on block j, summed from the top down from
-        # B at the block's last entry.
-        lo, hi = j * size, min(j * size + size, n)
-        b = b_buf[: hi - lo]
-        b[:-1] = w if equal else w[lo + 1 : hi]
-        b[-1] = last
-        np.cumsum(b[::-1], out=b[::-1])
-        return b
-
-    def prefix(j, carry):
-        # s = u 2^-exp (in the knot buffer) and A_i = sum_{k <= i} w_k s_k^2
-        # on block j, after carry.
-        lo, hi = j * size, min(j * size + size, n)
-        s = np.ldexp(u[lo:hi], -exp, out=knot_buf[: hi - lo])
-        a = np.multiply(w if equal else w[lo:hi], s, out=a_buf[: hi - lo])
-        a *= s
-        if lo:
-            a[0] = carry + a[0]
-        np.cumsum(a, out=a)
-        return s, a
-
-    b_last = np.empty(n_blocks)
-    last = 0.0
-    for j in range(n_blocks - 1, -1, -1):
-        b_last[j] = last
-        last = suffix(j, last)[0] + (w if equal else w[j * size])
-    a_carry = np.empty(n_blocks)
-    carry = 0.0
-    # Find the piece [u_k, u_{k+1}) containing each root: k is the first
-    # index whose knot is at most m_star, n when none is.
-    m_stars = np.asarray(m_stars, dtype=float)
-    neg_targets = -m_stars
-    starts = np.full(m_stars.size, n)
-    pending = np.arange(m_stars.size)
-    for j in range(n_blocks):
-        a_carry[j] = carry
-        knot, a = prefix(j, carry)
-        np.multiply(knot, knot, out=knot)
-        np.divide(a, knot, out=knot)
-        knot += suffix(j, b_last[j])
-        np.negative(knot, out=knot)
-        at = np.searchsorted(knot, neg_targets[pending], side="left")
-        placed = at < a.size
-        starts[pending[placed]] = j * size + at[placed]
-        pending = pending[~placed]
-        carry = a[-1]
-    roots = []
-    built = -1
-    for m_star, k in zip(m_stars, starts):
-        if k == 0:
-            raise PreconditionError("target spread above M at the smallest support point")
-        idx = int(k) - 1
-        while idx < n:
-            j = idx // size
-            if j != built:
-                a, b = prefix(j, a_carry[j])[1], suffix(j, b_last[j])
-                built = j
-            a_i, b_i = a[idx - j * size], b[idx - j * size]
-            if m_star > b_i:
-                tau = math.sqrt(a_i / (m_star - b_i)) * back
-                hi = u[idx + 1] if idx + 1 < n else math.inf
-                if u[idx] <= tau * (1 + 1e-12) and tau <= hi * (1 + 1e-12):
-                    roots.append(tau)
-                    break
-            idx += 1
-        else:
-            raise NumericalError("piecewise root not bracketed; inconsistent inputs")
-    return roots
-
-
-def _empirical_spread(g: Dist, n_samples: int, seed: int) -> tuple[np.ndarray, float]:
-    """Sorted nonzero |draws| u of one seeded sample of g and the common
-    weight 1/n_samples: the empirical M that _piecewise_tau0 solves.
-
-    The draws are made absolute and sorted in place; u is the view past the
-    zeros (and before any NaN, which sorts last), so the sample is the only
-    length-n array held.  _piecewise_tau0 streams it in blocks, and
-    solve_tau0 forms its residual terms over it once the root is known, so
-    the empirical tau0 holds this one array plus O(_STREAM_BLOCK) scratch.
-    """
-    draws = _seeded_draws(g, n_samples, seed)
-    np.abs(draws, out=draws)
-    draws.sort()
-    lo = np.searchsorted(draws, 0.0, side="right")
-    hi = np.searchsorted(draws, np.nan, side="left")
-    u = draws[lo:hi]
-    if u.size == 0:
-        raise PreconditionError("sample has no nonzero draws")
-    return u, 1.0 / n_samples
-
-
-def _bisect_tau0(m_of, m_star: float, lo: float, hi: float) -> tuple[float, int]:
-    """Root of the nonincreasing m_of = m_star in the bracket [lo, hi] (with
-    m_of(lo) >= m_star >= m_of(hi)), and the step count: bisects until
-    hi - lo <= 1e-15 * mid, the only stop, reached since lo is a normal float.
-    """
-    it = 0
-    while True:
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= 1e-15 * mid:
-            return mid, it
-        it += 1
-        if m_of(mid) > m_star:
-            lo = mid
-        else:
-            hi = mid
-
-
 def solve_tau0(
-    g: Dist,
-    L: float,
-    tol: Optional[float] = None,
-    *,
-    dstar: Optional[float] = None,
-    n_samples: int = 1_000_000,
-    seed: int = 0,
+    g: Dist, L: float, tol: Optional[float] = None, *, dstar: Optional[float] = None,
+    n_samples: int = 1_000_000, seed: int = 0,
 ) -> RootSolution:
     """Solve M(tau0) = 1/L^2 for a symmetric law g.
 
     Requires a finite L with L^2 > 1/P, P = P(X~ != 0); otherwise no root
-    exists and a PreconditionError is raised.  So does an L whose square
-    overflows, since the target 1/L^2 would round to 0.  tol, which must be
-    positive, bounds the residual |M(tau0) - 1/L^2| accepted (default 1e-10
-    for finite laws, 1e-6 for the analytic kinds); a larger or NaN residual
-    raises NumericalError.
-    So does a Gaussian root below the smallest normal float.
+    exists and a PreconditionError is raised, as for an L whose square
+    overflows (the target 1/L^2 would round to 0).  tol > 0 bounds the
+    residual |M(tau0) - 1/L^2| accepted (default the kind's: 1e-10 finite,
+    1e-6 analytic); a larger or NaN residual raises NumericalError, as does
+    a Gaussian root below the smallest normal float.
     """
     if not 0 < L < math.inf:
         raise ValueError("L must be positive and finite")
@@ -389,43 +229,12 @@ def solve_tau0(
             f"{math.inf if p_surv == 0 else 1.0 / p_surv:.6g}): "
             "no crossover scale exists"
         )
-    if tol is None:
-        tol = 1e-10 if isinstance(g, FiniteDist) else 1e-6
-    if isinstance(g, FiniteDist):
-        pos = g.atoms > 0
-        u = g.atoms[pos]
-        w = 2.0 * g.masses[pos]
-        (tau0,) = _piecewise_tau0(u, w, [m_star])
-        method, iters = "piecewise_exact", 0
-    elif g.kind == "gaussian":
-        # Bisect a = tau/sigma on m(a) = E min(Z^2/a^2, 1), Z ~ N(0, 1), in a bracket:
-        # m(a) <= E Z^2/a^2 = 1/a^2, so m(sqrt2 L) <= m_star/2 (m(L) may round above);
-        # m(a) >= P(|Z| >= a) >= 1 - a sqrt(2/pi), |Z| having density <= sqrt(2/pi);
-        # m(a) >= m(1) min(1, a^-2), m(1) = 0.51606 > 1/2: m((2 m_star)^-1/2) > m_star,
-        # and for m_star <= 1/2 that end is the larger.
-        lo = (1.0 - m_star) * math.sqrt(0.5 * math.pi) if m_star > 0.5 else (2.0 * m_star) ** -0.5
-        a0, iters = _bisect_tau0(lambda a: _m_gaussian(1.0, a), m_star, lo, math.sqrt(2.0) * L)
-        tau0 = g.sigma * a0
-        if tau0 < np.finfo(float).tiny:
-            raise NumericalError(f"crossover scale {g.sigma:g} * {a0:.6g} underflows")
-        method = "bisection_quadrature"
-    else:
-        u, w = _empirical_spread(g, n_samples, seed)
-        (tau0,) = _piecewise_tau0(u, w, [m_star])
-        # w * min((u/tau0)^2, 1) over u's own buffer, dead from here; np.sum's
-        # pairwise order needs exactly these elementwise values.
-        terms = np.divide(u, tau0, out=u)
-        np.square(terms, out=terms)
-        np.minimum(terms, 1.0, out=terms)
-        terms *= w
-        residual = abs(float(np.sum(terms)) - m_star)
-        method, iters = "empirical_sample", 0
-    if method != "empirical_sample":  # the exact M of a finite or Gaussian law
-        residual = abs(m_functional(g, tau0) - m_star)
+    tau0, iters, residual = g._tau0(m_star, L, n_samples, seed)
+    tol = g._tau0_tol if tol is None else tol
     if not residual <= tol:
         raise NumericalError(f"crossover residual {residual:g} above tolerance {tol:g}")
-    eps0 = tau0 / dstar if dstar is not None else None
-    return RootSolution(tau0=tau0, residual=residual, iterations=iters, method=method, eps0=eps0)
+    return RootSolution(tau0=tau0, residual=residual, iterations=iters, method=g._tau0_method,
+                        eps0=tau0 / dstar if dstar is not None else None)
 
 
 def shape_crossover(

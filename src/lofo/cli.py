@@ -43,7 +43,7 @@ from .concentration import (
     q_monte_carlo,
     weighted_sum_dist,
 )
-from .distributions import AnalyticDist, FiniteDist, symmetrize
+from .distributions import symmetrize
 from .exceptions import CapacityError, NumericalError, ParseError, PreconditionError
 from .harness import (
     _BINOMIAL_LOWER,
@@ -71,29 +71,26 @@ def _csv_numbers(text: str, cast=float) -> list:
         raise ParseError(f"comma-separated list {text!r}: {exc}") from None
 
 
+# Q method -> (what a law needs for it, the estimate from the law, weights
+# and flags).  A law lists its methods, default first, in ``_q_methods``.
+_Q_METHODS = {
+    "exact": ("a finite distribution", lambda dist, a, args: q_exact(
+        weighted_sum_dist(dist, a, budget=args.budget), args.lam)),
+    "closed-form": ("a gaussian law", lambda dist, a, args: q_closed_form_gaussian(
+        dist.sigma * a.norm2, args.lam)),
+    "monte-carlo": ("a sampler", lambda dist, a, args: q_monte_carlo(
+        dist, a, args.lam, args.samples, args.seed)),
+}
+
+
 def cmd_q(args) -> int:
     dist = load_dist(args.dist)
     weights = load_weights(args.weights)
-    method = args.method
-    if method == "auto":
-        if isinstance(dist, FiniteDist):
-            method = "exact"
-        elif dist.kind == "gaussian":
-            method = "closed-form"
-        else:
-            method = "monte-carlo"
-    if method == "exact":
-        if not isinstance(dist, FiniteDist):
-            raise PreconditionError("exact concentration needs a finite distribution")
-        fa = weighted_sum_dist(dist, weights, budget=args.budget)
-        est = q_exact(fa, args.lam)
-    elif method == "closed-form":
-        if not (isinstance(dist, AnalyticDist) and dist.kind == "gaussian"):
-            raise PreconditionError("closed-form concentration needs a gaussian law")
-        est = q_closed_form_gaussian(dist.sigma * weights.norm2, args.lam)
-    else:
-        est = q_monte_carlo(dist, weights, args.lam, args.samples, args.seed)
-    _emit(est.to_json(), args.out)
+    method = dist._q_methods[0] if args.method == "auto" else args.method
+    needs, estimate = _Q_METHODS[method]
+    if method not in dist._q_methods:
+        raise PreconditionError(f"{method} concentration needs {needs}")
+    _emit(estimate(dist, weights, args).to_json(), args.out)
     return 0
 
 
@@ -210,8 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--dist", required=True, help="distribution JSON file")
     q.add_argument("--weights", required=True, help="weight vector file")
     q.add_argument("--lambda", dest="lam", type=float, required=True)
-    q.add_argument("--method", choices=["auto", "exact", "closed-form", "monte-carlo"],
-                   default="auto")
+    q.add_argument("--method", choices=["auto", *_Q_METHODS], default="auto")
     q.add_argument("--samples", type=int, default=100_000)
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--budget", type=int, default=DEFAULT_BUDGET)

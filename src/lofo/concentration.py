@@ -464,35 +464,11 @@ def sample_weighted_sum(
     """n_samples draws of S_a; zero weights contribute nothing and are skipped.
 
     Each nonzero weight takes n_samples draws of X from rng in coordinate
-    order.  A finite law maps a uniform r to the atom whose index is the
-    number of cumulative masses <= r; for a two-atom law (Bernoulli,
-    Rademacher) that is the one comparison r >= cum[0], which selects what
-    the binary search selects at a fraction of its cost on unsorted keys.
-    The uniforms and the chosen atoms share one reused buffer, so a finite
-    law holds three length-n arrays: the running sum, that buffer and one
-    index array.  An analytic law's draws are scaled in place (w x equals
-    x w bit for bit), so it holds two: the running sum and one sample.
+    order, by the law's own sampler, which holds one or two length-n arrays
+    beside the running sum.
     """
     total = np.zeros(n_samples)
-    weights = a.coords[a.coords != 0.0]
-    if isinstance(dist, FiniteDist):
-        atoms = dist.atoms
-        cum = np.cumsum(dist.masses)
-        cum[-1] = 1.0
-        x = np.empty(n_samples)
-        for w in weights:
-            rng.random(out=x)
-            idx = x >= cum[0] if atoms.size == 2 else np.searchsorted(cum, x, side="right")
-            np.take(atoms, idx, out=x, mode="clip")  # every index is in range
-            del idx  # the next index array is built without this one alive
-            x *= w
-            total += x
-    else:
-        for w in weights:
-            x = dist.sample(n_samples, rng)
-            x *= w
-            total += x
-            del x  # the next sample is drawn without this one alive
+    dist._add_weighted_draws(total, a.coords[a.coords != 0.0], rng)
     return total
 
 

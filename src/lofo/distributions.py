@@ -1,32 +1,35 @@
-"""Distribution representations and the spread functional M.
+"""Distribution representations, the spread functional M and its inverse.
 
-Two carriers are supported:
+Three law kinds, each one class that decides once how it does every job:
 
 * ``FiniteDist`` -- a finite discrete law (sorted atoms + masses), the
   exact-computation workhorse.  All arithmetic on finite laws (symmetrization,
   convolution) coalesces atoms that floating point splits apart.
-* ``AnalyticDist`` -- a law given in closed form through its characteristic
-  function (centered Gaussian or symmetric stable), with a seeded sampler for
-  Monte Carlo paths.
+* ``AnalyticDist.gaussian`` / ``.stable`` -- a centered Gaussian or symmetric
+  stable law given in closed form through its characteristic function, with
+  a seeded sampler; each constructor returns a private subclass.
 
-On top of these live the symmetrization map X -> X1 - X2, characteristic
-function evaluation, the spread functional
-
-    M(tau) = E min(X~^2 / tau^2, 1),
-
-its tau -> 0 limit P = P(X~ != 0), and the annulus mixture decomposition of a
-symmetric finite law used by the smoothing argument (q at zero, masses p_j on
-annuli A_0 = {|x| > 1}, A_j = (r^-j, r^-(j-1)], and beta = sum r^-2j p_j with
-the certified lower bound beta >= M(1)/r^2 >= M(1)/2).
+The functions below call the law's private methods (FiniteDist's "law
+kind" section lists them) and never branch on its kind, so a new kind is one
+class plus one row of ``_KINDS``, the JSON ``type`` table.  They are the
+symmetrization X -> X1 - X2, characteristic functions, the spread functional
+M(tau) = E min(X~^2 / tau^2, 1), its tau -> 0 limit P(X~ != 0), the kernels
+that invert M, and the annulus mixture decomposition of a symmetric finite
+law used by the smoothing argument (q at zero, masses p_j on annuli
+A_0 = {|x| > 1}, A_j = (r^-j, r^-(j-1)], and beta = sum r^-2j p_j with the
+certified lower bound beta >= M(1)/r^2 >= M(1)/2).
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, fields
 from typing import Sequence, Union
 
 import numpy as np
+
+from .exceptions import NumericalError, PreconditionError
 
 # Atoms closer than this merge during construction.  Exact rational supports
 # pushed through float arithmetic must not split their masses.
@@ -163,56 +166,239 @@ class FiniteDist:
     def __repr__(self) -> str:
         return f"FiniteDist({self.n_atoms} atoms on [{self.atoms[0]:g}, {self.atoms[-1]:g}])"
 
+    # -- the law kind: CF, atoms per CF argument, weighted-sum sampler (and, for
+    # a sampled M, seeded draws), symmetrization, M, P(X~ != 0), tau0, Q, JSON.
+
+    _q_methods = ("exact", "monte-carlo")
+    _tau0_tol = 1e-10
+    _tau0_method = "piecewise_exact"
+
+    def _cf(self, t: np.ndarray) -> np.ndarray:
+        """Exact CF at every entry of t (any shape) over the fold, float64 if
+        mirrored and complex128 otherwise.  Each sum is one np.add.reduce along
+        the atom axis, so every entry has the bits of its own call."""
+        y, m, o = _cf_fold(self)
+        ty = np.multiply.outer(t, y)
+        if o.size:
+            odd = np.sin(ty)
+            odd *= o
+        np.cos(ty, out=ty)
+        ty *= m
+        even = np.add.reduce(ty, axis=-1)
+        if not o.size:
+            return even
+        vals = np.empty(even.shape, dtype=complex)
+        vals.real, vals.imag = even, np.add.reduce(odd, axis=-1)
+        return vals
+
+    def _cf_width(self, reach: float) -> int:
+        # The kernel's own product at its largest: no other can overflow.
+        y = _cf_fold(self)[0]
+        y_max = max(-float(y[0]), float(y[-1]))
+        if not reach * y_max < math.inf:
+            raise ValueError(f"CF arguments overflow or are NaN: {reach:.6g} times {y_max:.6g}")
+        return y.size
+
+    def _add_weighted_draws(self, total: np.ndarray, weights, rng) -> None:
+        # A uniform r picks the atom whose index is the number of cumulative
+        # masses <= r: for two atoms the comparison r >= cum[0], the binary
+        # search's pick at a fraction of its cost.  x holds r, then its atom.
+        atoms = self.atoms
+        cum = np.cumsum(self.masses)
+        cum[-1] = 1.0
+        x = np.empty(total.size)
+        for w in weights:
+            rng.random(out=x)
+            idx = x >= cum[0] if atoms.size == 2 else np.searchsorted(cum, x, side="right")
+            np.take(atoms, idx, out=x, mode="clip")  # every index is in range
+            del idx  # the next index array is built without this one alive
+            x *= w
+            total += x
+
+    def _symmetrize(self) -> "FiniteDist":
+        x, p = self.atoms, self.masses
+        mass_zero = float(np.dot(p, p))
+        if x.size == 1:
+            return FiniteDist.point_mass(0.0)
+        i, j = np.tril_indices(x.size, k=-1)
+        diffs = x[i] - x[j]          # strictly positive: atoms sorted, i > j
+        weights = p[i] * p[j]
+        order = np.argsort(diffs, kind="stable")
+        d, w = _coalesce(diffs[order], weights[order])
+        # A positive difference that is one atom with 0 belongs to the zero atom.
+        near_zero = _same_atom(d, 0.0)
+        if np.any(near_zero):
+            mass_zero += 2.0 * float(np.sum(w[near_zero]))
+            d, w = d[~near_zero], w[~near_zero]
+        atoms = np.concatenate((-d[::-1], [0.0], d))
+        masses = np.concatenate((w[::-1], [mass_zero], w))
+        return FiniteDist(atoms, masses)
+
+    def _m(self, taus: list, n_samples: int, seed: int) -> list[float]:
+        return _m_finite(self, taus)
+
+    def _survival(self) -> float:
+        return 1.0 - self.mass_at(0.0)
+
+    def _tau0(self, m_star: float, L: float, n_samples: int, seed: int):
+        pos = self.atoms > 0
+        (tau0,) = _piecewise_tau0(self.atoms[pos], 2.0 * self.masses[pos], [m_star])
+        return tau0, 0, abs(m_functional(self, tau0) - m_star)
+
+    def _to_json(self) -> dict:
+        return {"type": "finite", "atoms": self.atoms.tolist(), "masses": self.masses.tolist()}
+
+    @classmethod
+    def _from_json(cls, field) -> "FiniteDist":
+        floats = lambda value: np.asarray(value, dtype=float)
+        return cls(field("atoms", floats), field("masses", floats))
+
 
 class AnalyticDist:
     """Law given by a closed-form characteristic function plus a sampler.
 
-    Two kinds:
+    Two kinds, named by ``kind``, each a private subclass made by its
+    constructor, which requires a positive, finite scale:
       * ``gaussian``: centered with scale sigma, CF exp(-sigma^2 t^2 / 2);
       * ``stable``: symmetric stable, CF exp(-scale * |t|^alpha), alpha in (0, 2].
-
-    The constructors require a positive, finite scale.
+    A CF argument past the float range gives the CF's limit 0.
     """
 
-    __slots__ = ("kind", "sigma", "alpha", "scale")
+    __slots__ = ()
+    _tau0_tol = 1e-6
 
-    def __init__(self, kind, sigma=None, alpha=None, scale=None):
-        self.kind = kind
-        self.sigma = sigma
-        self.alpha = alpha
-        self.scale = scale
-
-    @classmethod
-    def gaussian(cls, sigma: float) -> "AnalyticDist":
+    @staticmethod
+    def gaussian(sigma: float) -> "AnalyticDist":
         if not 0 < sigma < math.inf:
             raise ValueError("gaussian scale sigma must be positive and finite")
-        return cls("gaussian", sigma=float(sigma))
+        return _Gaussian(float(sigma))
 
-    @classmethod
-    def stable(cls, alpha: float, scale: float = 1.0) -> "AnalyticDist":
+    @staticmethod
+    def stable(alpha: float, scale: float = 1.0) -> "AnalyticDist":
         if not 0.0 < alpha <= 2.0:
             raise ValueError("stable exponent must lie in (0, 2]")
         if not 0 < scale < math.inf:
             raise ValueError("stable scale must be positive and finite")
-        return cls("stable", alpha=float(alpha), scale=float(scale))
+        return _Stable(float(alpha), float(scale))
 
-    def cf(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        if self.kind == "gaussian":
+    def _cf_width(self, reach: float) -> int:
+        return 1
+
+    def _add_weighted_draws(self, total: np.ndarray, weights, rng) -> None:
+        for w in weights:
+            x = self.sample(total.size, rng)
+            x *= w  # in place: w x equals x w bit for bit
+            total += x
+            del x  # the next sample is drawn without this one alive
+
+    def _survival(self) -> float:
+        return 1.0
+
+    def _to_json(self) -> dict:
+        return {"type": self.kind, **{key: getattr(self, key) for key in self.__slots__}}
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{key}={getattr(self, key):g}" for key in self.__slots__)
+        return f"AnalyticDist.{self.kind}({args})"
+
+
+class _Gaussian(AnalyticDist):
+    __slots__ = ("sigma",)
+    kind = "gaussian"
+    _q_methods = ("closed-form", "monte-carlo")
+    _tau0_method = "bisection_quadrature"
+
+    def __init__(self, sigma: float):
+        self.sigma = sigma
+
+    def _cf(self, t: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):
             return np.exp(-0.5 * (self.sigma * t) ** 2)
-        return np.exp(-self.scale * np.abs(t) ** self.alpha)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         _check_sample_size(n)
-        if self.kind == "gaussian":
-            return rng.normal(0.0, self.sigma, n)
+        return rng.normal(0.0, self.sigma, n)
+
+    def _symmetrize(self) -> AnalyticDist:
+        return AnalyticDist.gaussian(self.sigma * _SQRT2)
+
+    def _m(self, taus: list, n_samples: int, seed: int) -> list[float]:
+        return [_m_gaussian(self.sigma, t) for t in taus]
+
+    def _tau0(self, m_star: float, L: float, n_samples: int, seed: int):
+        # Bisect a = tau/sigma on m(a) = E min(Z^2/a^2, 1), Z ~ N(0, 1), in a bracket:
+        # m(a) <= E Z^2/a^2 = 1/a^2, so m(sqrt2 L) <= m_star/2 (m(L) may round above);
+        # m(a) >= P(|Z| >= a) >= 1 - a sqrt(2/pi), |Z| having density <= sqrt(2/pi);
+        # m(a) >= m(1) min(1, a^-2), m(1) = 0.51606 > 1/2: m((2 m_star)^-1/2) > m_star,
+        # and for m_star <= 1/2 that end is the larger.
+        lo = (1.0 - m_star) * math.sqrt(0.5 * math.pi) if m_star > 0.5 else (2.0 * m_star) ** -0.5
+        a0, iters = _bisect_tau0(lambda a: _m_gaussian(1.0, a), m_star, lo, _SQRT2 * L)
+        tau0 = self.sigma * a0
+        if tau0 < np.finfo(float).tiny:
+            raise NumericalError(f"crossover scale {self.sigma:g} * {a0:.6g} underflows")
+        return tau0, iters, abs(m_functional(self, tau0) - m_star)
+
+    @staticmethod
+    def _from_json(field) -> AnalyticDist:
+        return AnalyticDist.gaussian(field("sigma"))
+
+
+class _Stable(AnalyticDist):
+    __slots__ = ("alpha", "scale")
+    kind = "stable"
+    _q_methods = ("monte-carlo",)
+    _tau0_method = "empirical_sample"
+
+    def __init__(self, alpha: float, scale: float):
+        self.alpha, self.scale = alpha, scale
+
+    def _cf(self, t: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            return np.exp(-self.scale * np.abs(t) ** self.alpha)
+
+    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        _check_sample_size(n)
         return sample_symmetric_stable(self.alpha, self.scale, n, rng)
 
-    def __repr__(self) -> str:
-        if self.kind == "gaussian":
-            return f"AnalyticDist.gaussian(sigma={self.sigma:g})"
-        return f"AnalyticDist.stable(alpha={self.alpha:g}, scale={self.scale:g})"
+    def _draws(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        return _stable_draws(self.alpha, self.scale, n, rng)
 
+    def _symmetrize(self) -> AnalyticDist:
+        return AnalyticDist.stable(self.alpha, 2.0 * self.scale)
+
+    def _m(self, taus: list, n_samples: int, seed: int) -> list[float]:
+        # One seeded sample; a grid keeps it intact in one scratch array, since
+        # np.mean sums pairwise over the whole array, an order blocks would not keep.
+        if not taus:
+            return []
+        draws = _seeded_draws(self, n_samples, seed)
+        buf = draws if len(taus) == 1 else np.empty_like(draws)
+        out = []
+        with np.errstate(over="ignore"):  # a ratio or square past the float range clips to 1
+            for tau in taus:
+                np.divide(draws, tau, out=buf)
+                np.square(buf, out=buf)
+                np.minimum(buf, 1.0, out=buf)
+                out.append(float(np.mean(buf)))
+        return out
+
+    def _tau0(self, m_star: float, L: float, n_samples: int, seed: int):
+        u, w = _empirical_spread(self, n_samples, seed)
+        (tau0,) = _piecewise_tau0(u, w, [m_star])
+        # w * min((u/tau0)^2, 1) over u's own buffer, dead from here; np.sum's
+        # pairwise order needs exactly these elementwise values.
+        terms = np.divide(u, tau0, out=u)
+        np.square(terms, out=terms)
+        np.minimum(terms, 1.0, out=terms)
+        terms *= w
+        return tau0, 0, abs(float(np.sum(terms)) - m_star)
+
+    @staticmethod
+    def _from_json(field) -> AnalyticDist:
+        return AnalyticDist.stable(field("alpha"), field("scale", float, 1.0))
+
+
+_KINDS = {"finite": FiniteDist, "gaussian": _Gaussian, "stable": _Stable}
 
 Dist = Union[FiniteDist, AnalyticDist]
 
@@ -220,12 +406,10 @@ Dist = Union[FiniteDist, AnalyticDist]
 def sample_symmetric_stable(
     alpha: float, scale: float, n: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Draw n variates with CF exp(-scale * |t|^alpha) (Chambers-Mallows-Stuck).
-
-    The draws of _stable_draws, so one length-n array plus O(_STREAM_BLOCK)
-    scratch.  alpha = 1 does not use the n exponentials but still draws
-    them, in blocks of _STREAM_BLOCK, so that the generator ends where the
-    other exponents leave it: a weighted sum of several stable variates
+    """Draw n variates with CF exp(-scale * |t|^alpha) (Chambers-Mallows-Stuck):
+    the draws of _stable_draws.  alpha = 1 does not use the n exponentials
+    but still draws them, in blocks of _STREAM_BLOCK, so that the generator
+    ends where other exponents leave it: a weighted sum of stable variates
     draws them one after another from one generator.
     """
     z = _stable_draws(alpha, scale, n, rng)
@@ -242,15 +426,12 @@ def _stable_draws(alpha: float, scale: float, n: int, rng: np.random.Generator) 
     With U uniform on (-pi/2, pi/2) and W standard exponential,
     Z = sin(alpha U) / cos(U)^(1/alpha) * (cos((1 - alpha) U) / W)^((1 - alpha)/alpha),
     or tan(U) at alpha = 1, and the draw is scale^(1/alpha) Z.  The n
-    uniforms are drawn into the returned buffer first.  alpha = 1 then takes
-    tan in place.  Other exponents evaluate Z one block of _STREAM_BLOCK
-    entries at a time, in this operation order, in two block scratch
-    buffers: each block's exponentials are drawn over its spent uniforms
-    just before it uses them, and its Z is written back over them.  The
-    blocks are taken in order, so the generator sees all n uniforms and then
-    all n exponentials, the stream of drawing both up front; the formula is
-    elementwise, so every draw has the bits of a whole-array evaluation.
-    One length-n array is live, plus 2 * _STREAM_BLOCK floats of scratch.
+    uniforms fill the returned buffer first; alpha = 1 takes tan in place,
+    other exponents evaluate Z by blocks of _STREAM_BLOCK entries in two
+    scratch buffers, drawing each block's exponentials over its spent
+    uniforms just before use.  The generator still sees all uniforms, then
+    all exponentials, and the formula is elementwise, so every draw has the
+    bits of a whole-array evaluation.  One length-n array is live.
     """
     u = rng.random(n)
     if alpha == 1.0:
@@ -282,14 +463,11 @@ def _stable_draws(alpha: float, scale: float, n: int, rng: np.random.Generator) 
 
 
 def _seeded_draws(g: Dist, n: int, seed: int) -> np.ndarray:
-    """n draws of g from a generator of its own, seeded with seed and then
-    dropped.  A stable law takes _stable_draws: nothing draws after it, so
-    the exponentials that keep sample_symmetric_stable's stream are waste."""
-    rng = np.random.default_rng(seed)
-    if isinstance(g, AnalyticDist) and g.kind == "stable":
-        _check_sample_size(n)
-        return _stable_draws(g.alpha, g.scale, n, rng)
-    return g.sample(n, rng)
+    """n draws of g from a generator of its own, seeded with seed: the kind's
+    ``_draws``, which need not keep ``sample``'s stream (the stable kind's
+    skip its exponentials), or ``sample`` for a law without them."""
+    _check_sample_size(n)
+    return (getattr(g, "_draws", None) or g.sample)(n, np.random.default_rng(seed))
 
 
 def _check_sample_size(n: int) -> None:
@@ -305,33 +483,11 @@ def _check_sample_size(n: int) -> None:
 def symmetrize(dist: Dist) -> Dist:
     """Law of X~ = X1 - X2 for independent copies X1, X2 ~ dist.
 
-    For a finite law the result is built on the nonnegative half and mirrored,
-    so mass(x) == mass(-x) holds bitwise.  For analytic laws: a Gaussian with
-    scale sigma maps to scale sigma*sqrt(2); a stable law keeps alpha and
-    doubles the scale.
+    A finite law's is built on the nonnegative half and mirrored, so
+    mass(x) == mass(-x) holds bitwise.  A Gaussian's scale sigma becomes
+    sigma*sqrt(2); a stable law keeps alpha and doubles the scale.
     """
-    if isinstance(dist, AnalyticDist):
-        if dist.kind == "gaussian":
-            return AnalyticDist.gaussian(dist.sigma * _SQRT2)
-        return AnalyticDist.stable(dist.alpha, 2.0 * dist.scale)
-
-    x, p = dist.atoms, dist.masses
-    mass_zero = float(np.dot(p, p))
-    if x.size == 1:
-        return FiniteDist.point_mass(0.0)
-    i, j = np.tril_indices(x.size, k=-1)
-    diffs = x[i] - x[j]          # strictly positive: atoms sorted, i > j
-    weights = p[i] * p[j]
-    order = np.argsort(diffs, kind="stable")
-    d, w = _coalesce(diffs[order], weights[order])
-    # A positive difference that is one atom with 0 belongs to the zero atom.
-    near_zero = _same_atom(d, 0.0)
-    if np.any(near_zero):
-        mass_zero += 2.0 * float(np.sum(w[near_zero]))
-        d, w = d[~near_zero], w[~near_zero]
-    atoms = np.concatenate((-d[::-1], [0.0], d))
-    masses = np.concatenate((w[::-1], [mass_zero], w))
-    return FiniteDist(atoms, masses)
+    return dist._symmetrize()
 
 
 # ---------------------------------------------------------------------------
@@ -341,14 +497,12 @@ def symmetrize(dist: Dist) -> Dist:
 
 def _cf_fold(f: FiniteDist) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Atoms y, even masses m and odd masses o with
-    CF_f(t) = sum_j m_j cos(t y_j) + i sum_j o_j sin(t y_j), built once per law.
+    CF_f(t) = sum_j m_j cos(t y_j) + i sum_j o_j sin(t y_j), cached on the law.
 
-    A law whose atoms and masses are bitwise mirrored about 0 (every
-    symmetrized law) folds onto its nonnegative half: each positive atom
-    carries twice its mass, the zero atom its own, and o is empty because
-    the sine terms cancel in pairs.  Any other law keeps its atoms, with
-    m = o = its masses.  The law's arrays are read-only, so the fold is
-    cached on it.
+    A law bitwise mirrored about 0 (every symmetrized law) folds onto its
+    nonnegative half: each positive atom carries twice its mass, the zero
+    atom its own, and o is empty since the sines cancel in pairs.  Any other
+    law keeps its atoms, with m = o = its masses.
     """
     fold = f._fold
     if fold is None:
@@ -365,52 +519,29 @@ def _cf_fold(f: FiniteDist) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return fold
 
 
-def _finite_cf(f: FiniteDist, t: np.ndarray) -> np.ndarray:
-    """Exact CF of f at every entry of t (any shape), over f's fold.
-
-    The even sum, and the odd sum when the fold has odd masses, are each one
-    np.add.reduce along the atom axis, whose order depends only on the
-    number of atoms: every entry has the bits of its own call.  float64 for
-    a mirrored law, complex128 otherwise.
-    """
-    y, m, o = _cf_fold(f)
-    ty = np.multiply.outer(t, y)
-    if o.size:
-        odd = np.sin(ty)
-        odd *= o
-    np.cos(ty, out=ty)
-    ty *= m
-    even = np.add.reduce(ty, axis=-1)
-    if not o.size:
-        return even
-    vals = np.empty(even.shape, dtype=complex)
-    vals.real, vals.imag = even, np.add.reduce(odd, axis=-1)
-    return vals
-
-
-def _cf_nodes(t) -> np.ndarray:
-    """t as a float array of at least one dimension; ValueError unless finite."""
+def _cf_nodes(t) -> tuple[np.ndarray, float]:
+    """t as an array of at least one dimension and max |t| (0 if t is empty);
+    ValueError unless every t is finite."""
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if not np.isfinite(t_arr).all():
+    t_max = float(np.maximum.reduce(np.abs(t_arr), axis=None, initial=0.0))
+    if not t_max < math.inf:
         raise ValueError("t must be finite")
-    return t_arr
+    return t_arr, t_max
 
 
 def cf_eval(dist: Dist, t) -> complex | np.ndarray:
     """Characteristic function E exp(itX); vectorized over t.
 
-    Exact finite sum for FiniteDist (see _finite_cf), closed form for the
+    Exact finite sum for FiniteDist (see FiniteDist._cf), closed form for the
     analytic kinds.  An array t gives float64 values where the CF is real
     (a mirrored finite law, a Gaussian or a stable law) and complex128
     otherwise; a scalar t gives a complex.  Raises ValueError, before any
-    evaluation, if some t is not finite, and if a value has modulus above
-    1 + 1e-12.
+    evaluation, if some t is not finite or some t times an atom overflows,
+    and after it if a value has modulus above 1 + 1e-12.
     """
-    t_arr = _cf_nodes(t)
-    if isinstance(dist, FiniteDist):
-        vals = _finite_cf(dist, t_arr)
-    else:
-        vals = dist.cf(t_arr)
+    t_arr, t_max = _cf_nodes(t)
+    dist._cf_width(t_max)
+    vals = dist._cf(t_arr)
     if np.any(np.abs(vals) > 1.0 + 1e-12):
         raise ValueError("characteristic function exceeds modulus 1")
     return complex(vals[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else vals
@@ -419,27 +550,28 @@ def cf_eval(dist: Dist, t) -> complex | np.ndarray:
 def weighted_cf(dist: Dist, coords, t) -> complex | np.ndarray:
     """CF of sum_k a_k X_k for i.i.d. X_k ~ dist: prod_k CF(a_k t).
 
-    ``coords`` may be a weight vector object (anything with .coords) or a
-    plain sequence.  Vectorized over t (flattened): float64 values where
-    the law's CF is real (a mirrored finite law, a Gaussian or a stable
-    law), complex128 otherwise; a scalar t gives a complex.  Raises
-    ValueError, before any evaluation, if some t is not finite.  The t
-    values are taken in chunks so that the (t, coords, folded atoms) block
-    stays within _CF_CHUNK_ENTRIES entries; a single t whose block alone is
-    larger is still evaluated whole.  Each t is reduced on its own, so
-    chunking does not change a bit.
+    ``coords`` is a weight vector object (with .coords and a cached
+    .norm_inf) or a plain sequence.  Vectorized over t (flattened), with
+    cf_eval's dtypes and its ValueError before any evaluation, the overflow
+    test taking max |t| max |a_k|.  The t values are taken in chunks that
+    keep the (t, coords, folded atoms) block within _CF_CHUNK_ENTRIES
+    entries (a single larger t is evaluated whole); each t is reduced on its
+    own, so chunking does not change a bit.
     """
     a = np.asarray(getattr(coords, "coords", coords), dtype=float).ravel()
-    t_arr = _cf_nodes(t).ravel()
-    finite = isinstance(dist, FiniteDist)
-    per_t = a.size * (_cf_fold(dist)[0].size if finite else 1)
+    t_arr, t_max = _cf_nodes(t)
+    t_arr = t_arr.ravel()
+    a_max = getattr(coords, "norm_inf", None) or float(np.max(np.abs(a), initial=0.0))
+    reach = t_max * a_max
+    per_t = a.size * dist._cf_width(reach)
     rows = max(1, _CF_CHUNK_ENTRIES // max(per_t, 1))
     chunks = []
-    for lo in range(0, max(t_arr.size, 1), rows):  # an empty t still makes one chunk
-        # (rows, n_coords) grid of scaled arguments; product over coordinates.
-        args = t_arr[lo : lo + rows, None] * a
-        flat = _finite_cf(dist, args) if finite else dist.cf(args)
-        chunks.append(np.prod(flat, axis=-1))
+    # t a_k overflows only where reach does, so only for an analytic law, whose CF is 0 there.
+    with np.errstate(over="ignore") if reach == math.inf else contextlib.nullcontext():
+        for lo in range(0, max(t_arr.size, 1), rows):  # an empty t still makes one chunk
+            # (rows, n_coords) grid of scaled arguments; product over coordinates.
+            args = t_arr[lo : lo + rows, None] * a
+            chunks.append(np.prod(dist._cf(args), axis=-1))
     vals = np.concatenate(chunks)
     return complex(vals[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else vals
 
@@ -449,24 +581,17 @@ def weighted_cf(dist: Dist, coords, t) -> complex | np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def m_functional(
-    g: Dist,
-    tau,
-    *,
-    n_samples: int = 1_000_000,
-    seed: int = 0,
-) -> float | list[float]:
+def m_functional(g: Dist, tau, *, n_samples: int = 1_000_000, seed: int = 0) -> float | list[float]:
     """Spread functional M(tau) = E min(X~^2/tau^2, 1) of a symmetric law g.
 
     tau is a scalar (returns a float) or a 1-D grid (returns a list whose
-    every value has the bits of the scalar call).  tau is checked once and
-    the whole grid goes to one kernel per law kind: the exact sum for finite
-    laws (``_m_finite``); the closed form through erf/erfc for Gaussian laws
-    (``_m_gaussian``, within 1e-14 absolute for every tau > 0); the mean over
-    one seeded sample of n_samples draws for stable laws (``_m_stable``),
-    whose Monte Carlo error is not reported.  Nonincreasing in tau, with
-    M(tau) <= P(X~ != 0).  A finite law must be symmetric; the analytic
-    kinds are symmetric by construction.
+    every value has the bits of the scalar call), checked once; the law's
+    kind takes the whole grid: the exact sum for finite laws (``_m_finite``),
+    the closed form through erf/erfc for Gaussian laws (``_m_gaussian``,
+    within 1e-14 absolute), the mean over one seeded sample of n_samples
+    draws for stable laws, whose Monte Carlo error is not reported.
+    Nonincreasing in tau, with M(tau) <= P(X~ != 0).  A finite law must be
+    symmetric; the analytic kinds are symmetric by construction.
     """
     taus = np.asarray(tau, dtype=float)
     if taus.ndim > 1:
@@ -474,25 +599,18 @@ def m_functional(
     tau_list = taus.ravel().tolist()
     if not all(t > 0 for t in tau_list):
         raise ValueError("tau must be positive")
-    if isinstance(g, FiniteDist):
-        vals = _m_finite(g, taus)
-    elif g.kind == "gaussian":
-        vals = [_m_gaussian(g.sigma, t) for t in tau_list]
-    else:
-        vals = _m_stable(g, tau_list, n_samples, seed)
+    vals = g._m(tau_list, n_samples, seed)
     return vals if taus.ndim else vals[0]
 
 
 def _m_finite(g: FiniteDist, taus) -> list[float]:
     """M(tau) = sum_j p_j min(x_j^2/tau^2, 1) of a symmetric finite law, for
-    every tau > 0 in the 1-D sequence ``taus``.
+    every tau > 0 in the 1-D sequence ``taus``; symmetry is checked once.
 
-    Symmetry is checked once.  The taus are taken in chunks so that the
-    (taus, atoms) ratio block stays within _M_CHUNK_ENTRIES entries; a single
-    tau whose row alone is larger is still taken whole.  Each row is summed
-    by a stacked vector-vector np.matmul, which sums in np.dot's order, so
-    every value has the bits of a one-tau call (a matrix-vector V @ p would
-    sum in another order and change bits).
+    The (taus, atoms) ratio block is chunked within _M_CHUNK_ENTRIES entries
+    (a single longer row is taken whole).  Each row is summed by a stacked
+    vector-vector np.matmul, in np.dot's order, so every value has the bits
+    of a one-tau call (a matrix-vector V @ p would sum in another order).
     """
     if not g.is_symmetric():
         raise ValueError("expected a symmetric (symmetrized) distribution")
@@ -506,28 +624,6 @@ def _m_finite(g: FiniteDist, taus) -> list[float]:
             np.multiply(ratio, ratio, out=ratio)
         np.minimum(ratio, 1.0, out=ratio)
         out += np.matmul(ratio[:, None, :], masses)[:, 0, 0].tolist()
-    return out
-
-
-def _m_stable(g: AnalyticDist, taus: list, n_samples: int, seed: int) -> list[float]:
-    """M(tau) of a stable law g at every tau of the list ``taus``, from one
-    seeded sample of n_samples draws (none for an empty list).  One tau
-    works in the draws' buffer, more in one scratch buffer; a ratio or
-    square past the float range clips to 1."""
-    if not taus:
-        return []
-    draws = _seeded_draws(g, n_samples, seed)
-    # A grid needs the draws intact for every tau, so its ratios take one
-    # length-n scratch array: np.mean sums pairwise over the whole array, an
-    # order that blocks of it would not keep.
-    buf = draws if len(taus) == 1 else np.empty_like(draws)
-    out = []
-    with np.errstate(over="ignore"):
-        for tau in taus:
-            np.divide(draws, tau, out=buf)
-            np.square(buf, out=buf)
-            np.minimum(buf, 1.0, out=buf)
-            out.append(float(np.mean(buf)))
     return out
 
 
@@ -553,9 +649,145 @@ def atom_survival(g: Dist) -> float:
 
     1 - (mass at 0) for finite laws; 1.0 for the continuous analytic kinds.
     """
-    if isinstance(g, FiniteDist):
-        return 1.0 - g.mass_at(0.0)
-    return 1.0
+    return g._survival()
+
+
+# ---------------------------------------------------------------------------
+# The crossover scale: roots of M(tau) = m_star
+# ---------------------------------------------------------------------------
+
+
+def _piecewise_tau0(u: np.ndarray, w, m_stars) -> list[float]:
+    """Roots of sum_i w_i min(u_i^2/tau^2, 1) = m_star on sorted positive u
+    with positive weights w (an aligned array, or a scalar for equal
+    weights, never expanded), one per target in the 1-D sequence m_stars.
+
+    Between consecutive support points M(tau) = A/tau^2 + B, A the
+    within-radius second moment and B the outside mass, so the root is exact
+    on its piece: one search over the knots m_i = A_i/u_i^2 + B_i, then a
+    short walk over the pieces.  u is streamed in blocks of _STREAM_BLOCK
+    entries whose A, B and knots are rebuilt in three block buffers when
+    read: a reverse pass records B at each block's last entry, a forward
+    pass A before its first and searches each target in the first block
+    whose last knot reaches it.  np.cumsum accumulates sequentially, so every
+    A and B has the bits of one whole-array cumsum, and the block search
+    returns np.searchsorted's index over all knots, which are nonincreasing
+    in exact arithmetic (m_{i+1} = A_i/u_{i+1}^2 + B_i <= m_i).  Only u is
+    read at length n; 3 _STREAM_BLOCK + 2 n / _STREAM_BLOCK floats are
+    written.  The sums are taken on u 2^-e, e the binary exponent of max(u)
+    (at most 1023), so the squares neither overflow nor underflow; a
+    power-of-two scaling commutes with every operation away from
+    subnormals, so the root scaled back has the unscaled sums' bits.
+    """
+    n = u.size
+    exp = min(math.frexp(u[-1])[1], 1023)  # 2^exp stays a finite float
+    back = 2.0**exp
+    size = min(_STREAM_BLOCK, n)
+    n_blocks = -(-n // size)
+    equal = np.ndim(w) == 0
+    knot_buf, a_buf, b_buf = np.empty(size), np.empty(size), np.empty(size)
+
+    def suffix(j, last):
+        # B_i = sum_{k > i} w_k on block j, summed from the top down from
+        # B at the block's last entry.
+        lo, hi = j * size, min(j * size + size, n)
+        b = b_buf[: hi - lo]
+        b[:-1] = w if equal else w[lo + 1 : hi]
+        b[-1] = last
+        np.cumsum(b[::-1], out=b[::-1])
+        return b
+
+    def prefix(j, carry):
+        # s = u 2^-exp (in the knot buffer) and A_i = sum_{k <= i} w_k s_k^2
+        # on block j, after carry.
+        lo, hi = j * size, min(j * size + size, n)
+        s = np.ldexp(u[lo:hi], -exp, out=knot_buf[: hi - lo])
+        a = np.multiply(w if equal else w[lo:hi], s, out=a_buf[: hi - lo])
+        a *= s
+        if lo:
+            a[0] = carry + a[0]
+        np.cumsum(a, out=a)
+        return s, a
+
+    b_last = np.empty(n_blocks)
+    last = 0.0
+    for j in range(n_blocks - 1, -1, -1):
+        b_last[j] = last
+        last = suffix(j, last)[0] + (w if equal else w[j * size])
+    a_carry = np.empty(n_blocks)
+    carry = 0.0
+    # Find the piece [u_k, u_{k+1}) containing each root: k is the first
+    # index whose knot is at most m_star, n when none is.
+    m_stars = np.asarray(m_stars, dtype=float)
+    neg_targets = -m_stars
+    starts = np.full(m_stars.size, n)
+    pending = np.arange(m_stars.size)
+    for j in range(n_blocks):
+        a_carry[j] = carry
+        knot, a = prefix(j, carry)
+        np.multiply(knot, knot, out=knot)
+        np.divide(a, knot, out=knot)
+        knot += suffix(j, b_last[j])
+        np.negative(knot, out=knot)
+        at = np.searchsorted(knot, neg_targets[pending], side="left")
+        placed = at < a.size
+        starts[pending[placed]] = j * size + at[placed]
+        pending = pending[~placed]
+        carry = a[-1]
+    roots = []
+    built = -1
+    for m_star, k in zip(m_stars, starts):
+        if k == 0:
+            raise PreconditionError("target spread above M at the smallest support point")
+        idx = int(k) - 1
+        while idx < n:
+            j = idx // size
+            if j != built:
+                a, b = prefix(j, a_carry[j])[1], suffix(j, b_last[j])
+                built = j
+            a_i, b_i = a[idx - j * size], b[idx - j * size]
+            if m_star > b_i:
+                tau = math.sqrt(a_i / (m_star - b_i)) * back
+                hi = u[idx + 1] if idx + 1 < n else math.inf
+                if u[idx] <= tau * (1 + 1e-12) and tau <= hi * (1 + 1e-12):
+                    roots.append(tau)
+                    break
+            idx += 1
+        else:
+            raise NumericalError("piecewise root not bracketed; inconsistent inputs")
+    return roots
+
+
+def _empirical_spread(g: Dist, n_samples: int, seed: int) -> tuple[np.ndarray, float]:
+    """Sorted nonzero |draws| u of one seeded sample of g and the common
+    weight 1/n_samples: the empirical M that _piecewise_tau0 solves.  u is a
+    view of the draws, made absolute and sorted in place, past the zeros and
+    before any NaN (which sorts last): the stable tau0's one length-n array."""
+    draws = _seeded_draws(g, n_samples, seed)
+    np.abs(draws, out=draws)
+    draws.sort()
+    lo = np.searchsorted(draws, 0.0, side="right")
+    hi = np.searchsorted(draws, np.nan, side="left")
+    u = draws[lo:hi]
+    if u.size == 0:
+        raise PreconditionError("sample has no nonzero draws")
+    return u, 1.0 / n_samples
+
+
+def _bisect_tau0(m_of, m_star: float, lo: float, hi: float) -> tuple[float, int]:
+    """Root of the nonincreasing m_of = m_star in the bracket [lo, hi] (with
+    m_of(lo) >= m_star >= m_of(hi)), and the step count: bisects until
+    hi - lo <= 1e-15 * mid, the only stop, reached since lo is a normal float."""
+    it = 0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= 1e-15 * mid:
+            return mid, it
+        it += 1
+        if m_of(mid) > m_star:
+            lo = mid
+        else:
+            hi = mid
 
 
 # ---------------------------------------------------------------------------

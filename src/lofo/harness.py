@@ -32,8 +32,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bounds import (
-    _empirical_spread,
-    _piecewise_tau0,
     shape_bernoulli_min,
     shape_crossover,
     shape_esseen,
@@ -52,6 +50,8 @@ from .distributions import (
     AnalyticDist,
     FiniteDist,
     _Record,
+    _empirical_spread,
+    _piecewise_tau0,
     m_functional,
     symmetrize,
 )

@@ -1,6 +1,6 @@
 """JSON schemas and canonical serialization.
 
-Distribution files:
+Distribution files, one form per law kind (a stable scale defaults to 1):
     {"type": "finite", "atoms": [...], "masses": [...]}
     {"type": "gaussian", "sigma": s}
     {"type": "stable", "alpha": a, "scale": c}
@@ -15,6 +15,7 @@ rows repeat most of their floats.  Writes go through a temp file plus rename.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -24,46 +25,31 @@ from json.encoder import encode_basestring
 import numpy as np
 
 from .concentration import WeightVector
-from .distributions import AnalyticDist, Dist, FiniteDist
+from .distributions import _KINDS, Dist
 from .exceptions import ParseError
 
 
 def dist_to_json(dist: Dist) -> dict:
-    if isinstance(dist, FiniteDist):
-        return {
-            "type": "finite",
-            "atoms": [float(x) for x in dist.atoms],
-            "masses": [float(m) for m in dist.masses],
-        }
-    if dist.kind == "gaussian":
-        return {"type": "gaussian", "sigma": dist.sigma}
-    return {"type": "stable", "alpha": dist.alpha, "scale": dist.scale}
+    return dist._to_json()
 
 
 def dist_from_json(obj: dict) -> Dist:
-    """Law from its JSON object.
+    """Law from its JSON object, by the kind its ``type`` names.
 
     Fields are converted to floats here, so a missing or non-numeric field is
-    a ParseError; the law's own checks (e.g. masses summing to 1) still raise
-    ValueError.
+    a ParseError, as is a ``type`` that names no kind; the law's own checks
+    (e.g. masses summing to 1) still raise ValueError.
     """
     if not isinstance(obj, dict):
         raise ParseError("distribution JSON must be an object")
     kind = obj.get("type")
-    if kind == "finite":
-        return FiniteDist(_field(obj, "atoms", _floats), _field(obj, "masses", _floats))
-    if kind == "gaussian":
-        return AnalyticDist.gaussian(_field(obj, "sigma", float))
-    if kind == "stable":
-        return AnalyticDist.stable(_field(obj, "alpha", float), _field(obj, "scale", float, 1.0))
-    raise ParseError(f"unknown distribution type {kind!r}")
+    cls = _KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ParseError(f"unknown distribution type {kind!r}")
+    return cls._from_json(functools.partial(_field, obj))
 
 
-def _floats(value) -> np.ndarray:
-    return np.asarray(value, dtype=float)
-
-
-def _field(obj: dict, key: str, convert, default=None):
+def _field(obj: dict, key: str, convert=float, default=None):
     kind = obj["type"]
     if key not in obj and default is None:
         raise ParseError(f"{kind} distribution needs the field {key!r}")

@@ -527,13 +527,13 @@ def test_tau0_gaussian_bracket_holds_in_float(monkeypatch):
     # Dense in L - 1 from 1e-9 to 1e150, and in L where the float M(L)
     # rounds to within an ulp of 1/L^2.
     brackets = []
-    bisect = lofo.bounds._bisect_tau0
+    bisect = lofo.distributions._bisect_tau0
 
     def spy(m_of, m_star, lo, hi):
         brackets.append((m_star, lo, hi))
         return bisect(m_of, m_star, lo, hi)
 
-    monkeypatch.setattr(lofo.bounds, "_bisect_tau0", spy)
+    monkeypatch.setattr(lofo.distributions, "_bisect_tau0", spy)
     Ls = np.concatenate((1.0 + np.geomspace(1e-9, 1e150, 2000), np.linspace(8.0, 9.0, 2000)))
     for L in Ls.tolist():
         solve_tau0(AnalyticDist.gaussian(1.0), L)

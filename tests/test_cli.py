@@ -69,7 +69,8 @@ def test_weights_file_formats(tmp_path):
 
 
 def test_malformed_inputs_are_parse_errors(tmp_path):
-    for obj in ([0.5], {"type": "finite", "atoms": [0.0]}, {"type": "gaussian"}):
+    for obj in ([0.5], {"type": "finite", "atoms": [0.0]}, {"type": "gaussian"},
+                {"type": ["finite"]}, {"type": {}}, {"type": None}, {}):
         with pytest.raises(ParseError):
             dist_from_json(obj)
     for text in ("", "[]", "0.5\nhalf\n", '["a"]'):
@@ -323,6 +324,60 @@ def test_cli_verify_and_report(tmp_path):
     header = csv_path.read_text().splitlines()[0].split(",")
     assert {"instance", "eps", "q", "shape", "ratio"} <= set(header)
     assert long_path.read_text().splitlines()[0] == "instance,eps,q,shape,ratio"
+
+
+class _DummyKind:
+    """A Gaussian law under the JSON type "dummy" that inherits no built-in
+    kind's methods: each job calls the public functions on the Gaussian."""
+
+    _q_methods = ("closed-form", "monte-carlo")
+    _tau0_tol = 1e-6
+    _tau0_method = "bisection_quadrature"
+
+    def __init__(self, sigma):
+        self.sigma = sigma
+        self.law = AnalyticDist.gaussian(sigma)
+
+    @classmethod
+    def _from_json(cls, field):
+        return cls(field("sigma"))
+
+    def _symmetrize(self):
+        return _DummyKind(lofo.symmetrize(self.law).sigma)
+
+    def _survival(self):
+        return lofo.atom_survival(self.law)
+
+    def _m(self, taus, n_samples, seed):
+        return lofo.m_functional(self.law, taus, n_samples=n_samples, seed=seed)
+
+    def _tau0(self, m_star, L, n_samples, seed):
+        root = lofo.solve_tau0(self.law, L, n_samples=n_samples, seed=seed)
+        return root.tau0, root.iterations, root.residual
+
+
+def test_cli_law_kind_is_one_class_and_one_table_row(tmp_path, unit_weight_file, monkeypatch,
+                                                      capsys):
+    # A kind registered in the type table alone reaches q, tau0 and the
+    # crossover bound, with the bytes of the kind it imitates.
+    monkeypatch.setitem(lofo.distributions._KINDS, "dummy", _DummyKind)
+    commands = [
+        ["q", "--weights", unit_weight_file, "--lambda", "0.5", "--method", "auto"],
+        ["tau0", "--L", "3"],
+        ["bound", "--shape", "crossover", "--weights", unit_weight_file, "--L", "2",
+         "--eps", "0"],
+        ["bound", "--shape", "crossover", "--weights", unit_weight_file, "--L", "2",
+         "--eps", "0.05"],
+    ]
+    outputs = {}
+    for kind in ("dummy", "gaussian"):
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps({"type": kind, "sigma": 0.7}))
+        for i, cmd in enumerate(commands):
+            assert main([*cmd, "--dist", str(path)]) == 0
+            outputs[kind, i] = capsys.readouterr().out
+    for i in range(len(commands)):
+        assert outputs["dummy", i] == outputs["gaussian", i] != ""
 
 
 def test_cli_verify_binomial_lower(tmp_path):

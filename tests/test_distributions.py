@@ -1,6 +1,7 @@
 """Distribution carriers, symmetrization, M(tau), CFs, mixture decomposition."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import gammainc, gammaincc
 
 from lofo import distributions
+from lofo.concentration import WeightVector, esseen_integral
 from lofo.distributions import (
     AnalyticDist,
     FiniteDist,
@@ -539,8 +541,46 @@ def test_mixture_rejects_bad_r():
      ValueError, "t must be finite"),
     (lambda: weighted_cf(AnalyticDist.stable(1.5), [1.0], -math.inf), ValueError,
      "t must be finite"),
+    # A finite law's CF argument t a_k x_j past the float range is an error
+    # before any evaluation; an analytic CF returns its limit 0, and neither
+    # warns.  A row with exc None returns ``message``.
+    (lambda: weighted_cf(symmetrize(FiniteDist.bernoulli(0.3)), [10.0], 1e308), ValueError,
+     "CF arguments overflow"),
+    (lambda: weighted_cf(FiniteDist([-4.0, 1.0], [0.5, 0.5]), [1.0], [0.0, 1e308]), ValueError,
+     "CF arguments overflow"),
+    (lambda: weighted_cf(FiniteDist.point_mass(0.0), WeightVector([10.0]), 1e308), ValueError,
+     "CF arguments overflow"),
+    (lambda: cf_eval(FiniteDist([0.0, 4.0], [0.5, 0.5]), [1.0, -1e308]), ValueError,
+     "CF arguments overflow"),
+    (lambda: weighted_cf(FiniteDist.bernoulli(0.3), [math.nan], 1.0), ValueError,
+     "CF arguments overflow or are NaN"),
+    (lambda: esseen_integral(symmetrize(FiniteDist.bernoulli(0.3)), WeightVector([100.0]),
+                             1e-307), ValueError, "CF arguments overflow"),
+    (lambda: cf_eval(AnalyticDist.gaussian(1.0), [1e200]), None, [0.0]),
+    (lambda: cf_eval(AnalyticDist.stable(1.5), [-1e300, 0.0]), None, [0.0, 1.0]),
+    (lambda: weighted_cf(AnalyticDist.gaussian(1.0), [1e200], [1e200]), None, [0.0]),
+    (lambda: weighted_cf(AnalyticDist.stable(0.5, 1e300), [1e300], [0.0, 1e300]), None,
+     [1.0, 0.0]),
+    (lambda: cf_eval(AnalyticDist.gaussian(1e300), [1e300]), None, [0.0]),
 ])
 def test_distributions_input_checks(call, exc, message):
+    if exc is None:
+        assert np.array_equal(call(), message)
+        return
     with pytest.raises(exc) as info:
         call()
     assert type(info.value) is exc and str(info.value).startswith(message)
+
+
+def test_finite_cf_overflow_check_is_exact():
+    # The check forms max |t| max |a_k| max |atom| in the kernel's order, so
+    # the largest t whose arguments stay finite passes, without a warning,
+    # and the next float up raises.
+    f = FiniteDist([-4.0, 1.0], [0.5, 0.5])
+    t = sys.float_info.max / 8.0
+    assert np.isfinite(weighted_cf(f, [0.5, -2.0], [0.0, t])).all()
+    with pytest.raises(ValueError, match="CF arguments overflow"):
+        weighted_cf(f, [0.5, -2.0], [0.0, np.nextafter(t, math.inf)])
+    assert np.isfinite(cf_eval(f, [2.0 * t])).all()
+    with pytest.raises(ValueError, match="CF arguments overflow"):
+        cf_eval(f, [np.nextafter(2.0 * t, math.inf)])

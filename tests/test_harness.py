@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 import lofo.harness
-from lofo.bounds import _empirical_spread, _piecewise_tau0, solve_tau0
+from lofo.bounds import solve_tau0
 from lofo.concentration import WeightVector, q_exact, weighted_sum_dist
-from lofo.distributions import AnalyticDist, FiniteDist
+from lofo.distributions import AnalyticDist, FiniteDist, _empirical_spread, _piecewise_tau0
 from lofo.exceptions import PreconditionError
 from lofo.lcd import lcd as lcd_search
 from lofo.harness import (

@@ -12,10 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lofo import AnalyticDist, FiniteDist, WeightVector, m_functional, q_monte_carlo, solve_tau0
-from lofo import bounds, distributions
-from lofo.bounds import _empirical_spread, _piecewise_tau0
+from lofo import distributions
 from lofo.concentration import MC_MIN_SAMPLES, sample_weighted_sum
-from lofo.distributions import sample_symmetric_stable
+from lofo.distributions import _empirical_spread, _piecewise_tau0, sample_symmetric_stable
 from lofo.exceptions import NumericalError, PreconditionError
 from lofo.harness import study_tau0_scaling
 
@@ -169,7 +168,6 @@ def _with_block(block, fn):
     block entries."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(distributions, "_STREAM_BLOCK", block)
-        mp.setattr(bounds, "_STREAM_BLOCK", block)
         return fn()
 
 
