@@ -553,7 +553,8 @@ def weighted_cf(dist: Dist, coords, t) -> complex | np.ndarray:
     ``coords`` is a weight vector object (with .coords and a cached
     .norm_inf) or a plain sequence.  Vectorized over t (flattened), with
     cf_eval's dtypes and its ValueError before any evaluation, the overflow
-    test taking max |t| max |a_k|.  The t values are taken in chunks that
+    test taking max |t| max |a_k|; a weight that is NaN or infinite raises
+    it for every law kind.  The t values are taken in chunks that
     keep the (t, coords, folded atoms) block within _CF_CHUNK_ENTRIES
     entries (a single larger t is evaluated whole); each t is reduced on its
     own, so chunking does not change a bit.
@@ -562,6 +563,8 @@ def weighted_cf(dist: Dist, coords, t) -> complex | np.ndarray:
     t_arr, t_max = _cf_nodes(t)
     t_arr = t_arr.ravel()
     a_max = getattr(coords, "norm_inf", None) or float(np.max(np.abs(a), initial=0.0))
+    if not a_max < math.inf:
+        raise ValueError(f"CF arguments overflow or are NaN: max |a_k| is {a_max!r}")
     reach = t_max * a_max
     per_t = a.size * dist._cf_width(reach)
     rows = max(1, _CF_CHUNK_ENTRIES // max(per_t, 1))

@@ -96,6 +96,25 @@ def _check_n_eps(n_eps: int) -> None:
         raise ValueError(f"n_eps must be an integer of at least 1; got {n_eps!r}")
 
 
+def _once(memo: dict, x, build):
+    """build(x), called the first time a value of x's type equal to x is
+    asked for and kept in memo; an x that raises is not kept."""
+    key = (type(x), x)
+    if key not in memo:
+        memo[key] = build(x)
+    return memo[key]
+
+
+def _instances(sizes, p_list, vector, tag) -> tuple:
+    """One instance per (size, p), sizes outer, each size's weight vector and
+    each p's Bernoulli law built for the first instance that uses it and
+    shared by the rest."""
+    vectors, laws = {}, {}
+    return tuple(Instance(id=tag(s, p), weights=_once(vectors, s, vector),
+                          law=_once(laws, p, FiniteDist.bernoulli), s=s, p=p)
+                 for s in sizes for p in p_list)
+
+
 def gen_sparse_family(
     s_list: Sequence[int],
     n: Optional[int] = None,
@@ -108,36 +127,27 @@ def gen_sparse_family(
     ``perturbed=True`` replaces the zero tail by eta = s^-3, small enough that
     the weighted sum and its least common denominator stay within the
     unperturbed brackets; s = n has no tail and is skipped.  n defaults to
-    max(s_list).  Both lists must be nonempty and every s at least 1.
+    max(s_list).  Both lists must be nonempty and every s at least 1.  The
+    instances share one weight vector per s and one law per p.
     """
     s_list = [int(s) for s in s_list]
     _check_lists(s_list, p_list)
     n = max(s_list) if n is None else int(n)
     if any(s > n for s in s_list):
         raise ValueError("every s must satisfy s <= n")
-    instances = []
-    for s in s_list:
-        for p in p_list:
-            coords = np.zeros(n)
-            coords[:s] = s**-0.5
-            tag = f"sparse_s{s}_p{p:g}"
-            if perturbed:
-                if s == n:
-                    continue  # no tail to perturb
-                coords[s:] = float(s) ** -3.0
-                tag = f"sparse_pert_s{s}_p{p:g}"
-            instances.append(
-                Instance(
-                    id=tag,
-                    weights=WeightVector(coords),
-                    law=FiniteDist.bernoulli(p),
-                    s=s,
-                    p=p,
-                )
-            )
+
+    def vector(s):
+        coords = np.zeros(n)
+        coords[:s] = s**-0.5
+        if perturbed:
+            coords[s:] = float(s) ** -3.0
+        return WeightVector(coords)
+
+    sizes = [s for s in s_list if not (perturbed and s == n)]  # s = n: no tail to perturb
+    prefix = "sparse_pert" if perturbed else "sparse"
     return InstanceFamily(
         id="sparse_perturbed" if perturbed else "sparse",
-        instances=tuple(instances),
+        instances=_instances(sizes, p_list, vector, lambda s, p: f"{prefix}_s{s}_p{p:g}"),
     )
 
 
@@ -146,22 +156,14 @@ def gen_equal_weight_family(
 ) -> InstanceFamily:
     """Dense n^(-1/2)-weight vectors: the no-structure baseline corpus.
 
-    Both lists must be nonempty and every n at least 1.
+    Both lists must be nonempty and every n at least 1.  The instances share
+    one weight vector per n and one law per p.
     """
     _check_lists(n_list, p_list)
     return InstanceFamily(
         id="equal_weight",
-        instances=tuple(
-            Instance(
-                id=f"equal_n{n}_p{p:g}",
-                weights=WeightVector(np.full(n, n**-0.5)),
-                law=FiniteDist.bernoulli(p),
-                s=n,
-                p=p,
-            )
-            for n in n_list
-            for p in p_list
-        ),
+        instances=_instances(n_list, p_list, lambda n: WeightVector(np.full(n, n**-0.5)),
+                             lambda n, p: f"equal_n{n}_p{p:g}"),
     )
 
 
@@ -196,36 +198,52 @@ class CalibrationReport(_Record):
 
 # A recipe returns None for an excluded instance, or from one shape call its
 # window grid, the shape value and branch at each window, and the columns
-# that every row of the instance shares.  The crossover recipe's memo holds
-# D* by weight-vector bytes, since a sparse family reuses one vector across
-# every p.
-def _crossover_shapes(inst: Instance, L: float, n_eps: int, dstars: dict):
-    g = symmetrize(inst.law)
+# that every row of the instance shares.  Its memo, one per calibrate_upper
+# call, holds what depends on the law alone by the law's contents and D* by
+# the weight vector's bytes: a family shares one law across every s and one
+# vector across every p.
+def _per_law(memo: dict, law: FiniteDist, build):
+    """build(law), called once per distinct law (atoms and masses) in memo."""
+    return _once(memo, (law.atoms.tobytes(), law.masses.tobytes()), lambda key: build(law))
+
+
+def _crossover_law(law: FiniteDist, L: float):
+    # The symmetrized law and its crossover scale, or None without one.
+    g = symmetrize(law)
     try:
-        root = solve_tau0(g, L)
+        return g, solve_tau0(g, L)
     except PreconditionError:
         return None  # no crossover scale (L^2 <= 1/P): excluded, counted by caller
-    key = inst.weights.coords.tobytes()
-    dstar = dstars.get(key)
-    if dstar is None:
-        dstar = dstars[key] = lcd_search(inst.weights, L, "d_star", tol=1e-8).value
+
+
+def _crossover_shapes(inst: Instance, L: float, n_eps: int, memo: dict):
+    solved = _per_law(memo, inst.law, lambda f: _crossover_law(f, L))
+    if solved is None:
+        return None
+    g, root = solved
+    dstar = _once(memo, inst.weights.coords.tobytes(),
+                  lambda key: lcd_search(inst.weights, L, "d_star", tol=1e-8).value)
     eps_grid = np.linspace(0.0, 4.0 * math.sqrt(inst.p * (1.0 - inst.p)), n_eps)
     shape = shape_crossover(inst.weights, g, L, eps_grid, dstar, root=root)
     shared = {"dstar": dstar, "eps0": shape.params["eps0"], "precondition": "L^2 > 1/P"}
     return eps_grid, shape.value, shape.params["branch"], shared
 
 
-def _classical_shapes(inst: Instance, n_eps: int, shape, degenerate: float, components):
+def _classical_shapes(inst: Instance, n_eps: int, memo: dict, shape, degenerate: float,
+                      components):
     # i.i.d. summands Y_k = a_k X with windows lambda_k = a_k tau scaled to
     # lambda = ||a||_inf tau; Q and M of a scaled law are scale-covariant.
     # A tau whose component value (Q of f, or M of its symmetrization) is
     # degenerate (Q = 1, or M = 0: the shape diverges) is dropped.
+    def kept(f):
+        taus = np.geomspace(0.25, 4.0, n_eps)
+        comps = np.array(components(f, taus))
+        keep = comps != degenerate
+        return taus[keep], comps[keep]
+
+    taus, comps = _per_law(memo, inst.law, kept)
     a = inst.weights
     nz = np.abs(a.coords[a.coords != 0.0])
-    taus = np.geomspace(0.25, 4.0, n_eps)
-    comps = np.array(components(inst.law, taus))
-    keep = comps != degenerate
-    taus, comps = taus[keep], comps[keep]
     lams = a.norm_inf * taus
     # Contiguous rows: np.dot's summation order needs unit inner strides.
     values = shape(lams, nz * taus[:, None], np.repeat(comps[:, None], nz.size, axis=1))
@@ -236,9 +254,10 @@ def _classical_shapes(inst: Instance, n_eps: int, shape, degenerate: float, comp
 _RECIPES = {
     "crossover": _crossover_shapes,
     "kolmogorov_rogozin": lambda inst, L, n_eps, memo: _classical_shapes(
-        inst, n_eps, shape_kolmogorov_rogozin, 1.0, lambda f, t: _window_sup(f.atoms, f.masses, t)),
+        inst, n_eps, memo, shape_kolmogorov_rogozin, 1.0,
+        lambda f, t: _window_sup(f.atoms, f.masses, t)),
     "esseen": lambda inst, L, n_eps, memo: _classical_shapes(
-        inst, n_eps, shape_esseen, 0.0, lambda f, t: m_functional(symmetrize(f), t)),
+        inst, n_eps, memo, shape_esseen, 0.0, lambda f, t: m_functional(symmetrize(f), t)),
 }
 
 
@@ -255,9 +274,18 @@ def calibrate_upper(
     instance, an integer of at least 1.  An instance whose solver or shape
     raises PreconditionError is excluded and counted, never scored.  D* is
     certified to tol 1e-8.  PASS means ratio_sup <= fixture, the bound's
-    frozen constant in ``fixtures.RATIO_SUP``.  An instance takes one shape
-    call and one window sweep of its sum; D* is searched once per distinct
-    weight vector.
+    frozen constant in ``fixtures.RATIO_SUP``.
+
+    Work is done once per distinct law (by its atoms and masses), once per
+    distinct weight vector (by its coordinates) or once per instance:
+      * per law: the crossover recipe's symmetrization and tau0 solve (a law
+        with no crossover scale is excluded once, and each of its instances
+        counted in n_excluded); the Esseen recipe's M of the symmetrized
+        law, and the Kolmogorov-Rogozin recipe's Q of the law, over the
+        tau grid;
+      * per vector: the crossover recipe's D* search;
+      * per instance: the law of the weighted sum, its window sweep, one
+        shape call and the rows.
     """
     if not 0 < L < math.inf:
         raise ValueError("L must be positive and finite")
@@ -466,8 +494,12 @@ def study_gaussian_window(
 
     Exact Q by the Gaussian closed form; the crossover shape is evaluated on
     the same grid (L chosen so the whole range sits below eps0) to confirm it
-    reproduces the eps/sigma order.
+    reproduces the eps/sigma order.  D* must be positive and finite and
+    n_eps an integer of at least 1; both are checked before any work.
     """
+    if not 0 < dstar < math.inf:
+        raise ValueError(f"D* must be positive and finite; got {dstar!r}")
+    _check_n_eps(n_eps)
     rows = []
     for sigma in sigma_list:
         g = symmetrize(AnalyticDist.gaussian(sigma))
@@ -498,12 +530,13 @@ def improvement_report(family: InstanceFamily, L: float) -> list[dict]:
     """Refined-shape-to-baseline ratio 1/(L sqrt(M(1))) per instance.
 
     The ratio is <= 1 exactly on instances satisfying the L^2 >= 1/M(1)
-    hypothesis, and shrinks as L grows past 1/sqrt(M(1)).
+    hypothesis, and shrinks as L grows past 1/sqrt(M(1)).  M(1) of the
+    symmetrized law is taken once per distinct law (by its atoms and
+    masses); each instance with M(1) > 0 adds one row.
     """
-    rows = []
+    rows, memo = [], {}
     for inst in family.instances:
-        g = symmetrize(inst.law)
-        m1 = m_functional(g, 1.0)
+        m1 = _per_law(memo, inst.law, lambda f: m_functional(symmetrize(f), 1.0))
         if m1 <= 0.0:
             continue
         satisfied = L * L >= 1.0 / m1

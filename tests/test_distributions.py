@@ -554,6 +554,16 @@ def test_mixture_rejects_bad_r():
      "CF arguments overflow"),
     (lambda: weighted_cf(FiniteDist.bernoulli(0.3), [math.nan], 1.0), ValueError,
      "CF arguments overflow or are NaN"),
+    (lambda: weighted_cf(AnalyticDist.gaussian(1.0), [math.nan], 1.0), ValueError,
+     "CF arguments overflow or are NaN: max |a_k| is nan"),
+    (lambda: weighted_cf(AnalyticDist.gaussian(1.0), [0.5, math.inf], [0.0, 1.0]), ValueError,
+     "CF arguments overflow or are NaN: max |a_k| is inf"),
+    (lambda: weighted_cf(AnalyticDist.stable(1.5), [1.0, math.nan], 0.0), ValueError,
+     "CF arguments overflow or are NaN: max |a_k| is nan"),
+    (lambda: weighted_cf(AnalyticDist.stable(0.5), [-math.inf], []), ValueError,
+     "CF arguments overflow or are NaN: max |a_k| is inf"),
+    (lambda: weighted_cf(symmetrize(FiniteDist.bernoulli(0.3)), [-math.inf], 0.0), ValueError,
+     "CF arguments overflow or are NaN: max |a_k| is inf"),
     (lambda: esseen_integral(symmetrize(FiniteDist.bernoulli(0.3)), WeightVector([100.0]),
                              1e-307), ValueError, "CF arguments overflow"),
     (lambda: cf_eval(AnalyticDist.gaussian(1.0), [1e200]), None, [0.0]),

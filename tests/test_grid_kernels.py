@@ -462,21 +462,23 @@ def kernel_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("bound_id,laws_per_instance,m_calls", [
-    ("crossover", 1, 2),           # the sum; M of the shape and of solve_tau0's residual
-    ("esseen", 1, 1),              # the sum; M of the component in one M call
-    ("kolmogorov_rogozin", 2, 0),  # the component and the sum
+# Q calls: one per scored instance (the law of its sum), and per distinct law
+# of X as given; M calls per scored instance and per distinct law of X.
+@pytest.mark.parametrize("bound_id,q_per_law,m_per_instance,m_per_law", [
+    ("crossover", 0, 1, 1),           # M of each shape; of each law's tau0 residual
+    ("esseen", 0, 0, 1),              # M of each law's component in one M call
+    ("kolmogorov_rogozin", 1, 0, 0),  # Q of each law's component
 ])
-def test_calibrate_one_kernel_call_per_instance_law(bound_id, laws_per_instance, m_calls,
-                                                    kernel_calls):
+def test_calibrate_one_kernel_call_per_instance_law(bound_id, q_per_law, m_per_instance,
+                                                    m_per_law, kernel_calls):
     family = gen_sparse_family([4, 8, 16], p_list=[0.3, 0.5])
     report = calibrate_upper(bound_id, family, 2.0, n_eps=40)
-    scored = len(family.instances) - report.n_excluded
+    scored, laws = len(family.instances) - report.n_excluded, 2
     assert scored >= 4
-    assert len(kernel_calls["q"]) == laws_per_instance * scored
+    assert len(kernel_calls["q"]) == scored + q_per_law * laws
     if bound_id == "crossover":
         assert len(set(kernel_calls["q"])) == scored  # no sum swept twice
-    assert kernel_calls["m"] == m_calls * scored
+    assert kernel_calls["m"] == m_per_instance * scored + m_per_law * laws
 
 
 def test_lower_binomial_one_kernel_call_per_law(kernel_calls):

@@ -1,5 +1,6 @@
 """Instance families, calibration reports, lower bounds, scaling studies."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +12,9 @@ from lofo.concentration import WeightVector, q_exact, weighted_sum_dist
 from lofo.distributions import AnalyticDist, FiniteDist, _empirical_spread, _piecewise_tau0
 from lofo.exceptions import PreconditionError
 from lofo.lcd import lcd as lcd_search
+from lofo.serialize import dumps_canonical
 from lofo.harness import (
+    InstanceFamily,
     calibrate_upper,
     check_lower_binomial,
     gaussian_spread_relation,
@@ -62,6 +65,30 @@ def test_sparse_family_both_variants():
     assert len(both) == 4
     # The dense s = n case has no tail to perturb.
     assert ids([8], 8) == ["sparse_s8_p0.5"]
+
+
+@pytest.mark.parametrize("generate", [
+    lambda: gen_sparse_family([4, 8, 16], n=32, p_list=[0.3, 0.5, 0.3]),
+    lambda: gen_sparse_family([4, 8, 16], n=16, p_list=[0.3, 0.5], perturbed=True),
+    lambda: gen_equal_weight_family([4, 9, 4], p_list=[0.3, 0.5]),
+])
+def test_family_shares_one_law_per_p_and_one_vector_per_s(generate):
+    insts = generate().instances
+    for attr, key in (("law", "p"), ("weights", "s")):
+        objs = {}
+        for inst in insts:
+            assert objs.setdefault(getattr(inst, key), getattr(inst, attr)) is getattr(inst, attr)
+        assert len({id(getattr(inst, attr)) for inst in insts}) == len(objs)
+
+
+def test_family_builds_each_law_only_when_an_instance_uses_it():
+    # s = n has no tail to perturb, so no instance asks for the p = 1.5 law.
+    assert gen_sparse_family([4], n=4, p_list=[1.5], perturbed=True).instances == ()
+    for call in (lambda: gen_sparse_family([4], n=8, p_list=[0.5, 1.5], perturbed=True),
+                 lambda: gen_sparse_family([4], p_list=[1.5]),
+                 lambda: gen_equal_weight_family([4], p_list=[0.5, 0.0])):
+        with pytest.raises(ValueError, match="bernoulli parameter must lie in"):
+            call()
 
 
 def test_perturbed_family_close_to_unperturbed():
@@ -150,6 +177,75 @@ def test_calibrate_crossover_scans_each_weight_vector_once(perturbed, monkeypatc
     assert len(calls) == len(set(calls)) == 3
 
 
+class _Spy:
+    """Counts the harness's calls of its law-level and vector-level kernels."""
+
+    NAMES = ("symmetrize", "solve_tau0", "lcd_search", "m_functional", "_window_sup")
+
+    def __init__(self, monkeypatch):
+        self.counts = dict.fromkeys(self.NAMES, 0)
+        self.law_sweeps = 0  # _window_sup calls on a two-atom Bernoulli law
+        for name in self.NAMES:
+            monkeypatch.setattr(lofo.harness, name, self._counted(name, getattr(lofo.harness, name)))
+
+    def _counted(self, name, fn):
+        def counted(*args, **kwargs):
+            self.counts[name] += 1
+            if name == "_window_sup" and len(args[0]) == 2:
+                self.law_sweeps += 1
+            return fn(*args, **kwargs)
+        return counted
+
+
+def _unshared(family):
+    """The family with a distinct but equal law and weight vector per instance."""
+    return InstanceFamily(family.id, tuple(
+        dataclasses.replace(inst, law=FiniteDist(inst.law.atoms.tolist(), inst.law.masses.tolist()),
+                            weights=WeightVector(inst.weights.coords.tolist()))
+        for inst in family.instances))
+
+
+@pytest.mark.parametrize("bound_id,family", [
+    ("crossover", gen_sparse_family([4, 8, 16], p_list=[0.05, 0.3, 0.5])),
+    ("crossover", gen_sparse_family([4, 8], n=16, p_list=[0.1, 0.4], perturbed=True)),
+    ("esseen", gen_equal_weight_family([4, 16, 25], p_list=[0.2, 0.5])),
+    ("kolmogorov_rogozin", gen_equal_weight_family([4, 16, 25], p_list=[0.2, 0.5])),
+])
+def test_calibrate_equal_laws_built_apart_give_the_same_bytes(bound_id, family, monkeypatch):
+    # The memo keys a law by its contents: a hand-built family whose instances
+    # hold equal but distinct laws makes as few law-level calls, and the same bytes.
+    unshared = _unshared(family)
+    assert len({id(inst.law) for inst in unshared.instances}) == len(unshared.instances)
+    reports, calls = [], []
+    for fam in (family, unshared):
+        spy = _Spy(monkeypatch)
+        reports.append(dumps_canonical(calibrate_upper(bound_id, fam, L=2.0, n_eps=12).to_json()))
+        calls.append(dict(spy.counts))
+    assert reports[0] == reports[1]
+    assert calls[0] == calls[1]
+
+
+S_GRID = [4, 8, 16, 32, 64, 128, 256]
+P_GRID = [0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5]
+
+
+def test_calibrate_takes_law_quantities_once_per_law_on_the_acceptance_grid(monkeypatch):
+    # 70 instances: 10 laws (2 of them, p = 0.05 and 0.1, with no crossover
+    # scale at L = 2) and 7 weight vectors.
+    spy = _Spy(monkeypatch)
+    rep = calibrate_upper("crossover", gen_sparse_family(S_GRID, p_list=P_GRID), L=2.0)
+    assert (spy.counts["symmetrize"], spy.counts["solve_tau0"], spy.counts["lcd_search"]) == (
+        10, 10, 7)
+    assert rep.n_excluded == 14 and len(rep.rows) == 56 * 40
+    spy = _Spy(monkeypatch)
+    calibrate_upper("esseen", gen_equal_weight_family(S_GRID, P_GRID), L=2.0)
+    assert (spy.counts["symmetrize"], spy.counts["m_functional"]) == (10, 10)
+    assert spy.counts["_window_sup"] == 70  # one Q sweep per instance
+    spy = _Spy(monkeypatch)
+    calibrate_upper("kolmogorov_rogozin", gen_equal_weight_family(S_GRID, P_GRID), L=2.0)
+    assert (spy.law_sweeps, spy.counts["_window_sup"]) == (10, 80)
+
+
 def test_calibrate_classical_bounds():
     fam = gen_equal_weight_family([4, 16, 64], p_list=[0.3, 0.5])
     kr = calibrate_upper("kolmogorov_rogozin", fam, L=2.0, n_eps=10)
@@ -184,9 +280,6 @@ def test_lower_binomial_known_instance():
     assert row0["q"] == pytest.approx(0.375)
     assert row0["min_form"] == pytest.approx(1.0)
     assert row0["mass_two_sigma"] >= 0.75
-
-
-P_GRID = [0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5]
 
 
 def test_lower_binomial_two_sigma_mass_matches_scipy():
@@ -261,6 +354,25 @@ def test_gaussian_window_study():
         assert a["q_ratio"] == pytest.approx(b["q_ratio"], rel=1e-9)
 
 
+@pytest.mark.parametrize("kwargs,message", [
+    ({"dstar": 0.0}, "D* must be positive and finite; got 0.0"),
+    ({"dstar": -2.0}, "D* must be positive and finite; got -2.0"),
+    ({"dstar": math.nan}, "D* must be positive and finite; got nan"),
+    ({"dstar": math.inf}, "D* must be positive and finite; got inf"),
+    ({"dstar": 8.0, "n_eps": 0}, "n_eps must be an integer of at least 1; got 0"),
+    ({"dstar": 8.0, "n_eps": 2.5}, "n_eps must be an integer of at least 1; got 2.5"),
+])
+def test_gaussian_window_study_checks_inputs_before_any_work(kwargs, message, monkeypatch):
+    # n_eps = 0 returned [] and D* = 0 or NaN failed with "tau must be positive".
+    def no_work(*args):
+        raise AssertionError("work began before the inputs were checked")
+
+    monkeypatch.setattr(lofo.harness, "symmetrize", no_work)
+    with pytest.raises(ValueError) as info:
+        study_gaussian_window([1.0], **kwargs)
+    assert str(info.value) == message
+
+
 # ---------------------------------------------------------------------------
 # Improvement report
 # ---------------------------------------------------------------------------
@@ -274,6 +386,15 @@ def test_improvement_ratio():
     # At L = 1/sqrt(M(1)) the two shapes coincide.
     rows_eq = improvement_report(fam, L=1.0 / math.sqrt(0.5))
     assert rows_eq[0]["ratio"] == pytest.approx(1.0, rel=1e-12)
+
+
+def test_improvement_takes_m1_once_per_law(monkeypatch):
+    fam = gen_sparse_family([4, 16, 64], p_list=[0.1, 0.3, 0.5])
+    rows = improvement_report(fam, L=2.0)
+    spy = _Spy(monkeypatch)
+    assert improvement_report(_unshared(fam), L=2.0) == rows
+    assert (spy.counts["symmetrize"], spy.counts["m_functional"]) == (3, 3)
+    assert [r["instance"] for r in rows] == [i.id for i in fam.instances]
 
 
 def test_improvement_below_one_under_hypothesis():
