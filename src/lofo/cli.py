@@ -83,31 +83,28 @@ _Q_METHODS = {
 }
 
 
-def cmd_q(args) -> int:
+def cmd_q(args) -> dict:
     dist = load_dist(args.dist)
     weights = load_weights(args.weights)
     method = dist._q_methods[0] if args.method == "auto" else args.method
     needs, estimate = _Q_METHODS[method]
     if method not in dist._q_methods:
         raise PreconditionError(f"{method} concentration needs {needs}")
-    _emit(estimate(dist, weights, args).to_json(), args.out)
-    return 0
+    return estimate(dist, weights, args).to_json()
 
 
-def cmd_lcd(args) -> int:
+def cmd_lcd(args) -> dict:
     weights = load_weights(args.weights)
     res = lcd_search(weights, args.L, args.variant, tol=args.tol)
-    _emit(res.to_json(), args.out)
-    return 0
+    return res.to_json()
 
 
-def cmd_tau0(args) -> int:
+def cmd_tau0(args) -> dict:
     g = symmetrize(load_dist(args.dist))
     root = solve_tau0(
         g, args.L, args.tol, dstar=args.dstar, n_samples=args.samples, seed=args.seed
     )
-    _emit(root.to_json(), args.out)
-    return 0
+    return root.to_json()
 
 
 # Shape id -> (function, its flags in argument order).  A flag's argparse
@@ -142,7 +139,7 @@ def _required(args, shape: str, flags) -> list:
     return values
 
 
-def cmd_bound(args) -> int:
+def cmd_bound(args) -> dict:
     sid = args.shape
     fn, flags = _SHAPES[sid]
     values = _required(args, sid, flags)
@@ -157,11 +154,10 @@ def cmd_bound(args) -> int:
         shape = fn(weights, g, L, eps, dstar, n_samples=args.samples, seed=args.seed)
     else:
         shape = BoundShape(sid, {_key(f): getattr(args, _key(f)) for f in flags}, fn(*values))
-    _emit(shape.to_json(), args.out)
-    return 0
+    return shape.to_json()
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> dict:
     if args.n_eps < 1:
         raise PreconditionError(f"--n-eps must be at least 1; got {args.n_eps}")
     lower = args.bound == _BINOMIAL_LOWER
@@ -175,11 +171,10 @@ def cmd_verify(args) -> int:
     else:
         fam = generate(s_list, p_list, args.perturbed)
         kind, rep = "calibration", calibrate_upper(args.bound, fam, args.L, n_eps=args.n_eps)
-    _emit({"kind": kind, "seed": args.seed, **rep.to_json()}, args.out)
-    return 0
+    return {"kind": kind, "seed": args.seed, **rep.to_json()}
 
 
-def cmd_report(args) -> int:
+def cmd_report(args) -> None:
     """Render a report's rows to the wide CSV and, given ``--out-long``, the long one.
 
     Both files come from one render, so a column the two share, as
@@ -193,7 +188,6 @@ def cmd_report(args) -> int:
     if not rows:
         raise PreconditionError("report contains no rows")
     _render_csvs(rows, args.out_csv, args.out_long or None)
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -276,9 +270,13 @@ def _parser(families: tuple, recipes: tuple) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run a subcommand, write the JSON it returns to --out or stdout; the exit code."""
     args = _parser(tuple(_FAMILIES), tuple(_RECIPES)).parse_args(argv)
     try:
-        return args.func(args)
+        result = args.func(args)
+        if result is not None:
+            _emit(result, args.out)
+        return 0
     except (ParseError, json.JSONDecodeError) as exc:
         return _fail("parse error", exc, 2)
     except (CapacityError, NumericalError, OSError) as exc:

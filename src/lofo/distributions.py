@@ -519,32 +519,17 @@ def _cf_fold(f: FiniteDist) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return fold
 
 
-def _cf_nodes(t) -> tuple[np.ndarray, float]:
-    """t as an array of at least one dimension and max |t| (0 if t is empty);
-    ValueError unless every t is finite."""
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    t_max = float(np.maximum.reduce(np.abs(t_arr), axis=None, initial=0.0))
-    if not t_max < math.inf:
-        raise ValueError("t must be finite")
-    return t_arr, t_max
-
-
 def cf_eval(dist: Dist, t) -> complex | np.ndarray:
-    """Characteristic function E exp(itX); vectorized over t.
-
-    Exact finite sum for FiniteDist (see FiniteDist._cf), closed form for the
-    analytic kinds.  An array t gives float64 values where the CF is real
+    """Characteristic function E exp(itX): ``weighted_cf`` at the unit weight,
+    in the shape of t.  An array t gives float64 values where the CF is real
     (a mirrored finite law, a Gaussian or a stable law) and complex128
-    otherwise; a scalar t gives a complex.  Raises ValueError, before any
-    evaluation, if some t is not finite or some t times an atom overflows,
-    and after it if a value has modulus above 1 + 1e-12.
+    otherwise; a scalar t gives a complex.  ValueError as weighted_cf's, and
+    after evaluation if a value has modulus above 1 + 1e-12.
     """
-    t_arr, t_max = _cf_nodes(t)
-    dist._cf_width(t_max)
-    vals = dist._cf(t_arr)
+    vals = weighted_cf(dist, (1.0,), t)
     if np.any(np.abs(vals) > 1.0 + 1e-12):
         raise ValueError("characteristic function exceeds modulus 1")
-    return complex(vals[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else vals
+    return vals if isinstance(vals, complex) else vals.reshape(np.shape(t))
 
 
 def weighted_cf(dist: Dist, coords, t) -> complex | np.ndarray:
@@ -552,16 +537,18 @@ def weighted_cf(dist: Dist, coords, t) -> complex | np.ndarray:
 
     ``coords`` is a weight vector object (with .coords and a cached
     .norm_inf) or a plain sequence.  Vectorized over t (flattened), with
-    cf_eval's dtypes and its ValueError before any evaluation, the overflow
-    test taking max |t| max |a_k|; a weight that is NaN or infinite raises
-    it for every law kind.  The t values are taken in chunks that
-    keep the (t, coords, folded atoms) block within _CF_CHUNK_ENTRIES
-    entries (a single larger t is evaluated whole); each t is reduced on its
-    own, so chunking does not change a bit.
+    cf_eval's dtypes; ValueError before any evaluation if some t is not
+    finite, or if max |t| max |a_k| overflows the law's CF kernel, and for
+    every law kind if a weight is NaN or infinite.  The t values are taken
+    in chunks that keep the (t, coords, folded atoms) block within
+    _CF_CHUNK_ENTRIES entries (a single larger t is evaluated whole); each
+    t is reduced on its own, so chunking does not change a bit.
     """
     a = np.asarray(getattr(coords, "coords", coords), dtype=float).ravel()
-    t_arr, t_max = _cf_nodes(t)
-    t_arr = t_arr.ravel()
+    t_arr = np.asarray(t, dtype=float).ravel()
+    t_max = float(np.maximum.reduce(np.abs(t_arr), initial=0.0))
+    if not t_max < math.inf:
+        raise ValueError("t must be finite")
     a_max = getattr(coords, "norm_inf", None) or float(np.max(np.abs(a), initial=0.0))
     if not a_max < math.inf:
         raise ValueError(f"CF arguments overflow or are NaN: max |a_k| is {a_max!r}")

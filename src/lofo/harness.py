@@ -36,8 +36,6 @@ from .bounds import (
     shape_crossover,
     shape_esseen,
     shape_kolmogorov_rogozin,
-    shape_lcd_unit,
-    shape_vershynin,
     solve_tau0,
 )
 from .concentration import (
@@ -80,14 +78,16 @@ class InstanceFamily:
     instances: tuple
 
 
-def _check_lists(s_list: Sequence[int], p_list: Sequence[float]) -> None:
-    """The family generators' list checks, in the terms of ``verify``'s flags."""
+def _check_lists(s_list: Sequence[int], p_list: Sequence[float]) -> list[int]:
+    """The family generators' list checks, in the terms of ``verify``'s flags; the sizes as ints."""
+    s_list = [int(s) for s in s_list]
     if not s_list:
         raise ValueError("--s-list must name at least one s")
     if not p_list:
         raise ValueError("--p-list must name at least one p")
     if any(s < 1 for s in s_list):
         raise ValueError(f"every s in --s-list must be at least 1; got {min(s_list)}")
+    return s_list
 
 
 def _check_n_eps(n_eps: int) -> None:
@@ -130,8 +130,7 @@ def gen_sparse_family(
     max(s_list).  Both lists must be nonempty and every s at least 1.  The
     instances share one weight vector per s and one law per p.
     """
-    s_list = [int(s) for s in s_list]
-    _check_lists(s_list, p_list)
+    s_list = _check_lists(s_list, p_list)
     n = max(s_list) if n is None else int(n)
     if any(s > n for s in s_list):
         raise ValueError("every s must satisfy s <= n")
@@ -159,7 +158,7 @@ def gen_equal_weight_family(
     Both lists must be nonempty and every n at least 1.  The instances share
     one weight vector per n and one law per p.
     """
-    _check_lists(n_list, p_list)
+    n_list = _check_lists(n_list, p_list)
     return InstanceFamily(
         id="equal_weight",
         instances=_instances(n_list, p_list, lambda n: WeightVector(np.full(n, n**-0.5)),
@@ -523,35 +522,6 @@ def study_gaussian_window(
                     "branch": branch,
                 }
             )
-    return rows
-
-
-def improvement_report(family: InstanceFamily, L: float) -> list[dict]:
-    """Refined-shape-to-baseline ratio 1/(L sqrt(M(1))) per instance.
-
-    The ratio is <= 1 exactly on instances satisfying the L^2 >= 1/M(1)
-    hypothesis, and shrinks as L grows past 1/sqrt(M(1)).  M(1) of the
-    symmetrized law is taken once per distinct law (by its atoms and
-    masses); each instance with M(1) > 0 adds one row.
-    """
-    rows, memo = [], {}
-    for inst in family.instances:
-        m1 = _per_law(memo, inst.law, lambda f: m_functional(symmetrize(f), 1.0))
-        if m1 <= 0.0:
-            continue
-        satisfied = L * L >= 1.0 / m1
-        d_ref = 10.0  # any common D cancels in the ratio
-        rows.append(
-            {
-                "instance": inst.id,
-                "m1": m1,
-                "L": L,
-                "hypothesis": satisfied,
-                "refined": shape_lcd_unit(d_ref, m1),
-                "baseline": shape_vershynin(L, d_ref),
-                "ratio": 1.0 / (L * math.sqrt(m1)),
-            }
-        )
     return rows
 
 

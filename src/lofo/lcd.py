@@ -150,13 +150,17 @@ def dist_to_lattice(t, a: WeightVector | np.ndarray):
     t is a scalar (returns a float) or a 1-D array of k values (returns k
     distances, each bitwise equal to the scalar call, in blocks of
     _BLOCK_ENTRIES entries, so memory beyond the result stays at two blocks).
+    ValueError before any evaluation if max |t| max |a_k| is not finite.
     """
     abs_a = np.abs(np.asarray(getattr(a, "coords", a), dtype=float))
     ts = np.asarray(t, dtype=float)
-    if ts.ndim == 0:
-        return _dist_point(float(ts), abs_a)
     if ts.ndim > 1:
         raise ValueError("t must be a scalar or a 1-D array")
+    reach = float(np.max(np.abs(ts), initial=0.0)) * float(np.max(abs_a, initial=0.0))
+    if not reach < math.inf:
+        raise ValueError(f"t a_k overflows or is NaN: max |t| max |a_k| is {reach!r}")
+    if ts.ndim == 0:
+        return _dist_point(float(ts), abs_a)
     return _dist_rows(ts, abs_a, _workspace(abs_a.size))
 
 
@@ -586,6 +590,8 @@ def verify_lattice_clearance(
         raise ValueError("clearance check requires a unit vector (norm within 1e-9)")
     if not (0 < L < math.inf and 0 < D < math.inf):
         raise ValueError("L and D must be positive and finite")
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     t_lo = 0.5 / a.norm_inf
     if D < t_lo:
         return ClearanceReport(

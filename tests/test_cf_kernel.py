@@ -1,5 +1,6 @@
 """The finite-law characteristic-function kernel against a math.fsum oracle,
-its fold of mirrored laws, and the analytic kinds' unchanged bits."""
+its fold of mirrored laws, the analytic kinds' unchanged bits, and cf_eval
+through weighted_cf against a direct call of the kernel."""
 
 import math
 
@@ -134,3 +135,69 @@ def test_analytic_cf_keeps_its_bits(g, a, ts):
     old = np.prod(_old_analytic_cf(g, np.outer(t, a).ravel()).reshape(t.size, len(a)), axis=-1)
     assert wvals.dtype == np.float64
     assert np.array_equal(wvals, old.real) and np.array_equal(np.abs(wvals), np.abs(old))
+
+
+def _cf_nodes_before_weighted_cf(t):
+    """t as an array of at least one dimension and max |t| (0 if t is empty);
+    ValueError unless every t is finite."""
+    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    t_max = float(np.maximum.reduce(np.abs(t_arr), axis=None, initial=0.0))
+    if not t_max < math.inf:
+        raise ValueError("t must be finite")
+    return t_arr, t_max
+
+
+def _cf_eval_before_weighted_cf(dist, t):
+    """cf_eval as it was when it evaluated the kind's kernel itself, not
+    through weighted_cf at the unit weight: the reference of the test below."""
+    t_arr, t_max = _cf_nodes_before_weighted_cf(t)
+    dist._cf_width(t_max)
+    vals = dist._cf(t_arr)
+    if np.any(np.abs(vals) > 1.0 + 1e-12):
+        raise ValueError("characteristic function exceeds modulus 1")
+    return complex(vals[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else vals
+
+
+def _outcome(call):
+    """A call's value bytes, Python type, dtype and shape, or its error."""
+    try:
+        v = call()
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
+    return type(v), np.asarray(v).dtype, np.shape(v), np.asarray(v).tobytes()
+
+
+# Moderate t two times in three; else any float, with NaN, inf and overflowing t.
+_t_values = st.one_of(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.floats())
+_t_inputs = st.one_of(
+    _t_values,                                                          # scalar
+    _t_values.map(np.float64),                                          # numpy scalar
+    _t_values.map(np.array),                                            # 0-d
+    st.lists(_t_values, max_size=12),                                   # list, maybe empty
+    st.lists(_t_values, max_size=12).map(np.array),                     # 1-D, maybe empty
+    st.tuples(st.integers(0, 4), st.integers(0, 4)).flatmap(            # 2-D, maybe empty
+        lambda shape: st.lists(_t_values, min_size=shape[0] * shape[1],
+                               max_size=shape[0] * shape[1]).map(
+            lambda xs: np.array(xs, dtype=float).reshape(shape))),
+)
+_all_laws = st.one_of(
+    finite_laws,
+    st.builds(AnalyticDist.gaussian, st.floats(0.1, 10.0)),
+    st.builds(AnalyticDist.stable, st.floats(0.1, 2.0), st.floats(0.1, 10.0)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(dist=_all_laws, t=_t_inputs, chunk=st.sampled_from([None, 1, 7, 64]))
+def test_cf_eval_keeps_the_bits_of_its_own_kernel_call(dist, t, chunk):
+    # cf_eval is weighted_cf at the unit weight; the value bytes, Python
+    # type, dtype and shape, or the error and its message, are those of the
+    # kernel called on t whole, also when weighted_cf takes t in chunks.
+    expected = _outcome(lambda: _cf_eval_before_weighted_cf(dist, t))
+    old = distributions._CF_CHUNK_ENTRIES
+    distributions._CF_CHUNK_ENTRIES = chunk or old
+    try:
+        got = _outcome(lambda: cf_eval(dist, t))
+    finally:
+        distributions._CF_CHUNK_ENTRIES = old
+    assert got == expected

@@ -519,6 +519,25 @@ def test_cli_byte_identical_reruns(bernoulli_file, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("argv", [
+    ["q", "--dist", "{dist}", "--weights", "{weights}", "--lambda", "0.5"],
+    ["lcd", "--weights", "{weights}", "--L", "2"],
+    ["tau0", "--dist", "{dist}", "--L", "3"],
+    ["bound", "--shape", "vershynin", "--L", "3", "--D", "6"],
+    ["verify", "--bound", "crossover", "--s-list", "4,8", "--p-list", "0.25,0.5", "--n-eps", "5"],
+], ids=lambda argv: argv[0])
+def test_cli_stdout_bytes_equal_out_file_bytes(argv, bernoulli_file, tmp_path, capsysbinary):
+    weights = tmp_path / "a.txt"
+    weights.write_text("1\n0.5\n")
+    argv = [arg.format(dist=bernoulli_file, weights=weights) for arg in argv]
+    out = tmp_path / "out.json"
+    assert main(argv) == 0
+    stdout = capsysbinary.readouterr().out
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsysbinary.readouterr().out == b""
+    assert stdout == out.read_bytes() and stdout.endswith(b"}\n")
+
+
 def test_cli_exit_1_on_precondition(bernoulli_file, unit_weight_file, capsys):
     # L^2 <= 1/P for the Bernoulli symmetrization: no crossover scale.
     rc = main(["tau0", "--dist", bernoulli_file, "--L", "1.2"])

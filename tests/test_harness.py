@@ -20,7 +20,6 @@ from lofo.harness import (
     gaussian_spread_relation,
     gen_equal_weight_family,
     gen_sparse_family,
-    improvement_report,
     ratio_sup_by_s,
     rows_to_csv,
     rows_to_long_csv,
@@ -374,39 +373,6 @@ def test_gaussian_window_study_checks_inputs_before_any_work(kwargs, message, mo
 
 
 # ---------------------------------------------------------------------------
-# Improvement report
-# ---------------------------------------------------------------------------
-
-
-def test_improvement_ratio():
-    fam = gen_sparse_family([4], p_list=[0.5])
-    rows = improvement_report(fam, L=10.0)
-    assert rows[0]["ratio"] == pytest.approx(1.0 / (10.0 * math.sqrt(0.5)), rel=1e-12)
-    assert rows[0]["hypothesis"]
-    # At L = 1/sqrt(M(1)) the two shapes coincide.
-    rows_eq = improvement_report(fam, L=1.0 / math.sqrt(0.5))
-    assert rows_eq[0]["ratio"] == pytest.approx(1.0, rel=1e-12)
-
-
-def test_improvement_takes_m1_once_per_law(monkeypatch):
-    fam = gen_sparse_family([4, 16, 64], p_list=[0.1, 0.3, 0.5])
-    rows = improvement_report(fam, L=2.0)
-    spy = _Spy(monkeypatch)
-    assert improvement_report(_unshared(fam), L=2.0) == rows
-    assert (spy.counts["symmetrize"], spy.counts["m_functional"]) == (3, 3)
-    assert [r["instance"] for r in rows] == [i.id for i in fam.instances]
-
-
-def test_improvement_below_one_under_hypothesis():
-    fam = gen_sparse_family([4, 16], p_list=[0.1, 0.3, 0.5])
-    for L in (1.5, 2.0, 5.0):
-        for row in improvement_report(fam, L):
-            if row["hypothesis"]:
-                assert row["ratio"] <= 1.0 + 1e-12
-                assert row["refined"] <= row["baseline"] / row["L"] * L + 1e-12
-
-
-# ---------------------------------------------------------------------------
 # CSV rendering
 # ---------------------------------------------------------------------------
 
@@ -507,6 +473,17 @@ def test_harness_input_checks(call, exc, message):
     with pytest.raises(exc) as info:
         call()
     assert type(info.value) is exc and str(info.value).startswith(message)
+
+
+@pytest.mark.parametrize("report", [
+    lambda s: calibrate_upper("esseen", gen_equal_weight_family(s, p_list=[0.3]), 2.0, n_eps=5),
+    lambda s: calibrate_upper("esseen", gen_sparse_family(s, p_list=[0.3]), 2.0, n_eps=5),
+    lambda s: check_lower_binomial(s, [0.5], n_eps=5),
+])
+def test_float_sizes_give_the_bytes_of_int_sizes(report):
+    # gen_equal_weight_family and check_lower_binomial passed a float n to
+    # np.full, which raised "expected a sequence of integers".
+    assert dumps_canonical(report([4.0]).to_json()) == dumps_canonical(report([4]).to_json())
 
 
 @pytest.mark.parametrize("bad", [0.0, -2.0, math.inf, math.nan])

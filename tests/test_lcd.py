@@ -857,6 +857,20 @@ def test_raising_dist_point_restores_the_callers_ufunc_buffer(monkeypatch):
     (lambda: f_threshold(math.nan, 1.0), ValueError, "t and L must be positive"),
     (lambda: log_plus_threshold(-1.0, 1.0), ValueError, "t and L must be positive"),
     (lambda: log_plus_threshold(1.0, 0.0), ValueError, "t and L must be positive"),
+    # dist_to_lattice returned NaN, under a RuntimeWarning for the first two.
+    (lambda: dist_to_lattice(math.inf, WeightVector([1.0])), ValueError,
+     "t a_k overflows or is NaN: max |t| max |a_k| is inf"),
+    (lambda: dist_to_lattice(1e308, np.array([10.0])), ValueError,
+     "t a_k overflows or is NaN: max |t| max |a_k| is inf"),
+    (lambda: dist_to_lattice([1.0, math.nan], WeightVector([1.0])), ValueError,
+     "t a_k overflows or is NaN: max |t| max |a_k| is nan"),
+    # verify_lattice_clearance scanned with these; NaN left no width floor.
+    (lambda: verify_lattice_clearance(WeightVector([0.6, 0.8]), 2.0, 5.0, tol=0.0), ValueError,
+     "tol must be positive"),
+    (lambda: verify_lattice_clearance(WeightVector([0.6, 0.8]), 2.0, 5.0, tol=math.nan),
+     ValueError, "tol must be positive"),
+    (lambda: verify_lattice_clearance(WeightVector([0.6, 0.8]), 2.0, 5.0, tol=-1e-9),
+     ValueError, "tol must be positive"),
 ])
 def test_lcd_input_checks(call, exc, message):
     with pytest.raises(exc) as info:
