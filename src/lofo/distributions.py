@@ -662,19 +662,44 @@ def _piecewise_tau0(u: np.ndarray, w, m_stars) -> list[float]:
     whose last knot reaches it.  np.cumsum accumulates sequentially, so every
     A and B has the bits of one whole-array cumsum, and the block search
     returns np.searchsorted's index over all knots, which are nonincreasing
-    in exact arithmetic (m_{i+1} = A_i/u_{i+1}^2 + B_i <= m_i).  Only u is
-    read at length n; 3 _STREAM_BLOCK + 2 n / _STREAM_BLOCK floats are
-    written.  The sums are taken on u 2^-e, e the binary exponent of max(u)
-    (at most 1023), so the squares neither overflow nor underflow; a
-    power-of-two scaling commutes with every operation away from
+    in exact arithmetic (m_{i+1} = A_i/u_{i+1}^2 + B_i <= m_i).
+
+    The forward pass builds a block's knots only when the block can hold a
+    pending target, and stops once every target is placed; the root walk
+    extends the recorded A carries block by block with the same cumsums.
+    The skip is exact: A is a running sum of nonnegative terms, s is sorted
+    and B a top-down sum of nonnegative weights, and rounded +, * and / are
+    monotone, so every knot of block j is at least
+    lb_j = A_first / (s_last s_last) + B_last, formed as floats.  When lb_j
+    is above every pending target, each -knot lies below each -m_star and
+    np.searchsorted(side="left") returns the block length whatever the
+    knots' order: the block places no target, as a search would find.  A
+    block with a zero or infinite square (an underflow, an infinite point)
+    may hold a NaN knot and is always searched.  So the reverse pass costs
+    a fill and a cumsum per block, A an ldexp, two multiplies and a cumsum
+    per block up to the last block read, and the knots (a square, a divide,
+    a rebuilt suffix, an add, a negate and a search) only blocks that can
+    place a target or that the walk reads.  Only u is read at length n;
+    3 _STREAM_BLOCK + 2 n / _STREAM_BLOCK floats are written.
+
+    The sums are taken on s = u 2^-e, e the binary exponent of max(u) (at
+    most 1023), lowered when the smallest square times the smallest weight,
+    min(w) s_0^2, would fall below the normal range, as far as that needs
+    and s_max < 2^511 allows: every square and every term w_i s_i^2 then
+    stays normal unless max(u)/min(u) exceeds about 2^1021 sqrt(min(w)).
+    A power-of-two scaling commutes with every operation away from
     subnormals, so the root scaled back has the unscaled sums' bits.
     """
     n = u.size
-    exp = min(math.frexp(u[-1])[1], 1023)  # 2^exp stays a finite float
+    equal = np.ndim(w) == 0
+    # u_0 >= 2^(e_0 - 1) and min(w) >= 2^(f - 1) give w_i s_0^2 >= 2^-1022 for
+    # exp <= e_0 + (f + 1019) // 2, f capped at 0 so that s_0^2 is normal too.
+    top_exp = math.frexp(u[-1])[1]
+    low_exp = math.frexp(u[0])[1] + (min(math.frexp(w if equal else np.min(w))[1], 0) + 1019) // 2
+    exp = min(top_exp, 1023, max(low_exp, top_exp - 511))  # 2^exp stays a finite float
     back = 2.0**exp
     size = min(_STREAM_BLOCK, n)
     n_blocks = -(-n // size)
-    equal = np.ndim(w) == 0
     knot_buf, a_buf, b_buf = np.empty(size), np.empty(size), np.empty(size)
 
     def suffix(j, last):
@@ -704,17 +729,36 @@ def _piecewise_tau0(u: np.ndarray, w, m_stars) -> list[float]:
     for j in range(n_blocks - 1, -1, -1):
         b_last[j] = last
         last = suffix(j, last)[0] + (w if equal else w[j * size])
-    a_carry = np.empty(n_blocks)
-    carry = 0.0
+    # a_carry[j] is A before block j, recorded for j < reached.
+    a_carry = np.empty(n_blocks + 1)
+    a_carry[0] = 0.0
+    reached = 1
+
+    def carry(j):
+        nonlocal reached
+        while reached <= j:
+            a_carry[reached] = prefix(reached - 1, a_carry[reached - 1])[1][-1]
+            reached += 1
+        return a_carry[j]
+
     # Find the piece [u_k, u_{k+1}) containing each root: k is the first
     # index whose knot is at most m_star, n when none is.
     m_stars = np.asarray(m_stars, dtype=float)
     neg_targets = -m_stars
     starts = np.full(m_stars.size, n)
     pending = np.arange(m_stars.size)
+    top = np.max(m_stars, initial=-math.inf)  # NaN if a target is: no block skipped
     for j in range(n_blocks):
-        a_carry[j] = carry
-        knot, a = prefix(j, carry)
+        if not pending.size:
+            break
+        knot, a = prefix(j, a_carry[j])
+        a_carry[j + 1] = a[-1]
+        reached = j + 2
+        # lb_j in Python floats, which neither warn nor divide by zero here.
+        s_first, s_last = float(knot[0]), float(knot[-1])
+        first_sq, last_sq = s_first * s_first, s_last * s_last
+        if 0.0 < first_sq and last_sq < math.inf and float(a[0]) / last_sq + float(b_last[j]) > top:
+            continue
         np.multiply(knot, knot, out=knot)
         np.divide(a, knot, out=knot)
         knot += suffix(j, b_last[j])
@@ -723,7 +767,7 @@ def _piecewise_tau0(u: np.ndarray, w, m_stars) -> list[float]:
         placed = at < a.size
         starts[pending[placed]] = j * size + at[placed]
         pending = pending[~placed]
-        carry = a[-1]
+        top = np.max(m_stars[pending], initial=-math.inf)
     roots = []
     built = -1
     for m_star, k in zip(m_stars, starts):
@@ -733,7 +777,7 @@ def _piecewise_tau0(u: np.ndarray, w, m_stars) -> list[float]:
         while idx < n:
             j = idx // size
             if j != built:
-                a, b = prefix(j, a_carry[j])[1], suffix(j, b_last[j])
+                a, b = prefix(j, carry(j))[1], suffix(j, b_last[j])
                 built = j
             a_i, b_i = a[idx - j * size], b[idx - j * size]
             if m_star > b_i:

@@ -79,7 +79,14 @@ class InstanceFamily:
 
 
 def _check_lists(s_list: Sequence[int], p_list: Sequence[float]) -> list[int]:
-    """The family generators' list checks, in the terms of ``verify``'s flags; the sizes as ints."""
+    """The family generators' list checks, in the terms of ``verify``'s flags;
+    the sizes as ints.  A size must be integral: an int, a numpy integer or a
+    float (numpy's too) whose value is a whole number."""
+    s_list = list(s_list)
+    for s in s_list:
+        if not (isinstance(s, (int, np.integer))
+                or isinstance(s, (float, np.floating)) and s.is_integer()):
+            raise ValueError(f"every s in --s-list must be an integer; got {s!r}")
     s_list = [int(s) for s in s_list]
     if not s_list:
         raise ValueError("--s-list must name at least one s")
@@ -127,8 +134,9 @@ def gen_sparse_family(
     ``perturbed=True`` replaces the zero tail by eta = s^-3, small enough that
     the weighted sum and its least common denominator stay within the
     unperturbed brackets; s = n has no tail and is skipped.  n defaults to
-    max(s_list).  Both lists must be nonempty and every s at least 1.  The
-    instances share one weight vector per s and one law per p.
+    max(s_list).  Both lists must be nonempty and every s an integral value
+    of at least 1.  The instances share one weight vector per s and one law
+    per p.
     """
     s_list = _check_lists(s_list, p_list)
     n = max(s_list) if n is None else int(n)
@@ -155,8 +163,8 @@ def gen_equal_weight_family(
 ) -> InstanceFamily:
     """Dense n^(-1/2)-weight vectors: the no-structure baseline corpus.
 
-    Both lists must be nonempty and every n at least 1.  The instances share
-    one weight vector per n and one law per p.
+    Both lists must be nonempty and every n an integral value of at least 1.
+    The instances share one weight vector per n and one law per p.
     """
     n_list = _check_lists(n_list, p_list)
     return InstanceFamily(

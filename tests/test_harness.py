@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -484,6 +485,28 @@ def test_float_sizes_give_the_bytes_of_int_sizes(report):
     # gen_equal_weight_family and check_lower_binomial passed a float n to
     # np.full, which raised "expected a sequence of integers".
     assert dumps_canonical(report([4.0]).to_json()) == dumps_canonical(report([4]).to_json())
+
+
+@pytest.mark.parametrize("call", [
+    gen_sparse_family,
+    gen_equal_weight_family,
+    lambda s: check_lower_binomial(s, [0.5], n_eps=5),
+])
+@pytest.mark.parametrize("size,shown", [
+    (4.5, "4.5"), (4.9, "4.9"), (0.5, "0.5"), (np.float64(-1.5), repr(np.float64(-1.5))),
+    (math.inf, "inf"), (math.nan, "nan"), ("4", "'4'"), (Fraction(9, 2), "Fraction(9, 2)"),
+])
+def test_sizes_must_be_integral(call, size, shown):
+    # int() used to truncate: 4.5 and 4.9 built s = 4, and 0.5 failed as "got 0".
+    with pytest.raises(ValueError) as info:
+        call([8, size])
+    assert str(info.value) == f"every s in --s-list must be an integer; got {shown}"
+
+
+@pytest.mark.parametrize("size", [np.int64(4), np.float32(4.0), True])
+def test_integral_sizes_of_other_types(size):
+    (inst,) = gen_equal_weight_family([size]).instances
+    assert type(inst.s) is int and inst.s == inst.weights.coords.size == int(size)
 
 
 @pytest.mark.parametrize("bad", [0.0, -2.0, math.inf, math.nan])

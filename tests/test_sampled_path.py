@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lofo import AnalyticDist, FiniteDist, WeightVector, m_functional, q_monte_carlo, solve_tau0
@@ -345,6 +345,172 @@ def test_piecewise_tau0_array_weights_bit_identical(block, u, data):
     assert _with_block(block, lambda: _value_or_error(
         lambda: _piecewise_tau0(u, w, targets))) == _value_or_error(
         lambda: _oracle_piecewise_tau0(u, w, targets))
+
+
+def _outside_masses(w):
+    """B_i = sum_{k > i} w_k, as the frozen solver sums them."""
+    return np.concatenate((np.cumsum(w[::-1])[::-1][1:], [0.0]))
+
+
+@st.composite
+def spread_supports(draw):
+    """Points m 10^e, m in 1..9 and e in -140..-40, weights 2^-1 to 2^-60
+    summing to 1/2, and targets at outside masses B_i, 0 < i < n - 1, or one
+    ulp above.  Where a point's share A_i/u_i^2 is below B_i's ulp its knot
+    rounds onto B, and the root walk steps past the target's piece, often
+    past the block that placed it."""
+    n = draw(st.integers(3, 8))
+    exps = sorted(draw(st.lists(st.integers(-140, -40), min_size=n, max_size=n)))
+    mants = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+    u = np.unique(np.array(mants, dtype=float) * 10.0 ** np.array(exps, dtype=float))
+    assume(u.size >= 3)
+    w = 2.0 ** -np.array(draw(st.lists(st.integers(1, 60), min_size=u.size, max_size=u.size)),
+                         dtype=float)
+    w /= 2.0 * w.sum()
+    b = _outside_masses(w)[1:-1]
+    picks = st.tuples(st.sampled_from(b.tolist()), st.booleans())
+    targets = [np.nextafter(m, 1.0) if up else m
+               for m, up in draw(st.lists(picks, min_size=1, max_size=4))]
+    return u, w, targets
+
+
+@settings(max_examples=200, deadline=None)
+@given(block=st.sampled_from(STREAM_BLOCKS), case=spread_supports())
+def test_piecewise_tau0_walk_past_the_stopped_pass_bit_identical(block, case):
+    # The forward pass stops at the block that places the last target; a
+    # walk that steps further extends the carries block by block.  Where
+    # rounding makes a knot rise, a block search and a whole-array search
+    # may place a target differently (they did before the pass could stop),
+    # so the knots are kept nonincreasing.
+    u, w, targets = case
+    assume(np.all(np.diff(np.cumsum(w * u * u) / (u * u) + _outside_masses(w)) <= 0.0))
+    assert _with_block(block, lambda: _value_or_error(
+        lambda: _piecewise_tau0(u, w, targets))) == _value_or_error(
+        lambda: _oracle_piecewise_tau0(u, w, targets))
+
+
+def _blocks_read(monkeypatch, u):
+    """Log of the solver's block reads, as ("A", j) for each prefix (one
+    np.ldexp of block j, j from its first point) and ("knots",) for each
+    knot build (one np.negative); the points must be distinct."""
+    log = []
+    ldexp, negative = np.ldexp, np.negative
+    size = distributions._STREAM_BLOCK
+
+    def spy_ldexp(x, *args, **kwargs):
+        log.append(("A", int(np.searchsorted(u, x[0])) // size))
+        return ldexp(x, *args, **kwargs)
+
+    def spy_negative(x, *args, **kwargs):
+        log.append(("knots",))
+        return negative(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "ldexp", spy_ldexp)
+    monkeypatch.setattr(np, "negative", spy_negative)
+    return log
+
+
+def test_piecewise_tau0_walk_extends_the_carries(monkeypatch):
+    # One-point blocks: the target B_1 is placed in block 2, whose knot
+    # rounds onto it; the pass stops there, and the walk steps on to the
+    # root in the last piece, whose A needs the carries of blocks 3 and 4.
+    u = np.array([4.0, 2.0, 1.0, 5.0, 2.0]) * 10.0 ** np.array([-131.0, -129, -57, -47, -46])
+    w = 2.0 ** -np.array([35.0, 51, 59, 45, 1])
+    w /= 2.0 * w.sum()
+    target = float(_outside_masses(w)[1])
+    monkeypatch.setattr(distributions, "_STREAM_BLOCK", 1)
+    log = _blocks_read(monkeypatch, u)
+    roots = _piecewise_tau0(u, w, [target])
+    monkeypatch.undo()
+    assert roots == _oracle_piecewise_tau0(u, w, [target])
+    last_search = max(i for i, event in enumerate(log) if event == ("knots",))
+    assert log[last_search - 1] == ("A", 2)
+    assert max(event[1] for event in log if event[0] == "A") == 4
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    block=st.sampled_from(STREAM_BLOCKS),
+    u=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=40, unique=True).map(sorted),
+    data=st.data(),
+)
+def test_piecewise_tau0_target_in_every_block_bit_identical(block, u, data):
+    # Array weights, with one target at or just below a knot of each block,
+    # so every block is searched and places one.
+    u = np.array(u)
+    w = np.array(data.draw(st.lists(st.floats(1e-6, 1.0), min_size=u.size, max_size=u.size)))
+    w /= 2.0 * w.sum()
+    knots = np.cumsum(w * u * u) / (u * u) + _outside_masses(w)
+    targets = [knots[data.draw(st.integers(lo, min(lo + block, u.size) - 1))]
+               * data.draw(st.sampled_from([1.0, 1.0 - 1e-12]))
+               for lo in range(0, u.size, block)]
+    assert _with_block(block, lambda: _value_or_error(
+        lambda: _piecewise_tau0(u, w, targets))) == _value_or_error(
+        lambda: _oracle_piecewise_tau0(u, w, targets))
+
+
+def _finite_spread(law):
+    """The support and weights that a finite law's tau0 solves on."""
+    sym = distributions.symmetrize(law)
+    pos = sym.atoms > 0
+    return sym.atoms[pos], 2.0 * sym.masses[pos]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    block=st.sampled_from(STREAM_BLOCKS),
+    small=st.floats(1e-20, 1e-5),
+    top=st.floats(1e140, 1e150),
+    masses=st.lists(st.floats(0.05, 1.0), min_size=3, max_size=3),
+    Ls=st.lists(st.floats(1.01, 1e3), min_size=1, max_size=4),
+)
+def test_piecewise_tau0_support_past_the_squares_range(block, small, top, masses, Ls):
+    # u_max / u_min above 2^537: scaled by max(u)'s exponent alone, the
+    # smallest square fell to 0 and its knot was 0/0.  Live and frozen give
+    # the same roots or error, and neither warns.
+    masses = np.array(masses) / sum(masses)
+    u, w = _finite_spread(FiniteDist([0.0, small, top], masses))
+    targets = [1.0 / (L * L) for L in Ls]
+    assert _with_block(block, lambda: _value_or_error(
+        lambda: _piecewise_tau0(u, w, targets))) == _value_or_error(
+        lambda: _oracle_piecewise_tau0(u, w, targets))
+
+
+@pytest.mark.parametrize("block", STREAM_BLOCKS + [distributions._STREAM_BLOCK])
+def test_underflow_law_solves_without_a_warning(block):
+    # At L^2 = 5/3 the root lies in the first piece, which does not depend
+    # on the top atom: 1e151 gives 1e140's bits.  At L = 2 it lies in the
+    # top piece, as the unscaled frozen sums find it.
+    def law(top):
+        return FiniteDist([0.0, 1e-11, top], [0.5, 0.25, 0.25])
+
+    def solve(top, L):
+        root = solve_tau0(distributions.symmetrize(law(top)), L)
+        return root.tau0, root.residual
+
+    L = 1.2909944487358056
+    assert _with_block(block, lambda: solve(1e151, L)) == solve(1e140, L)
+    assert solve(1e151, L)[0] == 1.0540925533894596e-11
+    tau0, residual = _with_block(block, lambda: solve(1e151, 2.0))
+    assert [tau0] == _oracle_piecewise_tau0(*_finite_spread(law(1e151)), [0.25])
+    assert residual == 0.0
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_piecewise_tau0_builds_knots_only_where_a_target_can_land(alpha, seed, monkeypatch):
+    # 98 blocks of 2^10 points: the knots of at most targets + 2 blocks are
+    # built (2 to 5 over five seeds; the heavier the tail, the looser the
+    # bound), and the roots are the frozen solver's.
+    u, w = _empirical_spread(AnalyticDist.stable(alpha, 1.0), 100_000, seed)
+    targets = [1.0 / 4.0, 1.0 / 9.0, 1.0 / 100.0]
+    expected = _oracle_piecewise_tau0(u, np.full(u.size, w), targets)
+    monkeypatch.setattr(distributions, "_STREAM_BLOCK", 2**10)
+    log = _blocks_read(monkeypatch, u)
+    roots = _piecewise_tau0(u, w, targets)
+    monkeypatch.undo()
+    assert roots == expected
+    assert log.count(("knots",)) <= len(targets) + 2
 
 
 def _oracle_empirical_root(g, L, n_samples, seed):
