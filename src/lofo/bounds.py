@@ -198,6 +198,18 @@ class RootSolution(_Record):
     eps0: Optional[float] = None
 
 
+def _eps0(tau0: float, dstar: float) -> float:
+    """eps0 = tau0 / D*, the crossover shape's corner: D* must be positive and
+    finite, and the quotient must not overflow.  tau0 = 0 checks D* alone,
+    before any work."""
+    if not 0 < dstar < math.inf:
+        raise ValueError("dstar must be positive and finite")
+    eps0 = tau0 / dstar
+    if eps0 == math.inf:
+        raise NumericalError(f"crossover shape: eps0 = {tau0:g} / {dstar:g} overflows")
+    return eps0
+
+
 def solve_tau0(
     g: Dist, L: float, tol: Optional[float] = None, *, dstar: Optional[float] = None,
     n_samples: int = 1_000_000, seed: int = 0,
@@ -209,12 +221,14 @@ def solve_tau0(
     overflows (the target 1/L^2 would round to 0).  tol > 0 bounds the
     residual |M(tau0) - 1/L^2| accepted (default the kind's: 1e-10 finite,
     1e-6 analytic); a larger or NaN residual raises NumericalError, as does
-    a Gaussian root below the smallest normal float.
+    a Gaussian root below the smallest normal float.  A D*, if given, must
+    be positive and finite (checked first), and eps0 = tau0/D* must not
+    overflow (NumericalError).
     """
     if not 0 < L < math.inf:
         raise ValueError("L must be positive and finite")
-    if dstar is not None and not dstar > 0:
-        raise ValueError("dstar must be positive")
+    if dstar is not None:
+        _eps0(0.0, dstar)
     if tol is not None and not tol > 0:
         raise ValueError("tol must be positive")
     if L * L == math.inf:
@@ -234,7 +248,7 @@ def solve_tau0(
     if not residual <= tol:
         raise NumericalError(f"crossover residual {residual:g} above tolerance {tol:g}")
     return RootSolution(tau0=tau0, residual=residual, iterations=iters, method=g._tau0_method,
-                        eps0=tau0 / dstar if dstar is not None else None)
+                        eps0=_eps0(tau0, dstar) if dstar is not None else None)
 
 
 def shape_crossover(
@@ -263,15 +277,12 @@ def shape_crossover(
         raise ValueError("eps must be a scalar or a 1-D grid")
     if not np.all((eps_arr >= 0) & (eps_arr < math.inf)):
         raise ValueError("eps must be nonnegative and finite")
-    if not 0 < dstar < math.inf:
-        raise ValueError("dstar must be positive and finite")
+    _eps0(0.0, dstar)
     if not 0 < L < math.inf:
         raise ValueError("L must be positive and finite")
     if root is None:
         root = solve_tau0(g, L, n_samples=n_samples, seed=seed)
-    eps0 = root.tau0 / dstar
-    if eps0 == math.inf:
-        raise NumericalError(f"crossover shape: eps0 = {root.tau0:g} / {dstar:g} overflows")
+    eps0 = _eps0(root.tau0, dstar)
     eps_list = eps_arr.ravel().tolist()
     small = [e * dstar for e in eps_list if 0.0 < e <= eps0]
     m_vals = iter(m_functional(g, small, n_samples=n_samples, seed=seed))

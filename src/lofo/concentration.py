@@ -458,20 +458,6 @@ def _convolve(
     return out
 
 
-def sample_weighted_sum(
-    dist: Dist, a: WeightVector, n_samples: int, rng: np.random.Generator
-) -> np.ndarray:
-    """n_samples draws of S_a; zero weights contribute nothing and are skipped.
-
-    Each nonzero weight takes n_samples draws of X from rng in coordinate
-    order, by the law's own sampler, which holds one or two length-n arrays
-    beside the running sum.
-    """
-    total = np.zeros(n_samples)
-    dist._add_weighted_draws(total, a.coords[a.coords != 0.0], rng)
-    return total
-
-
 def q_monte_carlo(
     dist: Dist,
     a: WeightVector,
@@ -481,15 +467,19 @@ def q_monte_carlo(
 ) -> QEstimate:
     """Monte Carlo Q(F_a, lambda) via the window sweep on a sorted sample.
 
-    The error radius is the two-sided DKW band at 99% confidence, doubled
-    because a window mass is a difference of two CDF values.
+    The sample is n_samples draws of S_a from one generator seeded with seed:
+    each nonzero weight takes n_samples draws of X in coordinate order, by
+    the law's own sampler, which holds one or two length-n arrays beside the
+    running sum; zero weights draw nothing.  The error radius is the
+    two-sided DKW band at 99% confidence, doubled because a window mass is a
+    difference of two CDF values.
     """
     if not lam >= 0:
         raise ValueError("window length lambda must be nonnegative")
     if n_samples < MC_MIN_SAMPLES:
         raise ValueError(f"n_samples must be at least {MC_MIN_SAMPLES}")
-    rng = np.random.default_rng(seed)
-    sample = sample_weighted_sum(dist, a, n_samples, rng)
+    sample = np.zeros(n_samples)
+    dist._add_weighted_draws(sample, a.coords[a.coords != 0.0], np.random.default_rng(seed))
     sample.sort()
     (value,) = _window_sup(sample, None, [lam])
     eps = math.sqrt(math.log(2.0 / (1.0 - MC_CONFIDENCE)) / (2.0 * n_samples))
@@ -514,7 +504,8 @@ def esseen_integral(
     laws with nonnegative CF it is two-sided.  The quadrature evaluates
     |CF_{S_a}| one bisection level at a time, so weighted_cf runs once over
     the 33 nodes of the 4 forced levels and then once per level over all of
-    that level's nodes.  A QuadratureError carries its
+    that level's nodes.  The quadrature runs to tol / lambda, which must not
+    underflow to 0.  A QuadratureError carries its
     estimate and tolerance in the units of this value, lambda times the
     integral.
     """
@@ -522,6 +513,8 @@ def esseen_integral(
         raise ValueError("lambda must be positive and finite, with a finite reciprocal")
     if not tol > 0:
         raise ValueError("tol must be positive")
+    if tol / lam == 0.0:
+        raise ValueError(f"tol / lambda underflows to 0: {tol!r} / {lam!r}")
     integrand = lambda t: np.abs(weighted_cf(dist, a, t))
     try:
         return lam * adaptive_simpson(integrand, 0.0, 1.0 / lam, tol=tol / lam)

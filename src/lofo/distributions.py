@@ -284,6 +284,9 @@ class AnalyticDist:
     def _cf_width(self, reach: float) -> int:
         return 1
 
+    def _draws(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        return self.sample(n, rng)
+
     def _add_weighted_draws(self, total: np.ndarray, weights, rng) -> None:
         for w in weights:
             x = self.sample(total.size, rng)
@@ -357,8 +360,16 @@ class _Stable(AnalyticDist):
             return np.exp(-self.scale * np.abs(t) ** self.alpha)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """n draws of _stable_draws.  alpha = 1 does not use the n exponentials
+        but still draws them, in blocks of _STREAM_BLOCK, so that the generator
+        ends where other exponents leave it: a weighted sum of stable variates
+        draws them one after another from one generator."""
         _check_sample_size(n)
-        return sample_symmetric_stable(self.alpha, self.scale, n, rng)
+        z = _stable_draws(self.alpha, self.scale, n, rng)
+        if self.alpha == 1.0:
+            for lo in range(0, n, _STREAM_BLOCK):
+                rng.exponential(1.0, min(_STREAM_BLOCK, n - lo))
+        return z
 
     def _draws(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return _stable_draws(self.alpha, self.scale, n, rng)
@@ -401,22 +412,6 @@ class _Stable(AnalyticDist):
 _KINDS = {"finite": FiniteDist, "gaussian": _Gaussian, "stable": _Stable}
 
 Dist = Union[FiniteDist, AnalyticDist]
-
-
-def sample_symmetric_stable(
-    alpha: float, scale: float, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Draw n variates with CF exp(-scale * |t|^alpha) (Chambers-Mallows-Stuck):
-    the draws of _stable_draws.  alpha = 1 does not use the n exponentials
-    but still draws them, in blocks of _STREAM_BLOCK, so that the generator
-    ends where other exponents leave it: a weighted sum of stable variates
-    draws them one after another from one generator.
-    """
-    z = _stable_draws(alpha, scale, n, rng)
-    if alpha == 1.0:
-        for lo in range(0, n, _STREAM_BLOCK):
-            rng.exponential(1.0, min(_STREAM_BLOCK, n - lo))
-    return z
 
 
 def _stable_draws(alpha: float, scale: float, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -465,9 +460,9 @@ def _stable_draws(alpha: float, scale: float, n: int, rng: np.random.Generator) 
 def _seeded_draws(g: Dist, n: int, seed: int) -> np.ndarray:
     """n draws of g from a generator of its own, seeded with seed: the kind's
     ``_draws``, which need not keep ``sample``'s stream (the stable kind's
-    skip its exponentials), or ``sample`` for a law without them."""
+    skip its exponentials)."""
     _check_sample_size(n)
-    return (getattr(g, "_draws", None) or g.sample)(n, np.random.default_rng(seed))
+    return g._draws(n, np.random.default_rng(seed))
 
 
 def _check_sample_size(n: int) -> None:

@@ -124,24 +124,21 @@ def _instances(sizes, p_list, vector, tag) -> tuple:
 
 def gen_sparse_family(
     s_list: Sequence[int],
-    n: Optional[int] = None,
     p_list: Sequence[float] = (0.5,),
     *,
     perturbed: bool = False,
 ) -> InstanceFamily:
-    """Vectors with s coordinates s^(-1/2) (rest zero), Bernoulli(p) laws.
+    """Vectors of length n = max(s_list) with s coordinates s^(-1/2) (rest
+    zero), Bernoulli(p) laws.
 
     ``perturbed=True`` replaces the zero tail by eta = s^-3, small enough that
     the weighted sum and its least common denominator stay within the
-    unperturbed brackets; s = n has no tail and is skipped.  n defaults to
-    max(s_list).  Both lists must be nonempty and every s an integral value
-    of at least 1.  The instances share one weight vector per s and one law
-    per p.
+    unperturbed brackets; s = n has no tail and is skipped.  Both lists must
+    be nonempty and every s an integral value of at least 1.  The instances
+    share one weight vector per s and one law per p.
     """
     s_list = _check_lists(s_list, p_list)
-    n = max(s_list) if n is None else int(n)
-    if any(s > n for s in s_list):
-        raise ValueError("every s must satisfy s <= n")
+    n = max(s_list)
 
     def vector(s):
         coords = np.zeros(n)
@@ -442,7 +439,8 @@ def study_tau0_scaling(
     places all L together.  A fit whose 2-sigma slope half-width
     exceeds 0.5 is flagged inconclusive.  The fit and its error bar need at
     least three L values, not all equal; fewer raise ValueError, as does an
-    L that is not positive and finite, before any sample is drawn.
+    L that is not positive and finite or an alpha outside (0, 2], before any
+    sample is drawn.
     """
     n_L = len(L_grid)
     if n_L < 3 or len({float(L) for L in L_grid}) < 2:
@@ -453,10 +451,10 @@ def study_tau0_scaling(
         if not 0 < L < math.inf:
             raise ValueError(f"L must be positive and finite, got {float(L)!r}")
     targets = [1.0 / (L * L) for L in L_grid]
+    laws = [symmetrize(AnalyticDist.stable(alpha)) for alpha in alpha_list]
     out = []
-    for alpha in alpha_list:
+    for alpha, g in zip(alpha_list, laws):
         # No name keeps the sample, so it is freed before the next alpha's is drawn.
-        g = symmetrize(AnalyticDist.stable(alpha))
         taus = _piecewise_tau0(*_empirical_spread(g, n_samples, seed), targets)
         pts = [(float(L), tau) for L, tau in zip(L_grid, taus)]
         x, y = np.log(pts).T
@@ -492,21 +490,17 @@ def gaussian_spread_relation(
     ]
 
 
-def study_gaussian_window(
-    sigma_list: Sequence[float],
-    dstar: float,
-    n_eps: int = 25,
-) -> list[dict]:
-    """Q(F_a, eps) * sigma / eps over eps in [sigma/D*, sigma] for unit a.
+def study_gaussian_window(sigma_list: Sequence[float], dstar: float) -> list[dict]:
+    """Q(F_a, eps) * sigma / eps over 25 geometric eps in [sigma/D*, sigma]
+    for unit a.
 
     Exact Q by the Gaussian closed form; the crossover shape is evaluated on
     the same grid (L chosen so the whole range sits below eps0) to confirm it
-    reproduces the eps/sigma order.  D* must be positive and finite and
-    n_eps an integer of at least 1; both are checked before any work.
+    reproduces the eps/sigma order.  D* must be positive and finite, checked
+    before any work.
     """
     if not 0 < dstar < math.inf:
         raise ValueError(f"D* must be positive and finite; got {dstar!r}")
-    _check_n_eps(n_eps)
     rows = []
     for sigma in sigma_list:
         g = symmetrize(AnalyticDist.gaussian(sigma))
@@ -514,7 +508,7 @@ def study_gaussian_window(
         m_at_edge = m_functional(g, sigma * dstar)
         L = 1.05 / math.sqrt(m_at_edge)
         root = solve_tau0(g, L)
-        eps_grid = np.geomspace(sigma / dstar, sigma, n_eps)
+        eps_grid = np.geomspace(sigma / dstar, sigma, 25)
         shape = shape_crossover(a, g, L, eps_grid, dstar, root=root)
         for eps, value, branch in zip(shape.params["eps"], shape.value, shape.params["branch"]):
             q_val = q_closed_form_gaussian(sigma, eps).value

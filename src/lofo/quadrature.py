@@ -32,6 +32,8 @@ from .exceptions import QuadratureError
 # A level of more open panels is not evaluated: a safety bound on memory.
 # The Esseen integral of a two-weight law peaks near 0.56 GB at this width.
 _MAX_PANELS = 1 << 20
+# Bisections past which a subinterval that still disagrees fails the quadrature.
+_MAX_DEPTH = 40
 
 
 def _forced_grid(a: float, b: float) -> np.ndarray | None:
@@ -54,19 +56,18 @@ def adaptive_simpson(
     a: float,
     b: float,
     tol: float = 1e-8,
-    max_depth: int = 40,
 ) -> float:
     """Integrate f over [a, b] to absolute tolerance tol.
 
     f takes a 1-D float array of nodes and returns their values as a 1-D
     float array; it must be elementwise, each value depending on its own
     node only, since the nodes of several panels and levels share a call.
-    a <= b must be finite with a finite b - a, and max_depth >= 0.
+    a <= b must be finite with a finite b - a.
     Bisection is forced for the first 4 levels: the Richardson acceptance
     test can be fooled by an accidentally small correction on a wide
     interval containing a kink (|CF| has those at its zeros).  The
     tolerance halves with each level.  Raises QuadratureError (carrying the
-    achieved estimate) if some subinterval still disagrees after max_depth
+    achieved estimate) if some subinterval still disagrees after _MAX_DEPTH
     bisections, or before evaluating a level of more than _MAX_PANELS open
     panels; then each open panel enters the estimate at its current Simpson
     value, and the error's depth is the levels evaluated.
@@ -75,13 +76,11 @@ def adaptive_simpson(
         raise ValueError("tol must be positive")
     if not (-math.inf < a <= b < math.inf and math.isfinite(float(b) - float(a))):
         raise ValueError(f"need finite a <= b with a finite b - a, got [{a!r}, {b!r}]")
-    if not max_depth >= 0:
-        raise ValueError(f"max_depth must be at least 0, got {max_depth!r}")
     if a == b:
         return 0.0
-    # The forced levels split every panel unless max_depth, _MAX_PANELS or a
+    # The forced levels split every panel unless _MAX_DEPTH, _MAX_PANELS or a
     # collapsed midpoint stops one; then the loop runs them from the root.
-    x = _forced_grid(a, b) if max_depth >= 4 and _MAX_PANELS >= 16 else None
+    x = _forced_grid(a, b) if _MAX_DEPTH >= 4 and _MAX_PANELS >= 16 else None
     # Rows: ends and midpoint, their values, Simpson estimate; one column
     # per panel still open at the current level.
     if x is None:
@@ -89,7 +88,7 @@ def adaptive_simpson(
         fa, fb, fm = f(np.array([a, b, m], dtype=float))
         whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
         panels = np.array([[a], [m], [b], [fa], [fm], [fb], [whole]], dtype=float)
-        level_tol, depth, force, done = tol, max_depth, 4, 0
+        level_tol, depth, force, done = tol, _MAX_DEPTH, 4, 0
     else:
         # Levels 0-3 done: the 16 panels of level 4, whole being their
         # level-3 half estimate.
@@ -98,13 +97,13 @@ def adaptive_simpson(
         whole = (pb - pa) / 6.0 * (pfa + 4.0 * pfm + pfb)
         panels = np.array([pa, pm, pb, pfa, pfm, pfb, whole])
         # Four halvings in turn: tol / 16 rounds otherwise where tol is subnormal.
-        level_tol, depth, force, done = tol * 0.5 * 0.5 * 0.5 * 0.5, max_depth - 4, 0, 4
+        level_tol, depth, force, done = tol * 0.5 * 0.5 * 0.5 * 0.5, _MAX_DEPTH - 4, 0, 4
     levels = []  # per level: (panel values, split mask)
-    ok, below = True, None
+    ok, below, reached = True, None, _MAX_DEPTH
     while panels.shape[1]:
         if panels.shape[1] > _MAX_PANELS:
             # Too wide to evaluate: the open panels keep their Simpson values.
-            ok, below, max_depth = False, panels[6], done + len(levels)
+            ok, below, reached = False, panels[6], done + len(levels)
             break
         pa, pm, pb, pfa, pfm, pfb, pwhole = panels
         lm = 0.5 * (pa + pm)
@@ -142,5 +141,5 @@ def adaptive_simpson(
         below = below[0::2] + below[1::2]
     value = float(below[0])
     if not ok:
-        raise QuadratureError(value, tol, max_depth)
+        raise QuadratureError(value, tol, reached)
     return value

@@ -610,6 +610,9 @@ def test_cli_bound_classical_rejects_invalid_components(flags, message, capsys):
     (["--shape", "crossover", "--dist", "{law}", "--weights", "{weights}", "--L", "3",
       "--eps", "0.1", "--dstar", "inf"], 1,
      "precondition violated: dstar must be positive and finite\n"),
+    (["--shape", "crossover", "--dist", "{law}", "--weights", "{weights}", "--L", "3",
+      "--eps", "0.1", "--dstar", "1e-320"], 2,
+     "operational failure: crossover shape: eps0 = 2.12132 / 9.99989e-321 overflows\n"),
     # The classical shapes: each value overflows.  The first two once warned
     # and exited 1 naming the JSON encoder, the third blamed M_k for vanishing.
     (["--shape", "esseen", "--lambda", "1e300", "--lambda-k", "1e-157", "--m-k", "0.5"], 2,
@@ -732,6 +735,19 @@ def test_cli_tiny_L_and_zero_dstar_are_preconditions(bernoulli_file, capsys):
     _one_line_failure(capsys, "precondition violated: L^2 <= 1/P")
     assert main(["tau0", "--dist", bernoulli_file, "--L", "2", "--dstar", "0"]) == 1
     _one_line_failure(capsys, "precondition violated:")
+
+
+@pytest.mark.parametrize("dstar,code,message", [
+    ("1e-320", 2,
+     "operational failure: crossover shape: eps0 = 2.12132 / 9.99989e-321 overflows\n"),
+    ("inf", 1, "precondition violated: dstar must be positive and finite\n"),
+])
+def test_cli_tau0_checks_eps0_as_the_crossover_shape_does(dstar, code, message, bernoulli_file,
+                                                          capsys):
+    # tau0 once exited 1 naming the JSON encoder at 1e-320 and printed
+    # eps0 = 0 at inf.
+    assert main(["tau0", "--dist", bernoulli_file, "--L", "3", "--dstar", dstar]) == code
+    _one_line_failure(capsys, message)
 
 
 def test_cli_crossover_at_tiny_window(unit_weight_file, tmp_path):

@@ -226,7 +226,7 @@ def test_weighted_sum_perturbed_sparse_is_integer_exact(s):
     # Weights s^(-1/2) = c/s^3 (c = s^(5/2)) on s coordinates and s^(-3) on
     # the other 256 - s: the sum is J/s^3 with J = c B1 + B2, and a closed
     # window of length 2 covers 2 s^3 + 1 consecutive values of J.
-    inst = gen_sparse_family([s], n=256, p_list=[0.5], perturbed=True).instances[0]
+    inst = gen_sparse_family([s, 256], p_list=[0.5], perturbed=True).instances[0]
     q = q_exact(weighted_sum_dist(inst.law, inst.weights), 2.0).value
     c, tail = round(s**2.5), 256 - s
     pmf = np.zeros(c * s + tail + 1)
@@ -264,7 +264,7 @@ def test_shift_add_support_matches_dense(x, y, extra):
 def test_weighted_sum_perturbed_sparse_matches_dense_last_step(s, p):
     # At s = 16 and 64 the last group does not overlap the tail's span and
     # is placed as an outer product; the oracle builds the dense span.
-    inst = gen_sparse_family([s], n=256, p_list=[p], perturbed=True).instances[0]
+    inst = gen_sparse_family([s, 256], p_list=[p], perturbed=True).instances[0]
     fa = weighted_sum_dist(inst.law, inst.weights)
     oracle = _frozen_lattice_law(inst.law, inst.weights, _frozen_dense_support)
     assert fa.atoms.tobytes() == oracle.atoms.tobytes()
@@ -275,7 +275,7 @@ def test_weighted_sum_perturbed_s64_builds_no_dense_span():
     # The 64-weight group sits at stride 32,768 over the 193-entry pmf of the
     # tail: a dense span would hold 2,097,345 float64 entries (16.8 MB) for
     # 12,545 atoms.
-    inst = gen_sparse_family([64], n=256, p_list=[0.5], perturbed=True).instances[0]
+    inst = gen_sparse_family([64, 256], p_list=[0.5], perturbed=True).instances[0]
     weighted_sum_dist(inst.law, inst.weights)  # warm up outside the measurement
     tracemalloc.start()
     try:
@@ -649,6 +649,10 @@ def _raw_cap_convolve():
      ValueError, "lambda must be positive"),
     (lambda: esseen_integral(FiniteDist.bernoulli(0.5), WeightVector([1.0]), 1.0, tol=0.0),
      ValueError, "tol must be positive"),
+    # A positive tol whose quotient by lambda underflows once reached the
+    # quadrature as 0, which blamed it for not being positive.
+    (lambda: esseen_integral(FiniteDist.bernoulli(0.5), WeightVector([1.0]), 10.0, tol=5e-324),
+     ValueError, "tol / lambda underflows to 0: 5e-324 / 10.0"),
     (lambda: weighted_sum_dist(FiniteDist.bernoulli(0.5), WeightVector([1.0]), budget=0),
      ValueError, "budget must be positive"),
     (_raw_cap_convolve, CapacityError, "support size 20000000 exceeds budget"),

@@ -226,7 +226,7 @@ def test_window_sweep_empty_grid_and_point_mass():
 
 
 def _perturbed_law(s, p):
-    inst = gen_sparse_family([s], n=256, p_list=[p], perturbed=True).instances[0]
+    inst = gen_sparse_family([s, 256], p_list=[p], perturbed=True).instances[0]
     return weighted_sum_dist(inst.law, inst.weights)
 
 
@@ -340,7 +340,7 @@ def test_window_bound_searches_a_tenth_of_the_keys(searched, monkeypatch):
         return window_sup(points, masses, lams)
 
     monkeypatch.setattr(harness, "_window_sup", recorded)
-    calibrate_upper("crossover", gen_sparse_family([128], n=256, p_list=[0.5], perturbed=True), 2.0)
+    calibrate_upper("crossover", gen_sparse_family([128, 256], p_list=[0.5], perturbed=True), 2.0)
     (lams,) = grids
     f = _perturbed_law(128, 0.5)
     assert f.n_atoms * len(lams) == 665_640
@@ -759,8 +759,10 @@ def _outcome(call):
 def _family(kind, s_list, p_list, extra):
     if kind == "equal":
         return gen_equal_weight_family(s_list, p_list)
-    n = max(s_list) + extra if kind == "perturbed" else None
-    return gen_sparse_family(s_list, n=n, p_list=p_list, perturbed=kind == "perturbed")
+    if kind == "sparse":
+        return gen_sparse_family(s_list, p_list)
+    # Vectors of length max(s_list) + extra: that size has no tail and is skipped.
+    return gen_sparse_family([*s_list, max(s_list) + extra], p_list, perturbed=True)
 
 
 # Q = 1 and M = 0 at every tau, and no crossover scale: no rows, or excluded.
@@ -808,11 +810,10 @@ def test_calibrate_instance_with_every_tau_degenerate_gives_no_rows():
 @given(
     sigmas=st.lists(st.floats(0.05, 20.0), min_size=1, max_size=3),
     dstar=st.floats(1.5, 50.0),
-    n_eps=st.integers(1, 30),
 )
-def test_study_gaussian_window_matches_frozen_copy(sigmas, dstar, n_eps):
-    rows = study_gaussian_window(sigmas, dstar, n_eps)
-    assert rows == _oracle_study_gaussian_window(sigmas, dstar, n_eps)
+def test_study_gaussian_window_matches_frozen_copy(sigmas, dstar):
+    rows = study_gaussian_window(sigmas, dstar)
+    assert rows == _oracle_study_gaussian_window(sigmas, dstar)
     assert all(type(r["shape"]) is float and type(r["eps"]) is float for r in rows)
 
 

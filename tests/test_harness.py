@@ -34,12 +34,19 @@ from lofo.harness import (
 # ---------------------------------------------------------------------------
 
 
+def _sparse_on(n, s_list, **kwargs):
+    """The sparse family's instances of the sizes s_list, each below n, on
+    vectors of length n."""
+    family = gen_sparse_family([*s_list, n], **kwargs)
+    return InstanceFamily(family.id, tuple(i for i in family.instances if i.s != n))
+
+
 def test_sparse_family_deterministic_and_dense_case():
     f1 = gen_sparse_family([4, 16], p_list=[0.3, 0.5])
     f2 = gen_sparse_family([4, 16], p_list=[0.3, 0.5])
     assert [i.id for i in f1.instances] == [i.id for i in f2.instances]
     assert len(f1.instances) == 4
-    dense = gen_sparse_family([8], n=8, p_list=[0.5]).instances[0]
+    dense = gen_sparse_family([8], p_list=[0.5]).instances[0]
     assert np.all(dense.weights.coords == 8**-0.5)
 
 
@@ -50,26 +57,21 @@ def test_sparse_family_binomial_law():
     assert q_exact(fa, 0.0).value == pytest.approx(0.375)
 
 
-def test_sparse_family_validates_s_vs_n():
-    with pytest.raises(ValueError):
-        gen_sparse_family([16], n=8)
-
-
 def test_sparse_family_both_variants():
-    def ids(s_list, n):
+    def ids(s_list):
         return [i.id for pert in (False, True)
-                for i in gen_sparse_family(s_list, n=n, p_list=[0.5], perturbed=pert).instances]
+                for i in gen_sparse_family(s_list, p_list=[0.5], perturbed=pert).instances]
 
-    both = ids([4, 8], 16)
+    both = ids([4, 8, 16])
     assert "sparse_s4_p0.5" in both and "sparse_pert_s4_p0.5" in both
-    assert len(both) == 4
     # The dense s = n case has no tail to perturb.
-    assert ids([8], 8) == ["sparse_s8_p0.5"]
+    assert len(both) == 5 and "sparse_pert_s16_p0.5" not in both
+    assert ids([8]) == ["sparse_s8_p0.5"]
 
 
 @pytest.mark.parametrize("generate", [
-    lambda: gen_sparse_family([4, 8, 16], n=32, p_list=[0.3, 0.5, 0.3]),
-    lambda: gen_sparse_family([4, 8, 16], n=16, p_list=[0.3, 0.5], perturbed=True),
+    lambda: gen_sparse_family([4, 8, 16, 32], p_list=[0.3, 0.5, 0.3]),
+    lambda: gen_sparse_family([4, 8, 16], p_list=[0.3, 0.5], perturbed=True),
     lambda: gen_equal_weight_family([4, 9, 4], p_list=[0.3, 0.5]),
 ])
 def test_family_shares_one_law_per_p_and_one_vector_per_s(generate):
@@ -83,8 +85,8 @@ def test_family_shares_one_law_per_p_and_one_vector_per_s(generate):
 
 def test_family_builds_each_law_only_when_an_instance_uses_it():
     # s = n has no tail to perturb, so no instance asks for the p = 1.5 law.
-    assert gen_sparse_family([4], n=4, p_list=[1.5], perturbed=True).instances == ()
-    for call in (lambda: gen_sparse_family([4], n=8, p_list=[0.5, 1.5], perturbed=True),
+    assert gen_sparse_family([4], p_list=[1.5], perturbed=True).instances == ()
+    for call in (lambda: gen_sparse_family([4, 8], p_list=[0.5, 1.5], perturbed=True),
                  lambda: gen_sparse_family([4], p_list=[1.5]),
                  lambda: gen_equal_weight_family([4], p_list=[0.5, 0.0])):
         with pytest.raises(ValueError, match="bernoulli parameter must lie in"):
@@ -92,8 +94,8 @@ def test_family_builds_each_law_only_when_an_instance_uses_it():
 
 
 def test_perturbed_family_close_to_unperturbed():
-    plain = gen_sparse_family([16], n=32, p_list=[0.5]).instances[0]
-    pert = gen_sparse_family([16], n=32, p_list=[0.5], perturbed=True).instances[0]
+    plain = gen_sparse_family([16, 32], p_list=[0.5]).instances[0]
+    pert = gen_sparse_family([16, 32], p_list=[0.5], perturbed=True).instances[0]
     assert np.all(pert.weights.coords[16:] == 16.0**-3)
     fa_plain = weighted_sum_dist(plain.law, plain.weights)
     fa_pert = weighted_sum_dist(pert.law, pert.weights)
@@ -111,8 +113,8 @@ def test_perturbed_family_close_to_unperturbed():
 def test_perturbed_family_preserves_lcd_order():
     from lofo.lcd import lcd
 
-    plain = gen_sparse_family([16], n=32, p_list=[0.5]).instances[0]
-    pert = gen_sparse_family([16], n=32, p_list=[0.5], perturbed=True).instances[0]
+    plain = gen_sparse_family([16, 32], p_list=[0.5]).instances[0]
+    pert = gen_sparse_family([16, 32], p_list=[0.5], perturbed=True).instances[0]
     d_plain = lcd(plain.weights, 2.0, "d_star", tol=1e-8).value
     d_pert = lcd(pert.weights, 2.0, "d_star", tol=1e-8).value
     assert d_pert == pytest.approx(d_plain, rel=1e-3)
@@ -147,7 +149,7 @@ def test_calibrate_excludes_precondition_violations():
 
 def test_calibrate_crossover_perturbed_family():
     reps = [calibrate_upper("crossover",
-                            gen_sparse_family([4, 8], n=16, p_list=[0.5], perturbed=pert),
+                            _sparse_on(16, [4, 8], p_list=[0.5], perturbed=pert),
                             L=2.0, n_eps=10)
             for pert in (False, True)]
     assert all(rep.passed for rep in reps)
@@ -170,7 +172,7 @@ def test_calibrate_crossover_scans_each_weight_vector_once(perturbed, monkeypatc
         calls.append(weights.coords.tobytes())
         return lcd_search(weights, *args, **kwargs)
 
-    fam = gen_sparse_family([4, 8, 16], n=32, p_list=[0.3, 0.4, 0.5], perturbed=perturbed)
+    fam = _sparse_on(32, [4, 8, 16], p_list=[0.3, 0.4, 0.5], perturbed=perturbed)
     rep = calibrate_upper("crossover", fam, L=2.0, n_eps=5)
     monkeypatch.setattr(lofo.harness, "lcd_search", counted)
     assert calibrate_upper("crossover", fam, L=2.0, n_eps=5) == rep
@@ -207,7 +209,7 @@ def _unshared(family):
 
 @pytest.mark.parametrize("bound_id,family", [
     ("crossover", gen_sparse_family([4, 8, 16], p_list=[0.05, 0.3, 0.5])),
-    ("crossover", gen_sparse_family([4, 8], n=16, p_list=[0.1, 0.4], perturbed=True)),
+    ("crossover", gen_sparse_family([4, 8, 16], p_list=[0.1, 0.4], perturbed=True)),
     ("esseen", gen_equal_weight_family([4, 16, 25], p_list=[0.2, 0.5])),
     ("kolmogorov_rogozin", gen_equal_weight_family([4, 16, 25], p_list=[0.2, 0.5])),
 ])
@@ -343,7 +345,7 @@ def test_gaussian_spread_relation_bracket():
 
 
 def test_gaussian_window_study():
-    rows = study_gaussian_window([1.0, 2.0], dstar=8.0, n_eps=10)
+    rows = study_gaussian_window([1.0, 2.0], dstar=8.0)
     for r in rows:
         assert r["q_ratio"] <= 0.42
         assert 0.60 <= r["shape_ratio"] <= 1.40
@@ -359,11 +361,9 @@ def test_gaussian_window_study():
     ({"dstar": -2.0}, "D* must be positive and finite; got -2.0"),
     ({"dstar": math.nan}, "D* must be positive and finite; got nan"),
     ({"dstar": math.inf}, "D* must be positive and finite; got inf"),
-    ({"dstar": 8.0, "n_eps": 0}, "n_eps must be an integer of at least 1; got 0"),
-    ({"dstar": 8.0, "n_eps": 2.5}, "n_eps must be an integer of at least 1; got 2.5"),
 ])
 def test_gaussian_window_study_checks_inputs_before_any_work(kwargs, message, monkeypatch):
-    # n_eps = 0 returned [] and D* = 0 or NaN failed with "tau must be positive".
+    # D* = 0 or NaN once failed with "tau must be positive".
     def no_work(*args):
         raise AssertionError("work began before the inputs were checked")
 
@@ -445,7 +445,6 @@ _FAMILY = gen_sparse_family([4], p_list=[0.5])
 @pytest.mark.parametrize("call,exc,message", [
     (lambda: rows_to_csv([], "unused.csv"), ValueError, "no rows to render"),
     (lambda: gen_sparse_family([0, 4]), ValueError, "every s in --s-list must be at least 1"),
-    (lambda: gen_sparse_family([8], n=4), ValueError, "every s must satisfy s <= n"),
     (lambda: gen_equal_weight_family([-1]), ValueError, "every s in --s-list must be at least 1"),
     (lambda: gen_equal_weight_family([4], p_list=[1.5]), ValueError,
      "bernoulli parameter must lie in (0, 1)"),
@@ -518,3 +517,15 @@ def test_study_tau0_scaling_checks_L_before_sampling(bad, monkeypatch, capfd):
         study_tau0_scaling([1.0, 0.5], [3.0, 10.0, bad])
     assert str(info.value) == f"L must be positive and finite, got {bad!r}"
     assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("bad", [5.0, 0.0, -1.0, math.nan])
+def test_study_tau0_scaling_checks_alpha_before_sampling(bad, monkeypatch):
+    # The alpha = 1 sample of 10^6 draws used to be drawn and solved before
+    # the second exponent was refused.
+    draws = []
+    monkeypatch.setattr(lofo.distributions, "_stable_draws", lambda *args: draws.append(args))
+    with pytest.raises(ValueError) as info:
+        study_tau0_scaling([1.0, bad], [3, 10, 30])
+    assert str(info.value) == "stable exponent must lie in (0, 2]"
+    assert draws == []

@@ -138,33 +138,33 @@ def test_degenerate_and_validation():
 
 
 @pytest.mark.parametrize(
-    "a,b,max_depth",
+    "a,b",
     [
-        (1.0, 0.0, 40),
-        (0.0, 1.0, -1),
-        (-1e308, 1e308, 40),
-        (0.0, math.inf, 40),
-        (-math.inf, 0.0, 40),
-        (math.inf, math.inf, 40),
-        (math.nan, 1.0, 40),
-        (0.0, math.nan, 40),
+        (1.0, 0.0),
+        (-1e308, 1e308),
+        (0.0, math.inf),
+        (-math.inf, 0.0),
+        (math.inf, math.inf),
+        (math.nan, 1.0),
+        (0.0, math.nan),
     ],
 )
-def test_rejects_bad_interval_or_depth(a, b, max_depth):
+def test_rejects_bad_interval(a, b):
     # Refused before any call and without a numpy warning: a reversed interval
-    # used to run 40 levels, and max_depth -1 to report "within depth -1".
+    # used to run 40 levels.
     calls = []
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="need finite a <= b|max_depth must be at least 0"):
-            adaptive_simpson(lambda x: calls.append(x) or np.cos(x), a, b, max_depth=max_depth)
+        with pytest.raises(ValueError, match="need finite a <= b"):
+            adaptive_simpson(lambda x: calls.append(x) or np.cos(x), a, b)
     assert calls == []
 
 
-def test_depth_exhaustion_carries_estimate():
+def test_depth_exhaustion_carries_estimate(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_DEPTH", 3)
     rough = lambda x: np.sin(200.0 * x) ** 2
     with pytest.raises(QuadratureError) as exc:
-        adaptive_simpson(rough, 0.0, 7.0, tol=1e-13, max_depth=3)
+        adaptive_simpson(rough, 0.0, 7.0, tol=1e-13)
     oracle, _ = integrate.quad(rough, 0.0, 7.0, limit=400)
     # The achieved estimate is still in the right ballpark.
     assert abs(exc.value.estimate - oracle) < 0.5
@@ -176,10 +176,11 @@ def _one_node(vec):
     return lambda x: float(vec(np.array([x]))[0])
 
 
-def test_depth_exhaustion_matches_recursion():
+def test_depth_exhaustion_matches_recursion(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_DEPTH", 3)
     rough = lambda x: np.sin(200.0 * x) ** 2
     with pytest.raises(QuadratureError) as new:
-        adaptive_simpson(rough, 0.0, 7.0, tol=1e-13, max_depth=3)
+        adaptive_simpson(rough, 0.0, 7.0, tol=1e-13)
     with pytest.raises(QuadratureError) as old:
         _oracle_simpson(_one_node(rough), 0.0, 7.0, tol=1e-13, max_depth=3)
     assert (new.value.estimate, new.value.depth, new.value.tol) == (
@@ -263,10 +264,10 @@ def test_forced_levels_in_one_call_match_level_loop(f, ab, tol, max_depth, cap):
     # or error and the same nodes, whether the grid applies (max_depth >= 4,
     # cap >= 16, no collapsed midpoint) or the loop starts from the root.
     a, b = ab
-    kw = dict(tol=tol, max_depth=max_depth)
-    with mock.patch.object(quadrature, "_MAX_PANELS", cap):
-        got = _traced(adaptive_simpson, f, a, b, **kw)
-    assert got == _traced(_level_oracle, f, a, b, max_panels=cap, **kw)
+    with mock.patch.object(quadrature, "_MAX_PANELS", cap), \
+            mock.patch.object(quadrature, "_MAX_DEPTH", max_depth):
+        got = _traced(adaptive_simpson, f, a, b, tol=tol)
+    assert got == _traced(_level_oracle, f, a, b, tol=tol, max_depth=max_depth, max_panels=cap)
 
 
 @pytest.mark.parametrize("step", [0.1, 0.3, 0.77])

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from lofo import AnalyticDist, FiniteDist, WeightVector, m_functional, q_monte_carlo, solve_tau0
 from lofo import distributions
-from lofo.concentration import MC_MIN_SAMPLES, sample_weighted_sum
-from lofo.distributions import _empirical_spread, _piecewise_tau0, sample_symmetric_stable
+from lofo.concentration import MC_MIN_SAMPLES
+from lofo.distributions import _empirical_spread, _piecewise_tau0
 from lofo.exceptions import NumericalError, PreconditionError
 from lofo.harness import study_tau0_scaling
 
@@ -131,6 +131,27 @@ def _outcome(fn, *args):
     return (out.dtype, out.shape, out.tobytes()), rng.bit_generator.state
 
 
+def _stable_sample(alpha, scale, n, rng):
+    """The stable law's sampler, the one that keeps the generator's stream."""
+    return AnalyticDist.stable(alpha, scale).sample(n, rng)
+
+
+def _expected_sample(alpha, scale, n, seed):
+    """_outcome of the frozen sampler; a law's sampler refuses n = 0 before
+    it draws."""
+    if n == 0:
+        return ValueError, np.random.default_rng(seed).bit_generator.state
+    return _outcome(_oracle_stable, alpha, scale, n, seed)
+
+
+def _weighted_draws(law, a, n, rng):
+    """n draws of S_a by the law's weighted-sum sampler, as q_monte_carlo
+    draws its sample."""
+    total = np.zeros(n)
+    law._add_weighted_draws(total, a.coords[a.coords != 0.0], rng)
+    return total
+
+
 def _value_or_error(fn):
     try:
         return fn()
@@ -194,8 +215,8 @@ weight_vectors = st.lists(
 @given(alpha=alphas, scale=scales, n=st.integers(0, 3000), seed=seeds)
 def test_stable_sampler_bit_identical(alpha, scale, n, seed):
     # Same bits (or the same exception) and the same generator state after.
-    assert _outcome(sample_symmetric_stable, alpha, scale, n, seed) == _outcome(
-        _oracle_stable, alpha, scale, n, seed
+    assert _outcome(_stable_sample, alpha, scale, n, seed) == _expected_sample(
+        alpha, scale, n, seed
     )
 
 
@@ -205,9 +226,7 @@ def test_stable_sampler_exponential_blocks_keep_stream(alpha, n, monkeypatch):
     # alpha = 1 skips its exponentials in blocks; a block size that does not
     # divide n still leaves the generator where one full draw does.
     monkeypatch.setattr(distributions, "_STREAM_BLOCK", 3)
-    assert _outcome(sample_symmetric_stable, alpha, 2.0, n, 11) == _outcome(
-        _oracle_stable, alpha, 2.0, n, 11
-    )
+    assert _outcome(_stable_sample, alpha, 2.0, n, 11) == _expected_sample(alpha, 2.0, n, 11)
 
 
 def _uniforms_then_exponentials(alpha, scale, n, rng):
@@ -222,12 +241,12 @@ def _uniforms_then_exponentials(alpha, scale, n, rng):
 @settings(max_examples=120, deadline=None)
 @given(alpha=alphas, scale=scales, bn=block_lengths(), seed=seeds)
 def test_private_stable_draws_skip_no_exponentials(alpha, scale, bn, seed):
-    # The public sampler's bits; the generator ends after the uniforms at
+    # The frozen sampler's bits; the generator ends after the uniforms at
     # alpha = 1, and after the exponentials elsewhere, whatever the block.
     block, n = bn
     out, state = _with_block(
         block, lambda: _outcome(distributions._stable_draws, alpha, scale, n, seed))
-    assert out == _outcome(sample_symmetric_stable, alpha, scale, n, seed)[0]
+    assert out == _outcome(_oracle_stable, alpha, scale, n, seed)[0]
     assert state == _outcome(_uniforms_then_exponentials, alpha, scale, n, seed)[1]
 
 
@@ -236,8 +255,8 @@ def test_private_stable_draws_skip_no_exponentials(alpha, scale, bn, seed):
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
 def test_streamed_stable_draws_at_block_edges(block, offset, alpha):
     n = 5 * block + 2 if offset == "several" else block + offset
-    assert _with_block(block, lambda: _outcome(sample_symmetric_stable, alpha, 1.5, n, 4)) == (
-        _outcome(_oracle_stable, alpha, 1.5, n, 4)
+    assert _with_block(block, lambda: _outcome(_stable_sample, alpha, 1.5, n, 4)) == (
+        _expected_sample(alpha, 1.5, n, 4)
     )
 
 
@@ -275,6 +294,8 @@ class _StubLaw:
         x[rng.random(n) < 0.02] = -np.inf
         return x
 
+    _draws = sample
+
 
 @settings(max_examples=60, deadline=None)
 @given(
@@ -301,7 +322,7 @@ def test_empirical_spread_bit_identical(law, n, seed):
 
 def test_empirical_spread_without_nonzero_draws():
     class Zeros:
-        def sample(self, n, rng):
+        def _draws(self, n, rng):
             return np.zeros(n)
 
     with pytest.raises(PreconditionError, match="no nonzero draws"):
@@ -564,7 +585,7 @@ def test_empirical_solve_and_stable_m_bit_identical(alpha, scale, L, tau, seed):
     seed=seeds,
 )
 def test_weighted_sum_bit_identical(law, a, n, seed):
-    assert _outcome(sample_weighted_sum, law, a, n, seed) == _outcome(
+    assert _outcome(_weighted_draws, law, a, n, seed) == _outcome(
         _oracle_weighted_sum, law, a, n, seed
     )
 
