@@ -6,7 +6,8 @@ supremum, and check it stays finite, seed-stable, and flat as the family
 extends.  This script runs a small sparse-family calibration, the exact
 binomial lower bound, and the stable-law crossover scaling study, prints
 the closed-form gain 1/(L sqrt(M(1))) of the refined shape 1/(D sqrt(M(1)))
-over the L/D baseline for a few Bernoulli laws, then emits CSV reports.
+over the L/D baseline for a few Bernoulli laws, then writes the wide and
+the long CSV report of the calibration with one render_csvs call.
 """
 
 import math
@@ -19,8 +20,7 @@ from lofo.harness import (
     check_lower_binomial,
     gen_sparse_family,
     ratio_sup_by_s,
-    rows_to_csv,
-    rows_to_long_csv,
+    render_csvs,
     study_tau0_scaling,
 )
 
@@ -49,6 +49,5 @@ for p in [0.2, 0.3, 0.4, 0.5]:
     m1 = m_functional(symmetrize(FiniteDist.bernoulli(p)), 1.0)
     print(f"  Bernoulli({p}): ratio {1.0 / (L * math.sqrt(m1)):.4f}")
 
-rows_to_csv(report.rows, "calibration_rows.csv")
-rows_to_long_csv(report.rows, "calibration_long.csv")
+render_csvs(report.rows, "calibration_rows.csv", "calibration_long.csv")
 print("\nwrote calibration_rows.csv and calibration_long.csv")

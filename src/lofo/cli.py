@@ -49,9 +49,9 @@ from .harness import (
     _BINOMIAL_LOWER,
     _FAMILIES,
     _RECIPES,
-    _render_csvs,
     calibrate_upper,
     check_lower_binomial,
+    render_csvs,
 )
 from .lcd import lcd as lcd_search
 from .serialize import dumps_canonical, load_dist, load_weights, write_canonical
@@ -187,7 +187,7 @@ def cmd_report(args) -> None:
         raise ParseError("report JSON must be an object whose rows are objects")
     if not rows:
         raise PreconditionError("report contains no rows")
-    _render_csvs(rows, args.out_csv, args.out_long or None)
+    render_csvs(rows, args.out_csv, args.out_long or None)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -504,13 +504,14 @@ def esseen_integral(
     laws with nonnegative CF it is two-sided.  The quadrature evaluates
     |CF_{S_a}| one bisection level at a time, so weighted_cf runs once over
     the 33 nodes of the 4 forced levels and then once per level over all of
-    that level's nodes.  The quadrature runs to tol / lambda, which must not
-    underflow to 0.  A QuadratureError carries its
+    that level's nodes.  lambda must be positive with 2 / lambda finite, so
+    that no sum of two nodes overflows; the quadrature runs to tol / lambda,
+    which must not underflow to 0.  A QuadratureError carries its
     estimate and tolerance in the units of this value, lambda times the
     integral.
     """
-    if not 0 < lam < math.inf or 1.0 / lam == math.inf:
-        raise ValueError("lambda must be positive and finite, with a finite reciprocal")
+    if not (0 < lam < math.inf and 2.0 / float(lam) < math.inf):
+        raise ValueError(f"lambda must be positive and finite, with 2 / lambda finite, got {lam!r}")
     if not tol > 0:
         raise ValueError("tol must be positive")
     if tol / lam == 0.0:

@@ -654,10 +654,13 @@ def _piecewise_tau0(u: np.ndarray, w, m_stars) -> list[float]:
     entries whose A, B and knots are rebuilt in three block buffers when
     read: a reverse pass records B at each block's last entry, a forward
     pass A before its first and searches each target in the first block
-    whose last knot reaches it.  np.cumsum accumulates sequentially, so every
-    A and B has the bits of one whole-array cumsum, and the block search
-    returns np.searchsorted's index over all knots, which are nonincreasing
-    in exact arithmetic (m_{i+1} = A_i/u_{i+1}^2 + B_i <= m_i).
+    with a knot at most m_star.  np.cumsum accumulates sequentially, so every
+    A and B has the bits of one whole-array cumsum.  The knots are
+    nonincreasing in exact arithmetic (m_{i+1} = A_i/u_{i+1}^2 + B_i <= m_i)
+    but rounding can make one rise, so each searched block takes their
+    running minimum (a NaN knot carries to the block's end, and sorts last)
+    before the search.  The first knot at most m_star (or NaN) then decides
+    the piece, the one of smallest tau, whatever the block size.
 
     The forward pass builds a block's knots only when the block can hold a
     pending target, and stops once every target is placed; the root walk
@@ -666,16 +669,17 @@ def _piecewise_tau0(u: np.ndarray, w, m_stars) -> list[float]:
     and B a top-down sum of nonnegative weights, and rounded +, * and / are
     monotone, so every knot of block j is at least
     lb_j = A_first / (s_last s_last) + B_last, formed as floats.  When lb_j
-    is above every pending target, each -knot lies below each -m_star and
-    np.searchsorted(side="left") returns the block length whatever the
-    knots' order: the block places no target, as a search would find.  A
+    is above every pending target, so is every running minimum of the
+    block's knots, and np.searchsorted(side="left") returns the block
+    length: the block places no target, as a search would find.  A
     block with a zero or infinite square (an underflow, an infinite point)
     may hold a NaN knot and is always searched.  So the reverse pass costs
     a fill and a cumsum per block, A an ldexp, two multiplies and a cumsum
     per block up to the last block read, and the knots (a square, a divide,
-    a rebuilt suffix, an add, a negate and a search) only blocks that can
-    place a target or that the walk reads.  Only u is read at length n;
-    3 _STREAM_BLOCK + 2 n / _STREAM_BLOCK floats are written.
+    a rebuilt suffix, an add, a running minimum, a negate and a search)
+    only blocks that can place a target or that the walk reads.  Only u is
+    read at length n; 3 _STREAM_BLOCK + 2 n / _STREAM_BLOCK floats are
+    written.
 
     The sums are taken on s = u 2^-e, e the binary exponent of max(u) (at
     most 1023), lowered when the smallest square times the smallest weight,
@@ -757,6 +761,7 @@ def _piecewise_tau0(u: np.ndarray, w, m_stars) -> list[float]:
         np.multiply(knot, knot, out=knot)
         np.divide(a, knot, out=knot)
         knot += suffix(j, b_last[j])
+        np.minimum.accumulate(knot, out=knot)
         np.negative(knot, out=knot)
         at = np.searchsorted(knot, neg_targets[pending], side="left")
         placed = at < a.size

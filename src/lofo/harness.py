@@ -532,35 +532,19 @@ def study_gaussian_window(sigma_list: Sequence[float], dstar: float) -> list[dic
 # ---------------------------------------------------------------------------
 
 
-def rows_to_csv(rows: Sequence[dict], path: str) -> None:
-    """One CSV row per report row; keys of the first row fix the header.
-
-    The bytes are those of ``csv.DictWriter`` with its defaults: a key
-    missing from a row writes "", and a key outside the header raises
-    ValueError naming it, after the rows before it are written.  Cells are
-    formatted a column at a time (see ``_render_csvs``).
-    """
-    _render_csvs(rows, path, None)
-
-
-def rows_to_long_csv(rows: Sequence[dict], path: str) -> None:
-    """Plot-ready long format: (instance, eps, Q, shape, ratio).
-
-    The shape cell falls back to ``min_form``, and a missing cell is "".
-    """
-    _render_csvs(rows, None, path)
-
-
-def _render_csvs(rows: Sequence[dict], wide_path: Optional[str],
-                 long_path: Optional[str]) -> None:
+def render_csvs(rows: Sequence[dict], wide_path: Optional[str] = None,
+                long_path: Optional[str] = None) -> None:
     """Write the wide CSV of ``rows`` to ``wide_path`` and the long one to ``long_path``.
 
-    Either path may be None.  Each column is gathered by one C-level
-    ``dict.get`` map and formatted once, and the long file takes the wide
-    file's texts: its shape cell is the text of a row's ``shape``, else of
-    its ``min_form``.  A wide file that meets a key outside its header
-    writes the rows before it, then raises ValueError before the long file
-    is written.
+    Either path may be None.  The wide file has one CSV row per report row,
+    the keys of the first row being the header; the long one is plot-ready:
+    (instance, eps, q, shape, ratio), the shape cell falling back to
+    ``min_form``.  The bytes are those of ``csv.DictWriter`` with its
+    defaults: a missing cell writes "", and a wide file that meets a key
+    outside its header writes the rows before it, then raises ValueError
+    naming the key, before the long file is written.  Each column is
+    gathered by one C-level ``dict.get`` map and formatted once, and the
+    long file takes the wide file's texts.
     """
     rows = list(rows)
     if not rows:

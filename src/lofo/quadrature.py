@@ -36,19 +36,21 @@ _MAX_PANELS = 1 << 20
 _MAX_DEPTH = 40
 
 
-def _forced_grid(a: float, b: float) -> np.ndarray | None:
+def _forced_grid(a: float, b: float) -> np.ndarray:
     """The 33 nodes of [a, b]'s ends, midpoint and forced levels, in order.
 
     Each node is the recursion's midpoint ``0.5 * (x + y)`` of its two
-    neighbours one level up, built level by level.  None when the nodes do
-    not increase strictly: a midpoint collapsed onto an end, and some panel
-    of a forced level may not split.
+    neighbours one level up, built level by level.  Raises ValueError when
+    the nodes do not increase strictly: a midpoint collapsed onto an end, so
+    some panel of a forced level could not split.
     """
     x = np.empty(33)
     x[0], x[32] = a, b
     for h in (16, 8, 4, 2, 1):
         x[h::2 * h] = 0.5 * (x[: -h : 2 * h] + x[2 * h :: 2 * h])
-    return x if np.all(x[1:] > x[:-1]) else None
+    if not np.all(x[1:] > x[:-1]):
+        raise ValueError(f"the 33 forced nodes of [{a!r}, {b!r}] do not increase strictly")
+    return x
 
 
 def adaptive_simpson(
@@ -62,7 +64,10 @@ def adaptive_simpson(
     f takes a 1-D float array of nodes and returns their values as a 1-D
     float array; it must be elementwise, each value depending on its own
     node only, since the nodes of several panels and levels share a call.
-    a <= b must be finite with a finite b - a.
+    a <= b must be finite with a finite 2 max(|a|, |b|), so that no sum of
+    two nodes overflows, and unless a == b (integral 0.0) the 33 nodes of
+    the forced levels must increase strictly; otherwise ValueError, before
+    f is called.
     Bisection is forced for the first 4 levels: the Richardson acceptance
     test can be fooled by an accidentally small correction on a wide
     interval containing a kink (|CF| has those at its zeros).  The
@@ -74,36 +79,27 @@ def adaptive_simpson(
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    if not (-math.inf < a <= b < math.inf and math.isfinite(float(b) - float(a))):
-        raise ValueError(f"need finite a <= b with a finite b - a, got [{a!r}, {b!r}]")
+    if not (-math.inf < a <= b < math.inf
+            and math.isfinite(2.0 * max(abs(float(a)), abs(float(b))))):
+        raise ValueError(f"need finite a <= b with a finite 2 max(|a|, |b|), got [{a!r}, {b!r}]")
     if a == b:
         return 0.0
-    # The forced levels split every panel unless _MAX_DEPTH, _MAX_PANELS or a
-    # collapsed midpoint stops one; then the loop runs them from the root.
-    x = _forced_grid(a, b) if _MAX_DEPTH >= 4 and _MAX_PANELS >= 16 else None
-    # Rows: ends and midpoint, their values, Simpson estimate; one column
-    # per panel still open at the current level.
-    if x is None:
-        m = 0.5 * (a + b)
-        fa, fb, fm = f(np.array([a, b, m], dtype=float))
-        whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-        panels = np.array([[a], [m], [b], [fa], [fm], [fb], [whole]], dtype=float)
-        level_tol, depth, force, done = tol, _MAX_DEPTH, 4, 0
-    else:
-        # Levels 0-3 done: the 16 panels of level 4, whole being their
-        # level-3 half estimate.
-        fx = f(x)
-        pa, pm, pb, pfa, pfm, pfb = x[:-1:2], x[1::2], x[2::2], fx[:-1:2], fx[1::2], fx[2::2]
-        whole = (pb - pa) / 6.0 * (pfa + 4.0 * pfm + pfb)
-        panels = np.array([pa, pm, pb, pfa, pfm, pfb, whole])
-        # Four halvings in turn: tol / 16 rounds otherwise where tol is subnormal.
-        level_tol, depth, force, done = tol * 0.5 * 0.5 * 0.5 * 0.5, _MAX_DEPTH - 4, 0, 4
+    x = _forced_grid(a, b)
+    # Levels 0-3 done: the 16 panels of level 4, whole being their level-3
+    # half estimate.  Rows: ends and midpoint, their values, Simpson
+    # estimate; one column per panel still open at the current level.
+    fx = f(x)
+    pa, pm, pb, pfa, pfm, pfb = x[:-1:2], x[1::2], x[2::2], fx[:-1:2], fx[1::2], fx[2::2]
+    whole = (pb - pa) / 6.0 * (pfa + 4.0 * pfm + pfb)
+    panels = np.array([pa, pm, pb, pfa, pfm, pfb, whole])
+    # Four halvings in turn: tol / 16 rounds otherwise where tol is subnormal.
+    level_tol, depth = tol * 0.5 * 0.5 * 0.5 * 0.5, _MAX_DEPTH - 4
     levels = []  # per level: (panel values, split mask)
     ok, below, reached = True, None, _MAX_DEPTH
     while panels.shape[1]:
         if panels.shape[1] > _MAX_PANELS:
             # Too wide to evaluate: the open panels keep their Simpson values.
-            ok, below, reached = False, panels[6], done + len(levels)
+            ok, below, reached = False, panels[6], 4 + len(levels)
             break
         pa, pm, pb, pfa, pfm, pfb, pwhole = panels
         lm = 0.5 * (pa + pm)
@@ -115,8 +111,7 @@ def adaptive_simpson(
         delta = left + right - pwhole
         # Standard Richardson acceptance test for Simpson halving.
         passed = np.abs(delta) <= 15.0 * level_tol
-        accepted = passed & (force <= 0)
-        split = ~(accepted | (depth <= 0) | (lm <= pa) | (rm <= pm))
+        split = ~(passed | (depth <= 0) | (lm <= pa) | (rm <= pm))
         ok = ok and bool(np.all(passed | split))
         levels.append((left + right + delta / 15.0, split))
         # Children of each split panel, left then right, as the recursion visits them.
@@ -130,14 +125,13 @@ def adaptive_simpson(
         panels = kids[:, split].reshape(7, -1)
         level_tol = 0.5 * level_tol
         depth -= 1
-        force -= 1
     # Post-order sum: a split panel's value is its left child's plus its right's;
-    # the forced levels split every panel, so each of them sums pairs.
+    # the 4 forced levels split every panel, so each of them sums pairs.
     for values, split in reversed(levels):
         if below is not None:
             values[split] = below[0::2] + below[1::2]
         below = values
-    for _ in range(done):
+    for _ in range(4):
         below = below[0::2] + below[1::2]
     value = float(below[0])
     if not ok:

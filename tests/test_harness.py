@@ -22,8 +22,7 @@ from lofo.harness import (
     gen_equal_weight_family,
     gen_sparse_family,
     ratio_sup_by_s,
-    rows_to_csv,
-    rows_to_long_csv,
+    render_csvs,
     study_gaussian_window,
     study_tau0_scaling,
 )
@@ -383,8 +382,7 @@ def test_csv_rendering(tmp_path):
     rep = calibrate_upper("crossover", fam, L=2.0, n_eps=5)
     wide = tmp_path / "rows.csv"
     long = tmp_path / "long.csv"
-    rows_to_csv(rep.rows, str(wide))
-    rows_to_long_csv(rep.rows, str(long))
+    render_csvs(rep.rows, str(wide), str(long))
     header = wide.read_text().splitlines()[0]
     assert "ratio" in header and "instance" in header
     long_lines = long.read_text().splitlines()
@@ -443,7 +441,7 @@ _FAMILY = gen_sparse_family([4], p_list=[0.5])
 
 
 @pytest.mark.parametrize("call,exc,message", [
-    (lambda: rows_to_csv([], "unused.csv"), ValueError, "no rows to render"),
+    (lambda: render_csvs([], "unused.csv"), ValueError, "no rows to render"),
     (lambda: gen_sparse_family([0, 4]), ValueError, "every s in --s-list must be at least 1"),
     (lambda: gen_equal_weight_family([-1]), ValueError, "every s in --s-list must be at least 1"),
     (lambda: gen_equal_weight_family([4], p_list=[1.5]), ValueError,

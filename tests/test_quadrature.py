@@ -2,6 +2,7 @@
 the earlier depth-first recursion."""
 
 import math
+import sys
 import warnings
 from unittest import mock
 
@@ -142,6 +143,8 @@ def test_degenerate_and_validation():
     [
         (1.0, 0.0),
         (-1e308, 1e308),
+        (0.0, 1e308),
+        (6e307, 9e307),
         (0.0, math.inf),
         (-math.inf, 0.0),
         (math.inf, math.inf),
@@ -151,7 +154,8 @@ def test_degenerate_and_validation():
 )
 def test_rejects_bad_interval(a, b):
     # Refused before any call and without a numpy warning: a reversed interval
-    # used to run 40 levels.
+    # used to run 40 levels, and a sum of two nodes of [0, 1e308] or
+    # [6e307, 9e307] overflowed to a NaN estimate.
     calls = []
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -161,14 +165,14 @@ def test_rejects_bad_interval(a, b):
 
 
 def test_depth_exhaustion_carries_estimate(monkeypatch):
-    monkeypatch.setattr(quadrature, "_MAX_DEPTH", 3)
+    monkeypatch.setattr(quadrature, "_MAX_DEPTH", 5)
     rough = lambda x: np.sin(200.0 * x) ** 2
     with pytest.raises(QuadratureError) as exc:
         adaptive_simpson(rough, 0.0, 7.0, tol=1e-13)
     oracle, _ = integrate.quad(rough, 0.0, 7.0, limit=400)
     # The achieved estimate is still in the right ballpark.
     assert abs(exc.value.estimate - oracle) < 0.5
-    assert exc.value.depth == 3
+    assert exc.value.depth == 5
 
 
 def _one_node(vec):
@@ -177,12 +181,12 @@ def _one_node(vec):
 
 
 def test_depth_exhaustion_matches_recursion(monkeypatch):
-    monkeypatch.setattr(quadrature, "_MAX_DEPTH", 3)
+    monkeypatch.setattr(quadrature, "_MAX_DEPTH", 5)
     rough = lambda x: np.sin(200.0 * x) ** 2
     with pytest.raises(QuadratureError) as new:
         adaptive_simpson(rough, 0.0, 7.0, tol=1e-13)
     with pytest.raises(QuadratureError) as old:
-        _oracle_simpson(_one_node(rough), 0.0, 7.0, tol=1e-13, max_depth=3)
+        _oracle_simpson(_one_node(rough), 0.0, 7.0, tol=1e-13, max_depth=5)
     assert (new.value.estimate, new.value.depth, new.value.tol) == (
         old.value.estimate, old.value.depth, old.value.tol)
 
@@ -251,21 +255,40 @@ def _traced(quad, f, a, b, **kw):
     return out, sorted(map(float.hex, nodes))
 
 
+def _recursion_grid(a, b, levels=5):
+    """The nodes that the recursion's midpoints 0.5 * (x + y) place in [a, b]
+    over its first ``levels`` bisections, left to right."""
+    if levels == 0:
+        return [a, b]
+    m = 0.5 * (a + b)
+    return _recursion_grid(a, m, levels - 1)[:-1] + _recursion_grid(m, b, levels - 1)
+
+
+def _increasing(nodes):
+    return all(x < y for x, y in zip(nodes, nodes[1:]))
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     f=_integrands(),
     ab=_intervals(),
     tol=st.sampled_from([1e-13, 1e-8, 1e-3, 9 * 5e-324]),
-    max_depth=st.integers(0, 6) | st.just(40),
-    cap=st.integers(1, 64),
+    max_depth=st.sampled_from([4, 5, 6, 40]),
+    cap=st.integers(16, 64),
 )
 def test_forced_levels_in_one_call_match_level_loop(f, ab, tol, max_depth, cap):
     # The 33-node first call against one call per forced level: the same value
-    # or error and the same nodes, whether the grid applies (max_depth >= 4,
-    # cap >= 16, no collapsed midpoint) or the loop starts from the root.
+    # or error and the same nodes.  An interval too narrow for the forced
+    # levels' 33 nodes to increase strictly is refused before any call.
     a, b = ab
     with mock.patch.object(quadrature, "_MAX_PANELS", cap), \
             mock.patch.object(quadrature, "_MAX_DEPTH", max_depth):
+        if a < b and not _increasing(_recursion_grid(a, b)):
+            calls = []
+            with pytest.raises(ValueError, match="33 forced nodes"):
+                adaptive_simpson(lambda x: calls.append(x) or f(x), a, b, tol=tol)
+            assert calls == []
+            return
         got = _traced(adaptive_simpson, f, a, b, tol=tol)
     assert got == _traced(_level_oracle, f, a, b, tol=tol, max_depth=max_depth, max_panels=cap)
 
@@ -347,7 +370,7 @@ def _capped_oracle(f, a, b, tol, levels):
     return recurse(a, fa, b, fb, m, fm, (b - a) / 6.0 * (fa + 4.0 * fm + fb), tol, 0)
 
 
-@pytest.mark.parametrize("cap", [1, 16, 100])
+@pytest.mark.parametrize("cap", [16, 100])
 def test_panel_bound_stops_before_a_wide_level(monkeypatch, cap):
     rough = lambda x: np.sin(200.0 * x) ** 2
     widths = []
@@ -359,12 +382,10 @@ def test_panel_bound_stops_before_a_wide_level(monkeypatch, cap):
     monkeypatch.setattr(quadrature, "_MAX_PANELS", cap)
     with pytest.raises(QuadratureError) as exc:
         adaptive_simpson(counted, 0.0, 7.0, tol=1e-13)
-    # From cap 16 on, a first call of 33 nodes evaluates the ends, the midpoint
-    # and the 4 forced levels; below it, a first call of 3 nodes evaluates the
-    # ends and the midpoint.  Then one call per level evaluated, each at two
-    # quarter points of at most cap panels.
-    first, forced = (33, 4) if cap >= 16 else (3, 0)
-    assert widths[0] == first and exc.value.depth == forced + len(widths) - 1
+    # A first call of 33 nodes evaluates the ends, the midpoint and the 4
+    # forced levels.  Then one call per level evaluated, each at two quarter
+    # points of at most cap panels.
+    assert widths[0] == 33 and exc.value.depth == 4 + len(widths) - 1
     assert max(widths[1:]) <= 2 * cap
     expected = _capped_oracle(_one_node(rough), 0.0, 7.0, 1e-13, exc.value.depth)
     assert exc.value.estimate == expected
@@ -401,8 +422,24 @@ def test_esseen_quadrature_error_is_in_esseen_units(monkeypatch):
     assert f"achieved estimate {exc.value.estimate!r}" in str(exc.value)
 
 
-@pytest.mark.parametrize("lam", [math.inf, 1e-320])
+@pytest.mark.parametrize("lam", [math.inf, 1e-320, 9e-309, 5.6e-309])
 def test_esseen_rejects_lambda_without_finite_reciprocal(lam):
+    # At 9e-309 and 5.6e-309 the reciprocal is finite but a sum of two nodes
+    # overflows; the lambda is named before any evaluation, with no warning.
     g = symmetrize(FiniteDist([0.0, 1.0, 3.0], [0.2, 0.5, 0.3]))
-    with pytest.raises(ValueError, match="lambda must be positive and finite"):
-        esseen_integral(g, WeightVector([1.0, 0.5]), lam)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"lambda must be positive and finite.*{lam!r}"):
+            esseen_integral(g, WeightVector([1.0, 0.5]), lam)
+
+
+def test_forced_grid_of_every_accepted_lambda_increases():
+    # The largest lambda and the smallest with 2 / lambda finite: the 33
+    # forced nodes of [0, 1/lambda] are at least 1/(32 lambda) apart, so no
+    # accepted lambda reaches a collapsed grid.
+    smallest = 1.112536929253601e-308
+    assert 2.0 / smallest < math.inf == 2.0 / math.nextafter(smallest, 0.0)
+    for lam in (sys.float_info.max, smallest):
+        x = quadrature._forced_grid(0.0, 1.0 / lam)
+        assert np.all(x[1:] > x[:-1])
+        assert x.tolist() == _recursion_grid(0.0, 1.0 / lam)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lofo.cli import main
-from lofo.harness import rows_to_csv, rows_to_long_csv
+from lofo.harness import render_csvs
 
 
 def _oracle_rows_to_csv(rows, path):
@@ -37,6 +37,14 @@ def _oracle_rows_to_long_csv(rows, path):
             }
         )
     _oracle_rows_to_csv(out, path)
+
+
+def _wide(rows, path):
+    render_csvs(rows, wide_path=path)
+
+
+def _long(rows, path):
+    render_csvs(rows, long_path=path)
 
 
 def _outcome(render, rows, path):
@@ -70,8 +78,7 @@ _shared_rows = st.lists(_keys, unique=True, max_size=7).flatmap(
 
 
 def _assert_renderers_match_oracle(d, rows):
-    for render, oracle in ((rows_to_csv, _oracle_rows_to_csv),
-                           (rows_to_long_csv, _oracle_rows_to_long_csv)):
+    for render, oracle in ((_wide, _oracle_rows_to_csv), (_long, _oracle_rows_to_long_csv)):
         got = _outcome(render, rows, d / f"{render.__name__}.csv")
         want = _outcome(oracle, rows, d / f"oracle_{render.__name__}.csv")
         assert got == want
@@ -130,7 +137,7 @@ def test_csv_renderers_match_oracle_on_edge_cells(rows, tmp_path):
 
 def test_csv_extra_keys_raise_dictwriter_error(tmp_path):
     rows = [{"a": 0.5, "b": 1}, {"a": 0.5}, {"a": -0.0, "c": 0.0, "d": None}]
-    got = _outcome(rows_to_csv, rows, tmp_path / "got.csv")
+    got = _outcome(_wide, rows, tmp_path / "got.csv")
     want = _outcome(_oracle_rows_to_csv, rows, tmp_path / "want.csv")
     assert got == want
     assert got[0][1].startswith("dict contains fields not in fieldnames: ")
@@ -163,8 +170,8 @@ def test_cli_report_writes_oracle_bytes(argv, tmp_path):
 
 @pytest.mark.parametrize("out_long", [True, False])
 def test_cli_report_matches_separate_renders(out_long, tmp_path):
-    # cmd_report renders both files at once; the bytes are those of the two
-    # public renderers called apart.
+    # cmd_report renders both files at once; the bytes are those of
+    # render_csvs called apart for each file.
     rows = [{"instance": "x,1", "eps": 0, "q": 0.5, "min_form": 1, "ratio": 0.5},
             {"instance": "x,1", "eps": 0.25, "q": 0, "min_form": 0.75, "ratio": 1.5},
             {"instance": "y", "eps": 0.5, "q": 0.125, "min_form": 0.5, "ratio": 0.25}]
@@ -174,8 +181,8 @@ def test_cli_report_matches_separate_renders(out_long, tmp_path):
     argv = ["report", "--in", str(report), "--out-csv", str(wide)]
     assert main(argv + (["--out-long", str(long)] if out_long else [])) == 0
     loaded = json.loads(report.read_text(encoding="utf-8"))["rows"]
-    rows_to_csv(loaded, str(tmp_path / "apart.csv"))
-    rows_to_long_csv(loaded, str(tmp_path / "apart_long.csv"))
+    _wide(loaded, str(tmp_path / "apart.csv"))
+    _long(loaded, str(tmp_path / "apart_long.csv"))
     assert wide.read_bytes() == (tmp_path / "apart.csv").read_bytes()
     assert long.exists() == out_long
     if out_long:

@@ -62,8 +62,9 @@ def _oracle_piecewise_tau0(u, w, m_stars):
     b_suffix = np.concatenate((np.cumsum(w[::-1])[::-1][1:], [0.0]))
     knot_m = a_prefix / (u * u) + b_suffix
     m_stars = np.asarray(m_stars, dtype=float)
-    # knot_m is nonincreasing; find the piece [u_k, u_{k+1}) containing each root.
-    starts = np.searchsorted(-knot_m, -m_stars, side="left")
+    # The running minimum of knot_m is nonincreasing; find the piece
+    # [u_k, u_{k+1}) containing each root, k the first knot at most m_star.
+    starts = np.searchsorted(-np.minimum.accumulate(knot_m), -m_stars, side="left")
     roots = []
     for m_star, k in zip(m_stars, starts):
         if k == 0:
@@ -400,14 +401,26 @@ def spread_supports(draw):
 def test_piecewise_tau0_walk_past_the_stopped_pass_bit_identical(block, case):
     # The forward pass stops at the block that places the last target; a
     # walk that steps further extends the carries block by block.  Where
-    # rounding makes a knot rise, a block search and a whole-array search
-    # may place a target differently (they did before the pass could stop),
-    # so the knots are kept nonincreasing.
+    # rounding makes a knot rise, the first knot at most the target still
+    # places it, in blocks as in the whole array.
     u, w, targets = case
-    assume(np.all(np.diff(np.cumsum(w * u * u) / (u * u) + _outside_masses(w)) <= 0.0))
     assert _with_block(block, lambda: _value_or_error(
         lambda: _piecewise_tau0(u, w, targets))) == _value_or_error(
         lambda: _oracle_piecewise_tau0(u, w, targets))
+
+
+@pytest.mark.parametrize("block", STREAM_BLOCKS + [1 << 14])
+def test_piecewise_tau0_rising_knot_has_one_root_for_every_block(block):
+    # The knot at 1e-194 rounds above the first and m* = 1 sits between:
+    # 1-point blocks found the first knot at most m* at the smallest point
+    # and raised, larger blocks searched past it and returned 1.0.
+    u = np.array([1e-197, 1e-194, 1e-17, 1.0])
+    w = 2.0 ** -np.array([54.0, 53.0, 55.0, 0.0])
+    s = np.ldexp(u, 500)  # every square normal
+    knots = np.cumsum(w * s * s) / (s * s) + _outside_masses(w)
+    assert knots[0] <= 1.0 < knots[1]
+    with pytest.raises(PreconditionError, match="above M at the smallest support point"):
+        _with_block(block, lambda: _piecewise_tau0(u, w, [1.0]))
 
 
 def _blocks_read(monkeypatch, u):
