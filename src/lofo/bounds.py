@@ -221,9 +221,9 @@ def solve_tau0(
     overflows (the target 1/L^2 would round to 0).  tol > 0 bounds the
     residual |M(tau0) - 1/L^2| accepted (default the kind's: 1e-10 finite,
     1e-6 analytic); a larger or NaN residual raises NumericalError, as does
-    a Gaussian root below the smallest normal float.  A D*, if given, must
-    be positive and finite (checked first), and eps0 = tau0/D* must not
-    overflow (NumericalError).
+    a Gaussian root below the smallest normal float or past the float
+    range.  A D*, if given, must be positive and finite (checked first), and
+    eps0 = tau0/D* must not overflow (NumericalError).
     """
     if not 0 < L < math.inf:
         raise ValueError("L must be positive and finite")

@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .distributions import Dist, FiniteDist, _Record, weighted_cf
+from .distributions import Dist, FiniteDist, _cf_checks, _cf_kernel, _Record
 from .exceptions import CapacityError, QuadratureError
 from .quadrature import adaptive_simpson
 
@@ -502,7 +502,8 @@ def esseen_integral(
 
     Upper-bounds Q(F_a, lambda) up to an absolute constant; for symmetric
     laws with nonnegative CF it is two-sided.  The quadrature evaluates
-    |CF_{S_a}| one bisection level at a time, so weighted_cf runs once over
+    |CF_{S_a}| one bisection level at a time: weighted_cf's argument checks
+    run once, for every t in [0, 1/lambda], and its kernel runs once over
     the 33 nodes of the 4 forced levels and then once per level over all of
     that level's nodes.  lambda must be positive with 2 / lambda finite, so
     that no sum of two nodes overflows; the quadrature runs to tol / lambda,
@@ -516,7 +517,10 @@ def esseen_integral(
         raise ValueError("tol must be positive")
     if tol / lam == 0.0:
         raise ValueError(f"tol / lambda underflows to 0: {tol!r} / {lam!r}")
-    integrand = lambda t: np.abs(weighted_cf(dist, a, t))
+    # weighted_cf's checks once, for every node in [0, 1/lambda]: the first
+    # call's nodes include 1/lambda, so its errors are those of weighted_cf.
+    coords, _, rows, overflows = _cf_checks(dist, a, (0.0, 1.0 / lam))
+    integrand = lambda t: np.abs(_cf_kernel(dist, coords, t, rows, overflows))
     try:
         return lam * adaptive_simpson(integrand, 0.0, 1.0 / lam, tol=tol / lam)
     except QuadratureError as exc:

@@ -337,6 +337,8 @@ class _Gaussian(AnalyticDist):
         lo = (1.0 - m_star) * math.sqrt(0.5 * math.pi) if m_star > 0.5 else (2.0 * m_star) ** -0.5
         a0, iters = _bisect_tau0(lambda a: _m_gaussian(1.0, a), m_star, lo, _SQRT2 * L)
         tau0 = self.sigma * a0
+        if tau0 == math.inf:
+            raise NumericalError(f"crossover scale {self.sigma:g} * {a0:.6g} overflows")
         if tau0 < np.finfo(float).tiny:
             raise NumericalError(f"crossover scale {self.sigma:g} * {a0:.6g} underflows")
         return tau0, iters, abs(m_functional(self, tau0) - m_star)
@@ -532,13 +534,24 @@ def weighted_cf(dist: Dist, coords, t) -> complex | np.ndarray:
 
     ``coords`` is a weight vector object (with .coords and a cached
     .norm_inf) or a plain sequence.  Vectorized over t (flattened), with
-    cf_eval's dtypes; ValueError before any evaluation if some t is not
-    finite, or if max |t| max |a_k| overflows the law's CF kernel, and for
-    every law kind if a weight is NaN or infinite.  The t values are taken
-    in chunks that keep the (t, coords, folded atoms) block within
-    _CF_CHUNK_ENTRIES entries (a single larger t is evaluated whole); each
-    t is reduced on its own, so chunking does not change a bit.
+    cf_eval's dtypes.  Two steps: ``_cf_checks`` raises ValueError before
+    any evaluation if some t is not finite, or if max |t| max |a_k|
+    overflows the law's CF kernel, and for every law kind if a weight is
+    NaN or infinite; then ``_cf_kernel`` evaluates.  A caller that knows
+    max |t| up front (esseen_integral) runs the checks once and the kernel
+    once per batch of t.  The kernel takes t in chunks that keep the
+    (t, coords, folded atoms) block within _CF_CHUNK_ENTRIES entries (a
+    single larger t is evaluated whole); each t is reduced on its own, so
+    chunking does not change a bit.
     """
+    a, t_arr, rows, overflows = _cf_checks(dist, coords, t)
+    vals = _cf_kernel(dist, a, t_arr, rows, overflows)
+    return complex(vals[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else vals
+
+
+def _cf_checks(dist: Dist, coords, t) -> tuple[np.ndarray, np.ndarray, int, bool]:
+    """weighted_cf's argument checks: the weights and t as flat float arrays,
+    the t entries per kernel chunk, and whether some t a_k may overflow."""
     a = np.asarray(getattr(coords, "coords", coords), dtype=float).ravel()
     t_arr = np.asarray(t, dtype=float).ravel()
     t_max = float(np.maximum.reduce(np.abs(t_arr), initial=0.0))
@@ -549,16 +562,20 @@ def weighted_cf(dist: Dist, coords, t) -> complex | np.ndarray:
         raise ValueError(f"CF arguments overflow or are NaN: max |a_k| is {a_max!r}")
     reach = t_max * a_max
     per_t = a.size * dist._cf_width(reach)
-    rows = max(1, _CF_CHUNK_ENTRIES // max(per_t, 1))
-    chunks = []
-    # t a_k overflows only where reach does, so only for an analytic law, whose CF is 0 there.
-    with np.errstate(over="ignore") if reach == math.inf else contextlib.nullcontext():
-        for lo in range(0, max(t_arr.size, 1), rows):  # an empty t still makes one chunk
-            # (rows, n_coords) grid of scaled arguments; product over coordinates.
-            args = t_arr[lo : lo + rows, None] * a
-            chunks.append(np.prod(dist._cf(args), axis=-1))
-    vals = np.concatenate(chunks)
-    return complex(vals[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else vals
+    return a, t_arr, max(1, _CF_CHUNK_ENTRIES // max(per_t, 1)), reach == math.inf
+
+
+def _cf_kernel(dist: Dist, a: np.ndarray, t: np.ndarray, rows: int, overflows: bool) -> np.ndarray:
+    """prod_k CF(a_k t) at every entry of the flat, checked t, ``rows`` at a
+    time; a single chunk is returned as it is."""
+    # t a_k overflows only where the checked reach does, so only for an
+    # analytic law, whose CF is 0 there.
+    with np.errstate(over="ignore") if overflows else contextlib.nullcontext():
+        # (rows, n_coords) grids of scaled arguments; product over coordinates.
+        if t.size <= rows:  # one chunk, an empty t too
+            return np.multiply.reduce(dist._cf(t[:, None] * a), axis=-1)
+        return np.concatenate([np.multiply.reduce(dist._cf(t[lo : lo + rows, None] * a), axis=-1)
+                               for lo in range(0, t.size, rows)])
 
 
 # ---------------------------------------------------------------------------
@@ -618,9 +635,12 @@ def _m_gaussian(sigma: float, tau: float) -> float:
     With a = tau/sigma: M = erfc(a/sqrt2) + (erf(a/sqrt2) - sqrt(2/pi) a e^(-a^2/2))/a^2,
     tail mass plus truncated second moment.  Below a = 0.05 the second term,
     which cancels there, is its series sqrt(2/pi) a (1/3 - a^2/10 + a^4/56 -
-    a^6/432); the first omitted term is below 4e-16.
+    a^6/432); the first omitted term is below 4e-16.  At a = inf it is the
+    limit 0.0, as for the other law kinds.
     """
     a = tau / sigma
+    if a == math.inf:
+        return 0.0  # the closed form is inf * 0 there
     if a < 0.05:
         a2 = a * a
         body = _SQRT_2_OVER_PI * a * (1.0 / 3.0 - a2 * (0.1 - a2 * (1.0 / 56.0 - a2 / 432.0)))

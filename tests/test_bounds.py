@@ -490,9 +490,10 @@ def test_tau0_gaussian_matches_incomplete_gamma_root(sigma, L):
     assert root.method == "bisection_quadrature" and root.residual <= 1e-6
 
 
-def test_tau0_nan_residual_is_numerical_error():
-    # tau0 ~ sigma L overflows; M(inf) is NaN and must not pass the tolerance.
-    with pytest.raises(NumericalError, match="residual nan"):
+def test_tau0_gaussian_overflowing_root_is_numerical_error():
+    # tau0 ~ sigma L overflows.  M(inf) is its limit 0.0, so no NaN residual
+    # reports it: the overflow is named, with sigma.
+    with pytest.raises(NumericalError, match=r"crossover scale 1e\+300 \* .* overflows"):
         solve_tau0(AnalyticDist.gaussian(1e300), 1e10)
 
 

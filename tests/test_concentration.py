@@ -606,12 +606,13 @@ def test_esseen_batches_cf_calls_by_level(monkeypatch):
     # One CF call for the ends and midpoint, then one per bisection level; a
     # fallback to one call per node would make hundreds here.
     calls = []
+    kernel = concentration._cf_kernel
 
-    def counted(dist, coords, t):
+    def counted(dist, a, t, *args):
         calls.append(np.size(t))
-        return weighted_cf(dist, coords, t)
+        return kernel(dist, a, t, *args)
 
-    monkeypatch.setattr(concentration, "weighted_cf", counted)
+    monkeypatch.setattr(concentration, "_cf_kernel", counted)
     rng = np.random.default_rng(0)
     g = symmetrize(FiniteDist(np.sort(rng.uniform(-2.0, 2.0, 5)), np.full(5, 0.2)))
     value = esseen_integral(g, WeightVector([1.0]), 0.1)

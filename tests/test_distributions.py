@@ -2,6 +2,7 @@
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -195,6 +196,21 @@ def test_m_gaussian_quadrature_matches_closed_form():
         assert m_functional(g, math.sqrt(2.0) * a) == pytest.approx(gamma_oracle, abs=1e-14)
     # tau far below sigma: M is 1 to double precision, with no underflow failure.
     assert m_functional(g, 1e-200) == 1.0
+
+
+@pytest.mark.parametrize("g", [
+    AnalyticDist.gaussian(1.0),
+    AnalyticDist.gaussian(5e-324),
+    AnalyticDist.stable(1.5),
+    symmetrize(FiniteDist.bernoulli(0.3)),
+])
+def test_m_at_infinite_tau_is_its_limit_zero(g):
+    # M(tau) -> 0 as tau -> inf for every kind; the Gaussian closed form is
+    # inf * 0 there and used to give NaN.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert m_functional(g, math.inf, n_samples=1000) == 0.0
+        assert m_functional(g, [1.0, math.inf, 1e308], n_samples=1000)[1] == 0.0
 
 
 def test_m_stable_monte_carlo_vs_cauchy_closed_form():

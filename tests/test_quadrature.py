@@ -14,7 +14,7 @@ from scipy import integrate
 
 from lofo import AnalyticDist, FiniteDist, WeightVector, esseen_integral, symmetrize, weighted_cf
 from lofo.exceptions import QuadratureError
-from lofo import quadrature
+from lofo import concentration, quadrature
 from lofo.quadrature import adaptive_simpson
 
 
@@ -443,3 +443,37 @@ def test_forced_grid_of_every_accepted_lambda_increases():
         x = quadrature._forced_grid(0.0, 1.0 / lam)
         assert np.all(x[1:] > x[:-1])
         assert x.tolist() == _recursion_grid(0.0, 1.0 / lam)
+
+
+@pytest.mark.parametrize("law", [
+    symmetrize(FiniteDist([0.0, 1.0, 3.0], [0.2, 0.5, 0.3])),
+    AnalyticDist.gaussian(0.7),
+    AnalyticDist.stable(1.5),
+])
+@pytest.mark.parametrize("lam", [10.0, 0.1, 1e-2])
+def test_esseen_checks_the_cf_arguments_once(monkeypatch, law, lam):
+    # weighted_cf's checks run once per integral, for t in [0, 1/lambda]; the
+    # kernel then runs once for the forced levels and once per level.
+    widths, kernel_calls = [], []
+    width, kernel = type(law)._cf_width, concentration._cf_kernel
+    monkeypatch.setattr(type(law), "_cf_width", lambda self, reach: widths.append(reach) or width(self, reach))
+    monkeypatch.setattr(concentration, "_cf_kernel",
+                        lambda *args: kernel_calls.append(args[2].size) or kernel(*args))
+    a = WeightVector([1.0, 0.5])
+    value = esseen_integral(law, a, lam)
+    assert widths == [(1.0 / lam) * a.norm_inf]
+    assert len(kernel_calls) >= 2 and kernel_calls[0] == 33
+    monkeypatch.undo()
+    assert esseen_integral(law, a, lam) == value
+
+
+def test_esseen_cf_overflow_raises_before_any_kernel_call(monkeypatch):
+    # t_max = 1/lambda = 1e307 times the weight 100 overflows the finite
+    # kernel's arguments: weighted_cf's ValueError, raised by the one check.
+    calls = []
+    monkeypatch.setattr(concentration, "_cf_kernel", lambda *args: calls.append(args))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="CF arguments overflow"):
+            esseen_integral(symmetrize(FiniteDist.bernoulli(0.3)), WeightVector([100.0]), 1e-307)
+    assert calls == []

@@ -11,8 +11,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lofo import AnalyticDist, FiniteDist, WeightVector, m_functional, q_monte_carlo, solve_tau0
-from lofo import distributions
+from lofo import (
+    AnalyticDist, FiniteDist, WeightVector, esseen_integral, m_functional, q_monte_carlo, solve_tau0,
+    symmetrize,
+)
+from lofo import concentration, distributions
 from lofo.concentration import MC_MIN_SAMPLES
 from lofo.distributions import _empirical_spread, _piecewise_tau0
 from lofo.exceptions import NumericalError, PreconditionError
@@ -682,6 +685,29 @@ def test_q_monte_carlo_stable_traced_peak(alpha):
         lambda: q_monte_carlo(AnalyticDist.stable(alpha), a, 0.5, n_samples=N_TRACED)
     )
     assert peak <= 2.5
+
+
+def test_sampled_esseen_quadratures_cost(monkeypatch):
+    # The 150 Esseen integrals of the sampled benchmark at seed 19001: 50
+    # symmetrized 5-atom laws, each at lambda = 0.1, 1 and 10, unit weight.
+    # Their cost is 470 integrand calls over 31,262 nodes; it falls with a
+    # change of the bisection rule only.
+    calls = []
+    quad = concentration.adaptive_simpson
+
+    def counted(f, a, b, tol):
+        return quad(lambda t: calls.append(t.size) or f(t), a, b, tol)
+
+    monkeypatch.setattr(concentration, "adaptive_simpson", counted)
+    rng = np.random.default_rng([19001, 1])
+    unit = WeightVector([1.0])
+    for _ in range(50):
+        atoms = np.sort(rng.uniform(-2.0, 2.0, 5))
+        masses = rng.random(5) + 0.2
+        g = symmetrize(FiniteDist(atoms, masses / masses.sum()))
+        for lam in (0.1, 1.0, 10.0):
+            esseen_integral(g, unit, lam)
+    assert (len(calls), sum(calls)) == (470, 31_262)
 
 
 # ---------------------------------------------------------------------------
